@@ -36,8 +36,13 @@ void Report(const bench::BenchEnv& env, const std::string& name,
   auto csv = bench::OpenCsv(env, "ablation_" + name + ".csv",
                             {"variant", "delivery_rate_pct",
                              "delivery_time_s", "messages"});
-  for (const auto& [label, config] : runs) {
-    Aggregate a = RunReplicated(config, env.reps, env.jobs);
+  std::vector<Aggregate> results(runs.size());
+  bench::ParallelSweep(env, runs.size(), [&](size_t i) {
+    results[i] = RunReplicated(runs[i].second, env.reps);
+  });
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const std::string& label = runs[i].first;
+    const Aggregate& a = results[i];
     table.Row(label, Table::Num(a.DeliveryRate(), 2),
               Table::Num(a.DeliveryTime(), 2), Table::Num(a.Messages(), 0));
     if (csv) csv->Row(label, a.DeliveryRate(), a.DeliveryTime(),

@@ -215,9 +215,11 @@ class ObsGuard {
 };
 
 /// Runs fn(i) for every grid point i in [0, n), fanned out over env.jobs
-/// workers (inline when env.jobs == 1). fn must write its result into an
-/// index-addressed slot and leave printing/CSV to a serial pass afterwards;
-/// with that discipline the output is identical at any job count.
+/// workers (inline when env.jobs == 1). A RunReplicated(config, reps) call
+/// inside fn shares those workers, so replications, not whole points, are
+/// what they pick up. fn must write its result into an index-addressed
+/// slot and leave printing/CSV to a serial pass afterwards; with that
+/// discipline the output is identical at any job count.
 template <typename Fn>
 void ParallelSweep(const BenchEnv& env, size_t n, Fn&& fn) {
   exec::ParallelFor(env.jobs, n, fn);

@@ -36,24 +36,30 @@ void Run(const bench::BenchEnv& env) {
                             {"peers", "reduction_opt1_pct",
                              "reduction_opt2_pct", "reduction_opt_pct"});
 
+  // messages[size index * methods + method index], filled over the worker
+  // pool; the table and CSV follow in grid order.
+  const std::vector<Method> methods = {Method::kGossip, Method::kOptimized1,
+                                       Method::kOptimized2,
+                                       Method::kOptimized};
+  std::vector<double> messages(sizes.size() * methods.size());
+  bench::ParallelSweep(env, messages.size(), [&](size_t point) {
+    ScenarioConfig config;
+    config.method = methods[point % methods.size()];
+    config.num_peers = sizes[point / methods.size()];
+    messages[point] = RunReplicated(config, env.reps).Messages();
+  });
+
   Table table({"peers", "Optimized Gossiping-1", "Optimized Gossiping-2",
                "Optimized Gossiping"});
-  for (int n : sizes) {
-    auto messages_for = [&](Method method) {
-      ScenarioConfig config;
-      config.method = method;
-      config.num_peers = n;
-      return RunReplicated(config, env.reps, env.jobs).Messages();
-    };
-    const double gossip = messages_for(Method::kGossip);
-    const double r1 = 100.0 * (1.0 - messages_for(Method::kOptimized1) /
-                                         gossip);
-    const double r2 = 100.0 * (1.0 - messages_for(Method::kOptimized2) /
-                                         gossip);
-    const double r12 = 100.0 * (1.0 - messages_for(Method::kOptimized) /
-                                          gossip);
-    table.Row(n, Table::Num(r1, 1), Table::Num(r2, 1), Table::Num(r12, 1));
-    if (csv) csv->Row(n, r1, r2, r12);
+  for (size_t s = 0; s < sizes.size(); ++s) {
+    const double* m = &messages[s * methods.size()];
+    const double gossip = m[0];
+    const double r1 = 100.0 * (1.0 - m[1] / gossip);
+    const double r2 = 100.0 * (1.0 - m[2] / gossip);
+    const double r12 = 100.0 * (1.0 - m[3] / gossip);
+    table.Row(sizes[s], Table::Num(r1, 1), Table::Num(r2, 1),
+              Table::Num(r12, 1));
+    if (csv) csv->Row(sizes[s], r1, r2, r12);
   }
   table.Print();
 }

@@ -48,10 +48,15 @@ void PrintSweep(const bench::BenchEnv& env, const std::string& name,
   auto csv = bench::OpenCsv(env, "fig10_" + name + ".csv",
                             {parameter, "delivery_rate_pct",
                              "delivery_time_s", "messages"});
-  for (double value : values) {
+  std::vector<Aggregate> results(values.size());
+  bench::ParallelSweep(env, values.size(), [&](size_t i) {
     ScenarioConfig config = BaseConfig();
-    apply(&config, value);
-    Aggregate a = RunReplicated(config, env.reps, env.jobs);
+    apply(&config, values[i]);
+    results[i] = RunReplicated(config, env.reps);
+  });
+  for (size_t i = 0; i < values.size(); ++i) {
+    const double value = values[i];
+    const Aggregate& a = results[i];
     table.Row(Table::Num(value, 2), Table::Num(a.DeliveryRate(), 2),
               Table::Num(a.DeliveryTime(), 2), Table::Num(a.Messages(), 0));
     if (csv) csv->Row(value, a.DeliveryRate(), a.DeliveryTime(), a.Messages());

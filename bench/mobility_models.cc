@@ -37,25 +37,33 @@ void Run(const bench::BenchEnv& env) {
   auto csv = bench::OpenCsv(env, "mobility_models.csv",
                             {"mobility", "method", "delivery_rate_pct",
                              "delivery_time_s", "messages"});
+  const std::vector<Mobility> mobilities = {
+      Mobility::kRandomWaypoint, Mobility::kManhattanGrid,
+      Mobility::kHotspot};
+  const std::vector<Method> methods = {Method::kFlooding, Method::kGossip,
+                                       Method::kOptimized};
+  // results[mobility index * methods + method index], filled over the
+  // worker pool; the table and CSV follow in grid order.
+  std::vector<Aggregate> results(mobilities.size() * methods.size());
+  bench::ParallelSweep(env, results.size(), [&](size_t point) {
+    ScenarioConfig config;
+    config.method = methods[point % methods.size()];
+    config.mobility = mobilities[point / methods.size()];
+    config.num_peers = 300;
+    results[point] = RunReplicated(config, env.reps);
+  });
+
   Table table({"mobility", "method", "rate_pct", "time_s", "messages"});
-  for (Mobility mobility : {Mobility::kRandomWaypoint,
-                            Mobility::kManhattanGrid, Mobility::kHotspot}) {
-    for (Method method : {Method::kFlooding, Method::kGossip,
-                          Method::kOptimized}) {
-      ScenarioConfig config;
-      config.method = method;
-      config.mobility = mobility;
-      config.num_peers = 300;
-      Aggregate aggregate = RunReplicated(config, env.reps, env.jobs);
-      table.Row(MobilityName(mobility), MethodName(method),
-                Table::Num(aggregate.DeliveryRate(), 2),
-                Table::Num(aggregate.DeliveryTime(), 2),
-                Table::Num(aggregate.Messages(), 0));
-      if (csv) {
-        csv->Row(MobilityName(mobility), MethodName(method),
-                 aggregate.DeliveryRate(), aggregate.DeliveryTime(),
-                 aggregate.Messages());
-      }
+  for (size_t point = 0; point < results.size(); ++point) {
+    const char* mobility = MobilityName(mobilities[point / methods.size()]);
+    const char* method = MethodName(methods[point % methods.size()]);
+    const Aggregate& aggregate = results[point];
+    table.Row(mobility, method, Table::Num(aggregate.DeliveryRate(), 2),
+              Table::Num(aggregate.DeliveryTime(), 2),
+              Table::Num(aggregate.Messages(), 0));
+    if (csv) {
+      csv->Row(mobility, method, aggregate.DeliveryRate(),
+               aggregate.DeliveryTime(), aggregate.Messages());
     }
   }
   table.Print();

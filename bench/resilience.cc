@@ -62,12 +62,11 @@ ScenarioConfig BaseConfig(const bench::BenchEnv& env) {
   return config;
 }
 
-std::vector<Point> Sweep(const ScenarioConfig& base,
+std::vector<Point> Sweep(const bench::BenchEnv& env,
+                         const ScenarioConfig& base,
                          const std::vector<double>& grid,
-                         void (*apply)(double, ScenarioConfig*), int reps,
-                         int jobs) {
-  std::vector<Point> points;
-  points.reserve(grid.size());
+                         void (*apply)(double, ScenarioConfig*)) {
+  std::vector<ScenarioConfig> configs;
   for (double knob : grid) {
     ScenarioConfig config = base;
     apply(knob, &config);
@@ -77,8 +76,12 @@ std::vector<Point> Sweep(const ScenarioConfig& base,
                        valid.message().c_str());
       std::exit(EXIT_FAILURE);
     }
-    points.push_back({knob, RunReplicated(config, reps, jobs)});
+    configs.push_back(config);
   }
+  std::vector<Point> points(grid.size());
+  bench::ParallelSweep(env, grid.size(), [&](size_t i) {
+    points[i] = {grid[i], RunReplicated(configs[i], env.reps)};
+  });
   return points;
 }
 
@@ -160,16 +163,18 @@ void Run(const bench::BenchEnv& env) {
     churn_grid = {0.0, 0.4, 0.8};
     loss_grid = {0.0, 0.4, 0.8};
   }
-  const int jobs =
-      env.jobs > 1 ? env.jobs : exec::ThreadPool::HardwareConcurrency();
+  // Unless told otherwise, the sweeps use every hardware thread.
+  bench::BenchEnv sweep_env = env;
+  if (sweep_env.jobs <= 1) {
+    sweep_env.jobs = exec::ThreadPool::HardwareConcurrency();
+  }
 
   auto start = std::chrono::steady_clock::now();
   const std::vector<Point> churn =
-      Sweep(base, churn_grid, ApplyChurn, env.reps, jobs);
+      Sweep(sweep_env, base, churn_grid, ApplyChurn);
   const double churn_wall_s = SecondsSince(start);
   start = std::chrono::steady_clock::now();
-  const std::vector<Point> loss =
-      Sweep(base, loss_grid, ApplyLoss, env.reps, jobs);
+  const std::vector<Point> loss = Sweep(sweep_env, base, loss_grid, ApplyLoss);
   const double loss_wall_s = SecondsSince(start);
 
   PrintSweep("Crash-churn sweep (120s up / 240s down, caches wiped)",
@@ -197,7 +202,7 @@ void Run(const bench::BenchEnv& env) {
   manifest.config_hash = obs::HashHex(scenario::SaveConfigText(base));
   manifest.base_seed = base.seed;
   manifest.replications = env.reps;
-  manifest.jobs = jobs;
+  manifest.jobs = sweep_env.jobs;
   manifest.wall_s = churn_wall_s + loss_wall_s;
   json.Key("manifest");
   manifest.WriteJson(&json);

@@ -34,13 +34,17 @@ struct Aggregate {
 /// Runs `replications` copies of `base` with seeds base.seed, base.seed+1,
 /// ... and aggregates. Requires replications >= 1.
 ///
-/// `jobs` is the concurrency knob: 1 (the default) runs seeds serially on
-/// the calling thread; jobs > 1 runs up to that many replications at once
-/// on an exec::ThreadPool; jobs <= 0 means one worker per hardware thread.
-/// Each replication owns its whole Simulator/Medium/RNG stack, so runs are
-/// fully isolated; per-seed results are merged in seed order regardless of
-/// completion order, making every Aggregate field bit-identical to the
-/// serial path.
+/// `jobs` is the concurrency knob of a top-level call: 1 (the default)
+/// runs seeds serially on the calling thread; jobs > 1 runs up to that
+/// many replications at once through exec::ParallelFor; jobs <= 0 means
+/// one worker per hardware thread. Called from inside an exec::ParallelFor
+/// worker (a grid point of a sweep) `jobs` is ignored: the replications
+/// join the enclosing loop's workers, so idle workers of the sweep pick
+/// them up; under a top-level jobs = 1 sweep they run serially on the
+/// calling thread. Each replication owns its whole Simulator/Medium/RNG
+/// stack, so runs are fully isolated; per-seed results are merged in seed
+/// order regardless of completion order, making every Aggregate field
+/// bit-identical to the serial path.
 ///
 /// When an obs::Session is installed (see bench_util's ObsGuard), every
 /// replication additionally records into its own obs::RunContext — trace

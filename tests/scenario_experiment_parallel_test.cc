@@ -3,10 +3,15 @@
 // Determinism contract of the parallel experiment engine: RunReplicated
 // with jobs > 1 must produce Aggregate summaries that are bit-identical,
 // field for field, to the serial path — parallelism only changes wall
-// clock, never results.
+// clock, never results. That holds too when RunReplicated runs nested in
+// an exec::ParallelFor sweep and its replications share the sweep's
+// workers.
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "exec/parallel_for.h"
 #include "exec/replication.h"
 
 namespace madnet::scenario {
@@ -84,6 +89,30 @@ TEST(RunReplicatedParallelTest, MoreJobsThanReplicationsIsFine) {
   const Aggregate serial = RunReplicated(config, 2, /*jobs=*/1);
   const Aggregate parallel = RunReplicated(config, 2, /*jobs=*/16);
   ExpectAggregateIdentical(serial, parallel);
+}
+
+TEST(RunReplicatedParallelTest, NestedInParallelForMatchesSerial) {
+  std::vector<ScenarioConfig> points;
+  for (Method method : {Method::kFlooding, Method::kGossip,
+                        Method::kOptimized}) {
+    for (int peers : {40, 80}) {
+      ScenarioConfig config = SmallConfig(method);
+      config.num_peers = peers;
+      points.push_back(config);
+    }
+  }
+  std::vector<Aggregate> serial;
+  for (const ScenarioConfig& config : points) {
+    serial.push_back(RunReplicated(config, 3));
+  }
+  std::vector<Aggregate> nested(points.size());
+  exec::ParallelFor(4, points.size(), [&](size_t p) {
+    nested[p] = RunReplicated(points[p], 3);
+  });
+  for (size_t p = 0; p < points.size(); ++p) {
+    SCOPED_TRACE(p);
+    ExpectAggregateIdentical(serial[p], nested[p]);
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "obs/session.h"
 #include "obs/trace_query.h"
 #include "obs/trace_reader.h"
+#include "exec/parallel_for.h"
 #include "exec/replication.h"
 #include "scenario/scenario.h"
 
@@ -139,6 +141,48 @@ TEST(ScenarioObsTest, FlushedTraceParsesAndIsOrderedWithinRuns) {
   const std::string manifest = ReadWholeFile(path + ".manifest.json");
   EXPECT_NE(manifest.find("\"runs\":2"), std::string::npos);
   EXPECT_NE(manifest.find("\"counters\""), std::string::npos);
+}
+
+/// Trace bytes and the run-derived part of the metrics report of a grid
+/// sweep under a fresh Session: each point's RunReplicated nested in one
+/// exec::ParallelFor at `jobs`.
+struct SweepArtifacts {
+  std::string trace;
+  std::string metrics;  // From "counters" on: phases and manifest time runs.
+};
+
+SweepArtifacts NestedSweepArtifacts(int jobs, const std::string& prefix) {
+  std::vector<ScenarioConfig> points;
+  for (Method method : {Method::kGossip, Method::kOptimized}) {
+    for (int peers : {30, 50}) {
+      ScenarioConfig config = SmallConfig();
+      config.method = method;
+      config.num_peers = peers;
+      points.push_back(config);
+    }
+  }
+  obs::SessionOptions options;
+  options.trace.categories = obs::kTraceAll;
+  options.trace_path = testing::TempDir() + prefix + ".jsonl";
+  options.metrics_path = testing::TempDir() + prefix + ".metrics.json";
+  obs::Session::Configure(options);
+  exec::ParallelFor(jobs, points.size(),
+                    [&](size_t p) { RunReplicated(points[p], 3); });
+  const Status status = obs::Session::Get()->Flush(obs::Manifest{});
+  obs::Session::Shutdown();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  const std::string metrics = ReadWholeFile(options.metrics_path);
+  const size_t counters = metrics.find("\"counters\"");
+  EXPECT_NE(counters, std::string::npos);
+  return {ReadWholeFile(options.trace_path), metrics.substr(counters)};
+}
+
+TEST(ScenarioObsTest, NestedSweepArtifactsMatchSerialSweep) {
+  const SweepArtifacts serial = NestedSweepArtifacts(1, "obs_nested_j1");
+  const SweepArtifacts nested = NestedSweepArtifacts(4, "obs_nested_j4");
+  ASSERT_FALSE(serial.trace.empty());
+  EXPECT_EQ(serial.trace, nested.trace);
+  EXPECT_EQ(serial.metrics, nested.metrics);
 }
 
 TEST(ScenarioObsTest, DisabledTraceMatchesUnobservedRunExactly) {
