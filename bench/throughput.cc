@@ -15,12 +15,11 @@
 //      serially and then with a worker per hardware thread — wall-clock
 //      both ways and the resulting speedup. This is the number the
 //      exec::ThreadPool engine moves.
-//   4. Sharded metro scale (opt-in: --metro or MADNET_BENCH_METRO):
-//      one Table-II-density run at metro population (100k peers; 20k in
-//      fast mode) across a (tiles × intra-run jobs) grid — wall-clock and
-//      events/sec per point, with the sharding determinism gate on top:
-//      every point must report identical events/messages/deliveries
-//      (docs/SHARDING.md). --tiles=CSV overrides the per-side list.
+//   4. Metro scale (opt-in: --metro or MADNET_BENCH_METRO): one
+//      Table-II-density run at metro population (100k peers; 20k in fast
+//      mode) at intra-run jobs 1, 2 and 4 — wall-clock and events/sec per
+//      point, with a determinism gate on top: every point must report
+//      identical events/messages/deliveries.
 //
 // Results go to stdout and to BENCH_throughput.json in $MADNET_BENCH_CSV
 // (default "."). The sweep's aggregates are compared between the serial
@@ -106,26 +105,19 @@ bool SweepsIdentical(const SweepResult& a, const SweepResult& b) {
   return true;
 }
 
-/// One (tiles-per-side × intra-run jobs) point of the metro grid.
+/// One intra-run jobs point of the metro axis.
 struct MetroPoint {
-  int tiles_per_side = 1;
   int jobs = 1;
   double wall_s = 0.0;
   RunResult result;
-  sim::ShardStats shard;
-  uint32_t tile_count = 1;
 };
 
-/// Runs the metro scenario once at the point's tile/jobs setting.
-MetroPoint RunMetroPoint(ScenarioConfig config, int tiles_per_side,
-                         int jobs) {
+/// Runs the metro scenario once with `jobs` intra-run workers.
+MetroPoint RunMetroPoint(const ScenarioConfig& config, int jobs) {
   MetroPoint point;
-  point.tiles_per_side = tiles_per_side;
   point.jobs = jobs;
-  config.tiles = tiles_per_side;
   if (Status status = config.Validate(); !status.ok()) {
-    MADNET_LOG_ERROR("metro config (tiles=%d): %s", tiles_per_side,
-                     status.ToString().c_str());
+    MADNET_LOG_ERROR("metro config: %s", status.ToString().c_str());
     std::exit(EXIT_FAILURE);
   }
   scenario::Scenario scenario(config);
@@ -135,15 +127,10 @@ MetroPoint RunMetroPoint(ScenarioConfig config, int tiles_per_side,
   const auto start = std::chrono::steady_clock::now();
   point.result = scenario.Run();
   point.wall_s = SecondsSince(start);
-  if (scenario.simulator()->sharded()) {
-    point.shard = scenario.simulator()->shard_stats();
-    point.tile_count = scenario.simulator()->shard_tile_count();
-  }
   return point;
 }
 
-void Run(const bench::BenchEnv& env, bool metro,
-         std::vector<int> metro_tiles) {
+void Run(const bench::BenchEnv& env, bool metro) {
   bench::PrintHeader(
       "Throughput — raw engine speed (tracked across PRs, not a figure)",
       "n/a; reference numbers for the simulation core itself.");
@@ -269,8 +256,8 @@ void Run(const bench::BenchEnv& env, bool metro,
   std::printf("  determinism       serial == jobs=%d aggregates ✓\n",
               parallel_jobs);
 
-  // --- 4. Sharded metro scale (opt-in; see docs/SHARDING.md and the
-  // EXPERIMENTS.md "Metro scale" section). ---
+  // --- 4. Metro scale (opt-in; see the EXPERIMENTS.md "Metro scale"
+  // section). ---
   std::vector<MetroPoint> metro_points;
   ScenarioConfig metro_config;
   if (metro) {
@@ -280,7 +267,7 @@ void Run(const bench::BenchEnv& env, bool metro,
     // with the population. Pure gossiping, not the postpone-optimized
     // variant: "the gossiping process is always active", so every peer
     // keeps a live 5 s round chain and the calendar really holds one
-    // timer per peer — the load the tiled loop exists for.
+    // timer per peer.
     metro_config.num_peers = env.fast ? 20000 : 100000;
     metro_config.area_size_m =
         5000.0 * std::sqrt(metro_config.num_peers / 300.0);
@@ -290,47 +277,34 @@ void Run(const bench::BenchEnv& env, bool metro,
     metro_config.issue_time_s = 5.0;
     metro_config.method = Method::kGossip;
     metro_config.initial_radius_m = 5000.0;  // A metro downtown.
-    if (metro_tiles.empty()) {
-      metro_tiles = env.fast ? std::vector<int>{1, 8, 16}
-                             : std::vector<int>{1, 8, 16, 32};
-    }
-    const std::vector<int> metro_jobs = {1, env.jobs > 1 ? env.jobs : 2};
     std::printf(
-        "\nSharded metro scale (%d peers, %.0f m side, %.0f s simulated):\n",
+        "\nMetro scale (%d peers, %.0f m side, %.0f s simulated):\n",
         metro_config.num_peers, metro_config.area_size_m,
         metro_config.sim_time_s);
-    for (int tiles : metro_tiles) {
-      for (int jobs : metro_jobs) {
-        MetroPoint point = RunMetroPoint(metro_config, tiles, jobs);
-        const double eps =
-            static_cast<double>(point.result.events_executed) / point.wall_s;
-        std::printf(
-            "  tiles=%-3d jobs=%d  %8.3f s  %11.0f events/s"
-            "  (handoffs %llu, migrations %llu)\n",
-            tiles, jobs, point.wall_s, eps,
-            static_cast<unsigned long long>(point.shard.cross_tile_handoffs),
-            static_cast<unsigned long long>(point.shard.migrations));
-        metro_points.push_back(std::move(point));
-      }
+    for (int jobs : {1, 2, 4}) {
+      MetroPoint point = RunMetroPoint(metro_config, jobs);
+      std::printf("  jobs=%d  %8.3f s  %11.0f events/s\n", jobs, point.wall_s,
+                  static_cast<double>(point.result.events_executed) /
+                      point.wall_s);
+      metro_points.push_back(std::move(point));
     }
-    // The sharding determinism gate at scale: every grid point computed
-    // the identical simulation. Trace-byte identity is covered by the
-    // scenario_sharding tests; at 100k peers the cheap full-strength
-    // check is the counter triple.
+    // The determinism gate at scale: every point computed the identical
+    // simulation. Trace-byte identity across intra-run jobs is covered by
+    // scenario_intra_run_test; at 100k peers the cheap full-strength check
+    // is the counter triple.
     const RunResult& head = metro_points.front().result;
     for (const MetroPoint& point : metro_points) {
       if (point.result.events_executed != head.events_executed ||
           point.result.net.messages_sent != head.net.messages_sent ||
           point.result.net.deliveries != head.net.deliveries) {
         MADNET_LOG_ERROR(
-            "metro point tiles=%d jobs=%d diverged from tiles=%d jobs=%d — "
-            "sharding determinism contract broken",
-            point.tiles_per_side, point.jobs,
-            metro_points.front().tiles_per_side, metro_points.front().jobs);
+            "metro point jobs=%d diverged from jobs=%d — determinism "
+            "contract broken",
+            point.jobs, metro_points.front().jobs);
         std::exit(EXIT_FAILURE);
       }
     }
-    std::printf("  determinism       all %zu tile/jobs points identical ✓\n",
+    std::printf("  determinism       all %zu jobs points identical ✓\n",
                 metro_points.size());
   }
 
@@ -421,10 +395,6 @@ void Run(const bench::BenchEnv& env, bool metro,
     json.BeginArray();
     for (const MetroPoint& point : metro_points) {
       json.BeginObject();
-      json.Key("tiles_per_side");
-      json.Value(point.tiles_per_side);
-      json.Key("tile_count");
-      json.Value(static_cast<uint64_t>(point.tile_count));
       json.Key("jobs");
       json.Value(point.jobs);
       json.Key("wall_s");
@@ -434,12 +404,6 @@ void Run(const bench::BenchEnv& env, bool metro,
       json.Key("events_per_sec");
       json.Value(static_cast<double>(point.result.events_executed) /
                  point.wall_s);
-      json.Key("cross_tile_handoffs");
-      json.Value(point.shard.cross_tile_handoffs);
-      json.Key("migrations");
-      json.Value(point.shard.migrations);
-      json.Key("lookahead_violations");
-      json.Value(point.shard.lookahead_violations);
       json.EndObject();
     }
     json.EndArray();
@@ -466,29 +430,10 @@ void Run(const bench::BenchEnv& env, bool metro,
 int main(int argc, char** argv) {
   const auto env = madnet::bench::BenchEnv::FromEnvironment(argc, argv);
   bool metro = std::getenv("MADNET_BENCH_METRO") != nullptr;
-  std::vector<int> metro_tiles;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--metro") == 0) {
-      metro = true;
-    } else if (std::strncmp(argv[i], "--tiles=", 8) == 0) {
-      // Comma-separated per-side values for the metro grid, e.g.
-      // --tiles=1,8,32 (implies --metro).
-      metro = true;
-      metro_tiles.clear();
-      for (const char* p = argv[i] + 8; *p != '\0';) {
-        char* end = nullptr;
-        const long value = std::strtol(p, &end, 10);
-        if (end == p || value < 0) {
-          MADNET_LOG_ERROR("--tiles wants comma-separated counts, got \"%s\"",
-                           argv[i] + 8);
-          return 2;
-        }
-        metro_tiles.push_back(static_cast<int>(value));
-        p = *end == ',' ? end + 1 : end;
-      }
-    }
+    if (std::strcmp(argv[i], "--metro") == 0) metro = true;
   }
   madnet::bench::ObsGuard obs(env);
-  madnet::Run(env, metro, std::move(metro_tiles));
+  madnet::Run(env, metro);
   return 0;
 }

@@ -100,7 +100,6 @@ void OpportunisticGossip::RefreshCache() {
 }
 
 bool OpportunisticGossip::GossipRound() {
-  HintOwnTile();  // The round chain follows the node across tiles.
   // Algorithm 2: refresh all entries' probabilities, then broadcast each
   // entry with its probability.
   RefreshCache();
@@ -127,7 +126,6 @@ void OpportunisticGossip::ScheduleEntry(uint64_t key, CacheEntry* entry) {
 }
 
 void OpportunisticGossip::EntryTimerFired(uint64_t key) {
-  HintOwnTile();  // Per-entry (Opt-2) chains migrate with the node too.
   CacheEntry* entry = cache_.Find(key);
   if (entry == nullptr) return;  // Raced with eviction; timer was stale.
   entry->timer = sim::kInvalidEventId;

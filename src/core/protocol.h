@@ -81,13 +81,6 @@ class Protocol {
   /// errors (a node that went offline simply stops transmitting).
   void Broadcast(const net::Packet& packet);
 
-  /// Under the sharded event loop (docs/SHARDING.md): declares this node's
-  /// current tile as the owner of whatever the running event schedules
-  /// next, so a periodic chain migrates tiles along with the node. Call at
-  /// the top of timer callbacks. No-op without a shard grid; never changes
-  /// execution order, only which calendar carries the chain.
-  void HintOwnTile();
-
   /// Records this node's first receipt of `ad_key` (no-op without a log).
   void RecordReceipt(uint64_t ad_key);
 

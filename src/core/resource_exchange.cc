@@ -93,7 +93,6 @@ void ResourceExchange::Store(const Advertisement& ad) {
 }
 
 bool ResourceExchange::BeaconTick() {
-  HintOwnTile();  // The beacon chain follows the node across tiles.
   Prune();
   net::Packet beacon;
   beacon.payload = std::make_shared<BeaconMessage>();

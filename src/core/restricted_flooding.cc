@@ -35,7 +35,6 @@ StatusOr<AdId> RestrictedFlooding::Issue(const AdContent& content,
 }
 
 bool RestrictedFlooding::IssuerRound(uint64_t key) {
-  HintOwnTile();  // The issuer's round chain follows it across tiles.
   auto it = issuing_.find(key);
   if (it == issuing_.end()) return false;
   IssuingState& state = it->second;

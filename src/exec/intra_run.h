@@ -5,8 +5,8 @@
 // per-node work (the spatial index rebuild's position warm-up) across
 // cores. This is the --jobs knob *inside* one run, complementing
 // exec::RunReplicated's across-replication parallelism; both leave every
-// trace byte identical to a serial run (docs/SHARDING.md, "What runs in
-// parallel today").
+// trace byte identical to a serial run (docs/architecture.md, "Execution
+// engine").
 //
 // Lives in exec, not net: the medium must stay below exec in the layer
 // DAG, so it only declares the std::function hook and this file supplies

@@ -53,7 +53,8 @@ struct Aggregate {
 /// text, so flushed traces/metrics are also byte-identical at any `jobs`.
 ///
 /// `intra_jobs` parallelizes order-free work *inside* each replication
-/// (exec::IntraRunExecutor wired into the medium; see docs/SHARDING.md):
+/// (exec::IntraRunExecutor wired into the medium; see docs/architecture.md,
+/// "Execution engine"):
 /// 1 keeps the medium's zero-overhead serial path, > 1 gives every
 /// replication its own pool of that many workers, <= 0 means hardware
 /// concurrency. Results stay bit-identical at any value.

@@ -407,17 +407,6 @@ Status Medium::Broadcast(NodeId from, const Packet& packet) {
   // time: a frame that will be lost still arrives at the receiver's radio
   // and must contend in its collision window, and a receiver that churns
   // offline mid-flight is charged dropped_offline, not dropped_loss.
-  // With a shard grid attached, each delivery is scheduled into the
-  // *receiver's* tile calendar so the event lands where its effects are
-  // (docs/SHARDING.md). The latency draw stays in the same position in
-  // the RNG stream and the schedule gets the same global seq either way,
-  // so routing does not move the event in the (time, seq) order.
-  const uint32_t sender_tile =
-      shard_grid_ != nullptr ? shard_grid_->TileOf(origin) : 0;
-  if (shard_grid_ != nullptr &&
-      shard_grid_->CountTilesOverlapping(origin, options_.range_m) > 1) {
-    stats_.shard_ghost_broadcasts += 1;
-  }
   uint32_t slot = kNotFound;
   for (uint32_t to : NeighborIndicesOf(origin, options_.range_m)) {
     if (to == from_index) continue;
@@ -431,17 +420,8 @@ Status Medium::Broadcast(NodeId from, const Packet& packet) {
       frame_pool_[slot].tx_seq = tx_seq;
     }
     ++frame_pool_[slot].refs;
-    if (shard_grid_ != nullptr) {
-      // The position is already warm in the per-tick cache (the exact
-      // distance filter above evaluated it), so TileOf costs two fmuls.
-      const uint32_t tile = shard_grid_->TileOf(CachedPositionAt(to, now));
-      if (tile != sender_tile) stats_.shard_cross_tile_deliveries += 1;
-      simulator_->ScheduleInTile(latency, tile,
-                                 [this, slot, to]() { DeliverFrame(slot, to); });
-    } else {
-      simulator_->Schedule(latency,
-                           [this, slot, to]() { DeliverFrame(slot, to); });
-    }
+    simulator_->Schedule(latency,
+                         [this, slot, to]() { DeliverFrame(slot, to); });
   }
   return Status::Ok();
 }
@@ -511,12 +491,6 @@ void Medium::CsmaTransmit(uint32_t slot) {
   if (tiles_ != nullptr) {
     tiles_->RecordBroadcast(origin.x, origin.y, live_frames_);
   }
-  const uint32_t sender_tile =
-      shard_grid_ != nullptr ? shard_grid_->TileOf(origin) : 0;
-  if (shard_grid_ != nullptr &&
-      shard_grid_->CountTilesOverlapping(origin, options_.range_m) > 1) {
-    stats_.shard_ghost_broadcasts += 1;
-  }
 
   for (uint32_t to : NeighborIndicesOf(origin, options_.range_m)) {
     if (to == from_index) continue;
@@ -543,18 +517,10 @@ void Medium::CsmaTransmit(uint32_t slot) {
         continue;
       }
     }
-    // Reception completes when the frame's airtime ends. As in the ideal
-    // path, the completion event is owned by the receiver's tile.
+    // Reception completes when the frame's airtime ends.
     ++frame.refs;
-    if (shard_grid_ != nullptr) {
-      const uint32_t tile = shard_grid_->TileOf(CachedPositionAt(to, now));
-      if (tile != sender_tile) stats_.shard_cross_tile_deliveries += 1;
-      simulator_->ScheduleInTile(
-          airtime, tile, [this, slot, to]() { CsmaCompleteRx(slot, to); });
-    } else {
-      simulator_->Schedule(airtime,
-                           [this, slot, to]() { CsmaCompleteRx(slot, to); });
-    }
+    simulator_->Schedule(airtime,
+                         [this, slot, to]() { CsmaCompleteRx(slot, to); });
   }
   ReleaseFrame(slot);  // Drop the retry chain's carry ref.
 }

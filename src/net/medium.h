@@ -39,7 +39,6 @@
 #include "obs/trace.h"
 #include "net/spatial_index.h"
 #include "sim/simulator.h"
-#include "sim/tile_grid.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -70,15 +69,6 @@ struct MediumStats {
   uint64_t batch_memo_hits = 0;   ///< Same-tick repeat queries served from
                                   ///< the neighbour memo.
   uint64_t arena_frames_peak = 0;  ///< Frame-arena in-flight high water.
-  // Sharded-loop routing instrumentation (zero while no shard grid is
-  // attached; see docs/SHARDING.md).
-  uint64_t shard_cross_tile_deliveries = 0;  ///< Deliveries routed to a
-                                             ///< receiver outside the
-                                             ///< transmitter's tile.
-  uint64_t shard_ghost_broadcasts = 0;  ///< Broadcasts whose radio disc
-                                        ///< overlaps more than one tile
-                                        ///< (the ghost-region traffic a
-                                        ///< partitioned index must serve).
 };
 
 /// The broadcast medium connecting all nodes of a scenario.
@@ -208,19 +198,6 @@ class Medium {
   /// medium or be cleared first. Purely observational: attaching one never
   /// changes delivery order or RNG draws.
   void SetTileLoad(obs::TileLoadMap* tiles) { tiles_ = tiles; }
-
-  /// Attaches the sharded loop's tile grid (borrowed; must outlive the
-  /// medium). With a grid attached, every scheduled delivery is routed
-  /// into the *receiver's* tile calendar — the cross-tile handoff path of
-  /// docs/SHARDING.md — and the shard_* counters in stats() start
-  /// accumulating. Routing never changes what a run computes (the sharded
-  /// drain is order-canonical), so attaching a grid leaves results
-  /// byte-identical.
-  void SetShardGrid(const sim::TileGrid* grid) { shard_grid_ = grid; }
-
-  /// The attached shard grid, or nullptr. Protocols use it to re-bin
-  /// their timer chains as nodes migrate between tiles.
-  const sim::TileGrid* shard_grid() const { return shard_grid_; }
 
   /// Range-parallel execution hook: body(begin, end) partitions [0, count)
   /// across workers. Injected by the layer that owns a thread pool (exec
@@ -404,7 +381,6 @@ class Medium {
   BroadcastObserver observer_;
   obs::Trace* trace_ = nullptr;
   obs::TileLoadMap* tiles_ = nullptr;
-  const sim::TileGrid* shard_grid_ = nullptr;  // Borrowed; see SetShardGrid.
   ParallelExecutor parallel_;  // Unset: serial (SetParallelExecutor).
 
   // Frame arena (see Frame).

@@ -231,20 +231,9 @@ Status ScenarioConfig::Validate() const {
         " (keys 'speed'/'speed_delta') — the spatial index uses it as "
         "staleness slack");
   }
-  if (tiles < 0) {
+  if (tiles != 1) {
     return BadKey("tiles", Num(tiles),
-                  "accepted range [0, inf) — 0 means auto, 1 the single "
-                  "shared event queue, K >= 2 a K x K tile grid");
-  }
-  if (tiles >= 2 && area_size_m / tiles < medium.range_m) {
-    return Status::InvalidArgument(
-        "key 'tiles' = " + Num(tiles) + ": tile edge area/tiles = " +
-        Num(area_size_m / tiles) +
-        " m is narrower than the transmission range (key 'range' = " +
-        Num(medium.range_m) +
-        " m) — a broadcast disc must span at most the 3 x 3 tile "
-        "neighbourhood (docs/SHARDING.md); use fewer tiles or a larger "
-        "arena");
+                  "must be 1 (the event loop has one shared queue)");
   }
   Status fault_valid = fault.Validate();
   if (!fault_valid.ok()) return fault_valid;

@@ -106,12 +106,9 @@ struct ScenarioConfig {
   // --- PHY / MAC ---
   net::Medium::Options medium;
 
-  // --- Execution plan (docs/SHARDING.md; never changes results) ---
-  /// Spatial tiling of the event loop: K means a K x K tile grid over the
-  /// arena, 1 means the classic single shared event queue, 0 means auto
-  /// (pick a grid from num_peers at scenario build time). Tile edges must
-  /// stay >= the radio range so a broadcast disc spans at most the 3 x 3
-  /// tile neighbourhood (Validate enforces area / tiles >= range).
+  /// Retired execution-plan key, pinned to 1 (Validate rejects any other
+  /// value). It survives only because SaveConfigText writes it into the
+  /// config text every trace header hashes.
   int tiles = 1;
 
   // --- Fault injection (churn / loss episodes / outage; all off by

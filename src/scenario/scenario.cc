@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <iterator>
 #include <vector>
 
@@ -59,50 +58,17 @@ Scenario::Scenario(const ScenarioConfig& config, obs::RunContext* obs)
   medium_ = std::make_unique<net::Medium>(config_.medium, &simulator_,
                                           root.Fork(0x4D454449));  // "MEDI"
 
-  // Spatial sharding (docs/SHARDING.md). Must precede every Schedule call,
-  // so it sits before protocol/fault construction. tiles = 0 auto-sizes:
-  // aim for ~1k peers per tile, capped by the range constraint (tile edge
-  // >= radio range keeps a broadcast disc within the 3 x 3 neighbourhood).
-  int per_side = config_.tiles;
-  if (per_side == 0) {
-    const int max_by_range = std::max(
-        1, static_cast<int>(config_.area_size_m / config_.medium.range_m));
-    const int by_peers = std::max(
-        1, static_cast<int>(std::sqrt(config_.num_peers / 1024.0)));
-    per_side = std::min(max_by_range, by_peers);
-  }
-  if (per_side > 1) {
-    grid_ = std::make_unique<sim::TileGrid>(config_.area_size_m,
-                                            static_cast<uint32_t>(per_side));
-    // The conservative lookahead is the shortest delay any cross-tile
-    // effect can take: the medium's minimum delivery latency (CSMA frames
-    // take at least mac_overhead of airtime, which is >= min_latency in
-    // every shipped config, so min_latency is a safe lower bound).
-    simulator_.EnableSharding(grid_->tile_count(),
-                              config_.medium.min_latency_s);
-    medium_->SetShardGrid(grid_.get());
-  }
-
   if (obs_ != nullptr) {
     // Header first, so every run's chunk is self-describing; then hand the
     // sink to the subsystems that emit records. The hash covers the folded
-    // config (what actually ran), seed included — minus pure execution-plan
-    // keys: `tiles` is normalized to 1 because tiling cannot change a
-    // single trace byte (docs/SHARDING.md), and the hash must agree across
-    // tile counts for exactly that reason (it is what the byte-identity
-    // gates cmp).
-    ScenarioConfig hashed = config_;
-    hashed.tiles = 1;
+    // config (what actually ran), seed included.
     obs_->trace.BeginRun(config_.seed,
-                         obs::HashHex(SaveConfigText(hashed)));
+                         obs::HashHex(SaveConfigText(config_)));
     simulator_.SetTrace(&obs_->trace);
     medium_->SetTrace(&obs_->trace);
     // Spatial load telemetry: one tile per radio range, so each tile is
     // one interference neighbourhood and the tile-load report reads as a
-    // congestion map. Deliberately NOT the shard grid's edge: the load map
-    // is a simulation observable and must stay byte-identical at any
-    // `tiles` value (docs/SHARDING.md); per-scheduler-tile load lives in
-    // the sim.shard.* counters instead. Summarized by CaptureMetrics.
+    // congestion map. Summarized by CaptureMetrics.
     tiles_ = std::make_unique<obs::TileLoadMap>(config_.medium.range_m,
                                                 config_.area_size_m);
     medium_->SetTileLoad(tiles_.get());
@@ -110,8 +76,6 @@ Scenario::Scenario(const ScenarioConfig& config, obs::RunContext* obs)
     // heavy right tail means the calendar queue idles between bursts.
     // The simulator buckets them inline; CaptureMetrics books the counts.
     simulator_.EnableDispatchGapTelemetry();
-    // Per-tile busy seconds / executed events (observed sharded runs).
-    if (simulator_.sharded()) simulator_.EnableShardTelemetry();
   }
 
   const int node_count = config_.num_peers + 1;  // Peers plus the issuer.
@@ -383,49 +347,6 @@ void Scenario::CaptureMetrics(const RunResult& result) {
         simulator_.dispatch_gap_sum());
     MADNET_DCHECK(booked.ok());
     (void)booked;
-  }
-  if (simulator_.sharded()) {
-    // Sharded-loop routing counters (docs/SHARDING.md). Gauges record the
-    // run's grid; counters sum across replications like every other series.
-    const sim::ShardStats& shard = simulator_.shard_stats();
-    metrics.SetGauge("sim.shard.tiles",
-                     static_cast<double>(simulator_.shard_tile_count()));
-    *metrics.Counter("sim.shard.local_pushes") += shard.local_pushes;
-    *metrics.Counter("sim.shard.cross_tile_handoffs") +=
-        shard.cross_tile_handoffs;
-    *metrics.Counter("sim.shard.migrations") += shard.migrations;
-    *metrics.Counter("sim.shard.lookahead_violations") +=
-        shard.lookahead_violations;
-    if (std::isfinite(shard.min_handoff_lead_s)) {
-      metrics.SetGauge("sim.shard.min_handoff_lead_s",
-                       shard.min_handoff_lead_s);
-    }
-    *metrics.Counter("net.shard.cross_tile_deliveries") +=
-        result.net.shard_cross_tile_deliveries;
-    *metrics.Counter("net.shard.ghost_broadcasts") +=
-        result.net.shard_ghost_broadcasts;
-    const sim::ShardedEventQueue* queue = simulator_.sharded_queue();
-    uint64_t peak_sum = 0;
-    uint64_t peak_max = 0;
-    for (uint32_t t = 0; t < queue->tile_count(); ++t) {
-      const uint64_t peak = queue->TilePeak(t);
-      peak_sum += peak;
-      peak_max = std::max(peak_max, peak);
-    }
-    *metrics.Counter("sim.shard.tile_queue_peak_sum") += peak_sum;
-    *metrics.Counter("sim.shard.tile_queue_peak_max") += peak_max;
-    if (simulator_.shard_telemetry_enabled()) {
-      // Per-tile wall-clock phase accounting: how evenly the execution
-      // load spreads over tiles (the balance a parallel drain would see).
-      double busy_sum = 0.0;
-      double busy_max = 0.0;
-      for (double busy : simulator_.tile_busy_s()) {
-        busy_sum += busy;
-        busy_max = std::max(busy_max, busy);
-      }
-      metrics.SetGauge("sim.shard.tile_busy_s_sum", busy_sum);
-      metrics.SetGauge("sim.shard.tile_busy_s_max", busy_max);
-    }
   }
   if (tiles_ != nullptr) tiles_->Summarize(&metrics);
 }

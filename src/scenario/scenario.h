@@ -20,7 +20,6 @@
 #include "obs/tile_load.h"
 #include "scenario/config.h"
 #include "sim/simulator.h"
-#include "sim/tile_grid.h"
 #include "stats/delivery.h"
 #include "util/logging.h"
 
@@ -101,11 +100,6 @@ class Scenario {
 
   const ScenarioConfig& config() const { return config_; }
 
-  /// The spatial tile grid of the sharded event loop, or nullptr when the
-  /// scenario runs on the single shared queue (config.tiles resolves to 1).
-  /// See docs/SHARDING.md.
-  const sim::TileGrid* shard_grid() const { return grid_.get(); }
-
  private:
   /// Node 0 is the issuer by construction (first node registered).
   static constexpr net::NodeId kIssuerId = 0;
@@ -125,10 +119,6 @@ class Scenario {
   // Log records carry virtual time while this scenario is on the stack.
   ScopedLogClock log_clock_;
   std::unique_ptr<net::Medium> medium_;
-  /// Tile grid of the sharded event loop (config_.tiles); null while the
-  /// classic single shared queue is in use. Owned here, borrowed by the
-  /// simulator's router and the medium's delivery scheduling.
-  std::unique_ptr<sim::TileGrid> grid_;
   stats::DeliveryLog delivery_log_;
   std::vector<std::unique_ptr<mobility::MobilityModel>> mobilities_;
   std::vector<std::unique_ptr<core::Protocol>> protocols_;

@@ -12,11 +12,9 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <vector>
 
 #include "obs/trace.h"
 #include "sim/event_queue.h"
-#include "sim/sharded_queue.h"
 #include "util/status.h"
 
 namespace madnet::sim {
@@ -43,40 +41,10 @@ class PeriodicHandle {
   std::shared_ptr<State> state_;
 };
 
-/// Execution counters of the sharded event loop (all zero while sharding
-/// is disabled). See docs/SHARDING.md.
-struct ShardStats {
-  uint64_t local_pushes = 0;    ///< Schedules landing in the executing (or
-                                ///< hinted-same) tile, or made outside
-                                ///< event execution.
-  uint64_t cross_tile_handoffs = 0;  ///< Schedules routed through a
-                                     ///< handoff buffer.
-  uint64_t migrations = 0;      ///< Hint-driven cross-tile reschedules — a
-                                ///< node's timer chain following it into a
-                                ///< neighbouring tile.
-  uint64_t lookahead_violations = 0;  ///< Cross-tile schedules closer than
-                                      ///< the conservative lookahead
-                                      ///< window. Harmless under the
-                                      ///< merged drain (order is still
-                                      ///< canonical), but each one marks
-                                      ///< an event a parallel window drain
-                                      ///< could not have deferred.
-  double min_handoff_lead_s =
-      std::numeric_limits<double>::infinity();  ///< Smallest observed
-                                                ///< cross-tile lead time.
-};
-
 /// Virtual-time event loop. Single-threaded; all callbacks run inline from
 /// Run()/Step() in timestamp order (FIFO among equal timestamps).
-///
-/// Sharded mode (EnableSharding) partitions the pending-event set into
-/// per-tile calendars drained by a (time, seq) K-way merge — execution
-/// order, and therefore every trace byte, is identical to the unsharded
-/// loop at any tile count; see docs/SHARDING.md for the contract.
 class Simulator {
  public:
-  /// "No tile": routes a schedule by the current hint / executing tile.
-  static constexpr uint32_t kNoTile = 0xFFFFFFFFu;
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -94,55 +62,7 @@ class Simulator {
   EventId ScheduleAt(Time when, EventQueue::Callback callback);
 
   /// Cancels a pending event; false if it already ran or was cancelled.
-  bool Cancel(EventId id) {
-    return sharded_ != nullptr ? sharded_->Cancel(id) : queue_.Cancel(id);
-  }
-
-  /// --- Spatial sharding (docs/SHARDING.md) ---
-
-  /// Switches the pending-event set to per-tile calendars with handoff
-  /// buffers. Must be called before anything is scheduled (DCHECKed).
-  /// `lookahead_s` is the conservative horizon: the shortest delay any
-  /// cross-tile effect can take (the medium's minimum delivery latency);
-  /// cross-tile schedules closer than it are counted as
-  /// lookahead_violations. Execution order is unchanged — sharding is an
-  /// execution plan, not a semantic switch.
-  void EnableSharding(uint32_t tile_count, double lookahead_s);
-
-  bool sharded() const { return sharded_ != nullptr; }
-  uint32_t shard_tile_count() const {
-    return sharded_ != nullptr ? sharded_->tile_count() : 0;
-  }
-
-  /// Schedules into an explicit tile's calendar (the receiver's tile for a
-  /// delivery). With sharding disabled the tile is ignored.
-  EventId ScheduleInTile(Time delay, uint32_t tile,
-                         EventQueue::Callback callback);
-  EventId ScheduleAtInTile(Time when, uint32_t tile,
-                           EventQueue::Callback callback);
-
-  /// Declares the owner tile for subsequent un-tiled schedules made during
-  /// the current event (cleared when the event finishes). A periodic
-  /// callback calls this with its node's current tile so the timer chain
-  /// migrates tiles along with the node.
-  void SetTileHint(uint32_t tile) { hint_tile_ = tile; }
-
-  /// Tile of the event currently executing (0 outside events or unsharded).
-  uint32_t current_tile() const { return current_tile_; }
-
-  const ShardStats& shard_stats() const { return shard_stats_; }
-
-  /// Grants metrics code read access to per-tile queue occupancy peaks.
-  const ShardedEventQueue* sharded_queue() const { return sharded_.get(); }
-
-  /// Enables per-tile wall-clock phase accounting: busy seconds and
-  /// executed-event counts per tile, read back via tile_busy_s() /
-  /// tile_executed(). Observed runs only — the clock read per event is not
-  /// free. Requires sharding enabled.
-  void EnableShardTelemetry();
-  bool shard_telemetry_enabled() const { return shard_telemetry_; }
-  const std::vector<double>& tile_busy_s() const { return tile_busy_s_; }
-  const std::vector<uint64_t>& tile_executed() const { return tile_executed_; }
+  bool Cancel(EventId id) { return queue_.Cancel(id); }
 
   /// Runs a repeating event every `period` seconds (first firing after
   /// `initial_delay`). Returning false from the callback stops the series;
@@ -162,9 +82,7 @@ class Simulator {
   uint64_t Run() { return RunUntil(std::numeric_limits<Time>::infinity()); }
 
   /// Number of pending events.
-  size_t PendingEvents() const {
-    return sharded_ != nullptr ? sharded_->Size() : queue_.Size();
-  }
+  size_t PendingEvents() const { return queue_.Size(); }
 
   /// Total events executed so far.
   uint64_t ExecutedEvents() const { return executed_; }
@@ -212,26 +130,8 @@ class Simulator {
   void FirePeriodic(std::shared_ptr<PeriodicHandle::State> state, Time period,
                     std::shared_ptr<std::function<bool()>> callback);
 
-  /// Routes a schedule to the plain queue or, when sharded, to the owner
-  /// tile's calendar (through the handoff buffer for cross-tile schedules
-  /// made mid-event). `tile` == kNoTile resolves hint, then executing tile.
-  EventId ScheduleCommon(Time when, uint32_t tile,
-                         EventQueue::Callback callback);
-
-  /// Sharded Step(): pops the global (time, seq) minimum across tiles,
-  /// runs it with the tile execution context set, then flushes the tile's
-  /// handoff buffer (the post-event barrier).
-  bool StepSharded();
-
-  /// Buckets one inter-event dispatch gap (telemetry shared by both drains).
+  /// Buckets one inter-event dispatch gap.
   void RecordDispatchGap(double gap);
-
-  bool QueueEmpty() const {
-    return sharded_ != nullptr ? sharded_->Empty() : queue_.Empty();
-  }
-  Time QueueNextTime() {
-    return sharded_ != nullptr ? sharded_->NextTime() : queue_.NextTime();
-  }
 
   EventQueue queue_;
   Time now_ = 0.0;
@@ -240,17 +140,6 @@ class Simulator {
   bool record_dispatch_gaps_ = false;
   uint64_t dispatch_gap_counts_[kDispatchGapBuckets] = {};
   double dispatch_gap_sum_ = 0.0;
-
-  // --- Sharded mode (null/empty while disabled) ---
-  std::unique_ptr<ShardedEventQueue> sharded_;
-  double lookahead_s_ = 0.0;
-  uint32_t current_tile_ = 0;
-  uint32_t hint_tile_ = kNoTile;
-  bool executing_ = false;
-  ShardStats shard_stats_;
-  bool shard_telemetry_ = false;
-  std::vector<double> tile_busy_s_;
-  std::vector<uint64_t> tile_executed_;
 };
 
 }  // namespace madnet::sim

@@ -13,7 +13,11 @@ namespace {
 class ConfigIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/madnet_config_test.cfg";
+    // One file per test: ctest runs the cases of this binary as parallel
+    // processes sharing TempDir().
+    path_ = ::testing::TempDir() + "/madnet_config_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".cfg";
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
@@ -379,6 +383,33 @@ TEST_F(ConfigIoTest, ExplicitMaxSpeedBelowFastestPeerRejected) {
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("max_speed"), std::string::npos)
       << status.message();
+}
+
+TEST_F(ConfigIoTest, TilesOtherThanOneRejectedNamingKey) {
+  // The event loop has one shared queue; 'tiles' survives only as a key
+  // pinned to 1.
+  for (const char* line : {"tiles = 0\n", "tiles = 8\n"}) {
+    SCOPED_TRACE(line);
+    WriteFile(line);
+    ScenarioConfig config;
+    Status status = LoadConfigFile(path_, &config);
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("key 'tiles'"), std::string::npos)
+        << status.message();
+  }
+}
+
+TEST_F(ConfigIoTest, SavedTilesLineStillLoads) {
+  // SaveConfigText keeps writing 'tiles = 1' (every trace header hashes
+  // that text), so its output must keep loading.
+  ScenarioConfig original;
+  const std::string text = SaveConfigText(original);
+  EXPECT_NE(text.find("tiles = 1\n"), std::string::npos);
+  WriteFile(text);
+  ScenarioConfig loaded;
+  ASSERT_TRUE(LoadConfigFile(path_, &loaded).ok());
+  EXPECT_EQ(loaded.tiles, 1);
+  EXPECT_EQ(SaveConfigText(loaded), text);
 }
 
 TEST_F(ConfigIoTest, HighwayMobilityParses) {

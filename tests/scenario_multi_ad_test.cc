@@ -175,7 +175,11 @@ TEST(MultiAdConfigTest, RejectsNegativeStallsAndZipf) {
 class MultiAdIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/madnet_multi_ad_test.cfg";
+    // One file per test: ctest runs the cases of this binary as parallel
+    // processes sharing TempDir().
+    path_ = ::testing::TempDir() + "/madnet_multi_ad_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".cfg";
   }
   void TearDown() override { std::remove(path_.c_str()); }
 

@@ -666,8 +666,8 @@ TEST(MadnetLintTest, FlagsUpwardLayerInclude) {
 
 TEST(MadnetLintTest, FlagsForbiddenCoreToNetCycle) {
   // core -> net is a tolerated same-layer edge on its own, but the moment
-  // net includes core back the module graph has a cycle and both the
-  // sharding refactor and incremental builds are in trouble.
+  // net includes core back the module graph has a cycle: neither module
+  // can then be built, tested or replaced without the other.
   const auto diags = RunLinter({
       {"src/core/protocol.h", "#include \"net/medium.h\"\n"},
       {"src/net/medium.h", "#include \"core/advertisement.h\"\n"},

@@ -22,7 +22,11 @@ std::string ReadFile(const std::string& path) {
 class CsvWriterTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/madnet_csv_test.csv";
+    // One file per test: ctest runs the cases of this binary as parallel
+    // processes sharing TempDir().
+    path_ = ::testing::TempDir() + "/madnet_csv_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".csv";
   }
   void TearDown() override { std::remove(path_.c_str()); }
   std::string path_;

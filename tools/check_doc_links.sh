@@ -3,7 +3,7 @@
 #
 # Scans README.md and docs/*.md for
 #   1. markdown links  [text](target)   — resolved relative to the file,
-#   2. backticked repo paths  `docs/FAULTS.md`, `src/sim/tile_grid.{h,cc}`,
+#   2. backticked repo paths  `docs/FAULTS.md`, `src/sim/event_queue.{h,cc}`,
 #      `bench/throughput` (binary: accepted when the .cc source exists)
 #      — resolved relative to the repo root, then the referencing file,
 # and fails (exit 1) listing every target that does not exist in the

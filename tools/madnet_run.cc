@@ -71,10 +71,6 @@ int Run(int argc, char** argv) {
   flags.Define("ranking", "false", "enable FM popularity ranking");
   flags.Define("seed", "1", "base random seed");
   flags.Define("reps", "3", "replications (seeds seed..seed+reps-1)");
-  flags.Define("tiles", "1",
-               "event-loop tile grid side K (K x K tiles; 1 = single "
-               "queue, 0 = auto) — an execution plan, results are "
-               "byte-identical at any value (docs/SHARDING.md)");
   flags.Define("jobs", "1",
                "worker threads (<= 0 = hardware concurrency), spent on "
                "replications first: min(jobs, reps) run at once, and each "
@@ -157,8 +153,7 @@ int Run(int argc, char** argv) {
   for (const char* key : {"peers", "area", "radius", "duration", "sim_time",
                           "issue_time", "speed", "speed_delta", "round",
                           "alpha", "beta", "dis", "cache", "range", "loss",
-                          "collisions", "ranking", "issuer_offline", "tiles",
-                          "seed"}) {
+                          "collisions", "ranking", "issuer_offline", "seed"}) {
     if (!config_path.empty() && !flags.IsSet(key)) continue;
     Status applied =
         scenario::ApplyConfigKey(key, flags.GetString(key), &config);

@@ -17,10 +17,6 @@
 #                             (default 5; min serial sweep wall time wins)
 #   MADNET_OBS_OVERHEAD_TOL   allowed quiet-session sweep overhead fraction
 #                             (default 0.20; see the gate comment below)
-#   MADNET_SHARD_BUDGET       allowed tiles=1 regression vs the baseline
-#                             (default 0.02 — the sharding budget; the
-#                             dormant tiled loop must cost tiles=1 runs
-#                             nothing, see docs/SHARDING.md)
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -104,23 +100,6 @@ if [[ "$obs_budget_pass" != 1 ]]; then
   exit 1
 fi
 echo "perf_smoke: obs budget OK"
-
-# Sharding budget gate (docs/SHARDING.md). The plain runs above execute the
-# default tiles=1 config, i.e. the classic single shared calendar queue with
-# the sharded-loop machinery compiled in but dormant (one branch per
-# Schedule/Step). The best of them must stay within the sharding budget of
-# the committed pre-sharding baseline: tiles=1 pays (almost) nothing for the
-# tiled loop's existence.
-shard_budget="${MADNET_SHARD_BUDGET:-0.02}"
-shard_floor="$(python3 -c "print($ref * (1 - $shard_budget))")"
-echo "perf_smoke: shard budget floor $shard_floor events/s (baseline $ref, budget $shard_budget)"
-shard_pass="$(python3 -c "print(1 if $best >= $shard_floor else 0)")"
-if [[ "$shard_pass" != 1 ]]; then
-  echo "perf_smoke: FAIL — tiles=1 best $best events/s is below the" \
-       "sharding budget floor $shard_floor" >&2
-  exit 1
-fi
-echo "perf_smoke: shard budget OK"
 
 # Quiet-session overhead gate. With a session installed but every trace
 # category off, record sites reduce to mask tests, but the always-on
