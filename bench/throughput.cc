@@ -263,11 +263,11 @@ void Run(const bench::BenchEnv& env, bool metro) {
   if (metro) {
     // Table II density (300 peers on a 5 km side) preserved at metro
     // population, so per-broadcast receiver counts — and therefore the
-    // physics — match the paper's regime while the event count scales
-    // with the population. Pure gossiping, not the postpone-optimized
-    // variant: "the gossiping process is always active", so every peer
-    // keeps a live 5 s round chain and the calendar really holds one
-    // timer per peer.
+    // physics — match the paper's regime at city scale. Pure gossiping,
+    // not the postpone-optimized variant: one global round per peer. A
+    // peer schedules its round only while it caches an ad, so the event
+    // count scales with the ad's reach, not with the population; set-up
+    // and the spatial index scale with the population.
     metro_config.num_peers = env.fast ? 20000 : 100000;
     metro_config.area_size_m =
         5000.0 * std::sqrt(metro_config.num_peers / 300.0);

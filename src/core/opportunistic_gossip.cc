@@ -30,11 +30,10 @@ void OpportunisticGossip::Start() {
         1.0);
   }
   if (!options_.postpone) {
-    // One global round timer, randomly phased: "all peers work
-    // asynchronously and the gossiping process is always active".
-    const double phase = context_.rng.Uniform(0.0, options_.round_time_s);
-    round_timer_ = context_.simulator->SchedulePeriodic(
-        phase, options_.round_time_s, [this]() { return GossipRound(); });
+    // One global round series, randomly phased: "all peers work
+    // asynchronously". ArmRound() schedules its ticks while the cache
+    // holds an ad.
+    next_round_ = Now() + context_.rng.Uniform(0.0, options_.round_time_s);
   }
 }
 
@@ -58,6 +57,10 @@ void OpportunisticGossip::OnCrash() {
   for (uint64_t key : cache_.Keys()) {
     const sim::EventId timer = cache_.Erase(key);
     if (timer != sim::kInvalidEventId) context_.simulator->Cancel(timer);
+  }
+  if (round_event_ != sim::kInvalidEventId) {
+    context_.simulator->Cancel(round_event_);
+    round_event_ = sim::kInvalidEventId;
   }
 }
 
@@ -99,7 +102,9 @@ void OpportunisticGossip::RefreshCache() {
   }
 }
 
-bool OpportunisticGossip::GossipRound() {
+void OpportunisticGossip::GossipRound() {
+  round_event_ = sim::kInvalidEventId;
+  next_round_ = Now() + options_.round_time_s;
   // Algorithm 2: refresh all entries' probabilities, then broadcast each
   // entry with its probability.
   RefreshCache();
@@ -114,7 +119,22 @@ bool OpportunisticGossip::GossipRound() {
                                entry.probability);
     }
   });
-  return true;
+  // Expiry may have emptied the cache: then the peer goes dormant until
+  // the next insertion re-arms it on the same series.
+  if (cache_.Size() > 0) ArmRound();
+}
+
+void OpportunisticGossip::ArmRound() {
+  if (round_event_ != sim::kInvalidEventId) return;
+  // Catch the series up by repeated addition, so every tick is the double
+  // t_{k+1} = t_k + round that a periodic series with this phase yields.
+  // A tick at exactly Now() is kept: that round runs later in this
+  // instant, after the current event. Such a tie needs a receipt or an
+  // issue to land on a random-phase tick, so it has probability zero.
+  const Time now = Now();
+  while (next_round_ < now) next_round_ += options_.round_time_s;
+  round_event_ = context_.simulator->ScheduleAt(next_round_,
+                                                [this]() { GossipRound(); });
 }
 
 void OpportunisticGossip::ScheduleEntry(uint64_t key, CacheEntry* entry) {
@@ -166,7 +186,7 @@ CacheEntry* OpportunisticGossip::InsertAd(Advertisement ad,
   entry.ad = std::move(ad);
   entry.probability = initial_probability;
   // First gossip of a fresh entry happens within one round, randomly
-  // phased (Opt-2 path; without Opt-2 the global round timer covers it).
+  // phased (Opt-2 path; without Opt-2 the global round covers it).
   entry.next_gossip_time =
       Now() + context_.rng.Uniform(0.0, options_.round_time_s);
 
@@ -175,8 +195,12 @@ CacheEntry* OpportunisticGossip::InsertAd(Advertisement ad,
   if (evicted_timer != sim::kInvalidEventId) {
     context_.simulator->Cancel(evicted_timer);
   }
-  if (inserted != nullptr && options_.postpone) {
-    ScheduleEntry(inserted->ad.id.Key(), inserted);
+  if (inserted != nullptr) {
+    if (options_.postpone) {
+      ScheduleEntry(inserted->ad.id.Key(), inserted);
+    } else {
+      ArmRound();
+    }
   }
   return inserted;
 }

@@ -91,9 +91,10 @@ class OpportunisticGossip : public Protocol {
   OpportunisticGossip(ProtocolContext context, const GossipOptions& options,
                       InterestProfile interests = {});
 
-  /// Registers with the medium; without Optimization 2, also starts the
-  /// node's global gossip round timer at a random phase in [0, round_time)
-  /// ("all peers work asynchronously").
+  /// Registers with the medium; without Optimization 2, also draws the
+  /// phase in [0, round_time) of the node's global gossip round series
+  /// ("all peers work asynchronously"). No round is scheduled until the
+  /// cache holds an ad.
   void Start() override;
 
   /// Issues a new ad: inserts it into the local cache and broadcasts it
@@ -102,7 +103,8 @@ class OpportunisticGossip : public Protocol {
   [[nodiscard]] StatusOr<AdId> Issue(const AdContent& content, double radius_m,
                        double duration_s) override;
 
-  /// Crash-with-cache-loss: drops every cached ad and cancels its timer.
+  /// Crash-with-cache-loss: drops every cached ad and cancels its timer
+  /// (and the pending global round: the empty cache leaves it dormant).
   /// `seen_hop_` survives on purpose — first-receipt metrics and the ranking
   /// step fire once per (ad, peer) even across a crash, matching
   /// DeliveryLog's semantics.
@@ -142,8 +144,14 @@ class OpportunisticGossip : public Protocol {
   /// (cancelling their timers).
   void RefreshCache();
 
-  /// Global round (no Optimization 2): broadcast each entry w.p. P.
-  bool GossipRound();
+  /// Global round (no Optimization 2): broadcast each entry w.p. P, then
+  /// re-arm for the next tick if the cache still holds an ad.
+  void GossipRound();
+
+  /// Schedules the global round at the series' next tick not before Now(),
+  /// unless one is already pending. Only the path without Optimization 2
+  /// has a global round.
+  void ArmRound();
 
   /// Per-entry timer fired (Optimization 2 path).
   void EntryTimerFired(uint64_t key);
@@ -163,7 +171,12 @@ class OpportunisticGossip : public Protocol {
   GossipOptions options_;
   InterestProfile interests_;
   AdCache cache_;
-  sim::PeriodicHandle round_timer_;
+  /// Next tick of the global round series (phase + k * round_time), and
+  /// the pending round event, if any. The round is pending only while the
+  /// cache holds an ad: a round over an empty cache draws no random
+  /// numbers and sends nothing, so skipping it changes no behaviour.
+  Time next_round_ = 0.0;
+  sim::EventId round_event_ = sim::kInvalidEventId;
   uint64_t postpone_count_ = 0;
   uint64_t displayed_count_ = 0;
   /// Ad keys ever seen, mapped to the hop count at first receipt (0 for

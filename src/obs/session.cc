@@ -73,11 +73,13 @@ Status Session::Flush(const Manifest& manifest) {
     const std::lock_guard<std::mutex> lock(mutex_);
     runs.swap(runs_);
   }
-  // Keys embed the full per-replication config (seed included), so equal
-  // keys mean identical runs and a stable sort makes the emission order —
-  // and therefore every artifact below — independent of --jobs.
-  std::stable_sort(runs.begin(), runs.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Keys embed the per-replication config (seed included), but a knob the
+  // key omits (ablation's bootstrap age) lets distinct runs tie. The trace
+  // text breaks such ties, so the flushed trace is independent of --jobs.
+  std::stable_sort(runs.begin(), runs.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first < b.first;
+    return a.second->trace.text() < b.second->trace.text();
+  });
 
   if (!options_.trace_path.empty()) {
     std::string text;

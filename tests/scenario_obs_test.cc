@@ -9,8 +9,10 @@
 //      manifest reports.
 
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -183,6 +185,40 @@ TEST(ScenarioObsTest, NestedSweepArtifactsMatchSerialSweep) {
   ASSERT_FALSE(serial.trace.empty());
   EXPECT_EQ(serial.trace, nested.trace);
   EXPECT_EQ(serial.metrics, nested.metrics);
+}
+
+/// Flushes a Session holding two distinct runs under one sort key (the way
+/// ablation's bootstrap variants share a key), added in either order, and
+/// returns the trace file's bytes.
+std::string FlushTiedRuns(bool reversed, const std::string& path) {
+  obs::SessionOptions options;
+  options.trace.categories = obs::kTraceAll;
+  options.trace_path = path;
+  obs::Session::Configure(options);
+  std::vector<std::unique_ptr<obs::RunContext>> runs;
+  for (const double t : {1.0, 2.0}) {
+    auto run = std::make_unique<obs::RunContext>(options.trace);
+    run->trace.BeginRun(7, "00f00ba400f00ba4");
+    run->trace.Event(t, 1);
+    runs.push_back(std::move(run));
+  }
+  if (reversed) std::swap(runs[0], runs[1]);
+  for (auto& run : runs) {
+    obs::Session::Get()->AddRun("same-key", std::move(run));
+  }
+  const Status status = obs::Session::Get()->Flush(obs::Manifest{});
+  obs::Session::Shutdown();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return ReadWholeFile(path);
+}
+
+TEST(ScenarioObsTest, EqualSortKeysFlushInTraceTextOrder) {
+  const std::string forward =
+      FlushTiedRuns(false, testing::TempDir() + "obs_tie_forward.jsonl");
+  const std::string reversed =
+      FlushTiedRuns(true, testing::TempDir() + "obs_tie_reversed.jsonl");
+  ASSERT_FALSE(forward.empty());
+  EXPECT_EQ(forward, reversed);
 }
 
 TEST(ScenarioObsTest, DisabledTraceMatchesUnobservedRunExactly) {
