@@ -2,7 +2,9 @@
 
 #include "obs/trace.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
 
 #include "obs/flight_recorder.h"
 #include "util/logging.h"
@@ -20,14 +22,8 @@ int CategoryIndex(uint32_t category) {
 }  // namespace
 
 const char* TraceCategoryName(uint32_t category) {
-  switch (category) {
-    case kTraceEvent: return "event";
-    case kTraceTx: return "tx";
-    case kTraceRx: return "rx";
-    case kTraceSuppress: return "suppress";
-    case kTraceSketch: return "sketch";
-    case kTraceFault: return "fault";
-    case kTraceDeliver: return "deliver";
+  for (int index = 0; index < kTraceCategoryCount; ++index) {
+    if (category == 1u << index) return kTraceCategoryNames[index];
   }
   return "?";
 }
@@ -41,20 +37,20 @@ const char* TraceCategoryName(uint32_t category) {
       continue;
     }
     if (name.empty()) continue;
-    if (name == "all") mask |= kTraceAll;
-    else if (name == "none") mask |= 0;
-    else if (name == "event") mask |= kTraceEvent;
-    else if (name == "tx") mask |= kTraceTx;
-    else if (name == "rx") mask |= kTraceRx;
-    else if (name == "suppress") mask |= kTraceSuppress;
-    else if (name == "sketch") mask |= kTraceSketch;
-    else if (name == "fault") mask |= kTraceFault;
-    else if (name == "deliver") mask |= kTraceDeliver;
-    else {
-      return Status::InvalidArgument(
-          "unknown trace category '" + name +
-          "' (want event, tx, rx, suppress, sketch, fault, deliver, all, "
-          "none)");
+    if (name == "all") {
+      mask |= kTraceAll;
+    } else if (name != "none") {
+      const auto* found = std::find(std::begin(kTraceCategoryNames),
+                                    std::end(kTraceCategoryNames), name);
+      if (found == std::end(kTraceCategoryNames)) {
+        std::string known;
+        for (const char* category : kTraceCategoryNames) {
+          known += std::string(category) + ", ";
+        }
+        return Status::InvalidArgument("unknown trace category '" + name +
+                                       "' (want " + known + "all, none)");
+      }
+      mask |= 1u << (found - std::begin(kTraceCategoryNames));
     }
     name.clear();
   }

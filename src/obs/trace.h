@@ -42,23 +42,46 @@ namespace madnet::obs {
 
 class FlightRecorder;
 
-/// Trace category bitmask values.
-inline constexpr uint32_t kTraceEvent = 1u << 0;     ///< Event dispatch.
-inline constexpr uint32_t kTraceTx = 1u << 1;        ///< Broadcast sent.
-inline constexpr uint32_t kTraceRx = 1u << 2;        ///< Frame delivered.
-inline constexpr uint32_t kTraceSuppress = 1u << 3;  ///< Gossip suppressed.
-inline constexpr uint32_t kTraceSketch = 1u << 4;    ///< FM sketch merge.
-inline constexpr uint32_t kTraceFault = 1u << 5;     ///< Injected fault.
-inline constexpr uint32_t kTraceDeliver = 1u << 6;   ///< First ad receipt.
-inline constexpr uint32_t kTraceAll = kTraceEvent | kTraceTx | kTraceRx |
-                                      kTraceSuppress | kTraceSketch |
-                                      kTraceFault | kTraceDeliver;
+/// The trace categories, one row each, in bit order: X(Constant, "name").
+/// The kTrace* bits, kTraceAll, kTraceCategoryCount, the record names and
+/// the --trace-categories parser all expand from this one list, so a new
+/// category is one new row.
+#define MADNET_TRACE_CATEGORIES(X)                   \
+  X(Event, "event")       /* Event dispatch. */      \
+  X(Tx, "tx")             /* Broadcast sent. */      \
+  X(Rx, "rx")             /* Frame delivered. */     \
+  X(Suppress, "suppress") /* Gossip suppressed. */   \
+  X(Sketch, "sketch")     /* FM sketch merge. */     \
+  X(Fault, "fault")       /* Injected fault. */      \
+  X(Deliver, "deliver")   /* First ad receipt. */
+
+/// Bit index of each category (kTraceIndexEvent, ...), then the count.
+enum TraceCategoryIndex : int {
+#define MADNET_TRACE_INDEX(constant, name) kTraceIndex##constant,
+  MADNET_TRACE_CATEGORIES(MADNET_TRACE_INDEX)
+#undef MADNET_TRACE_INDEX
+  kTraceIndexCount
+};
+
+/// Trace category bitmask values (kTraceEvent, kTraceTx, ...).
+#define MADNET_TRACE_BIT(constant, name) \
+  inline constexpr uint32_t kTrace##constant = 1u << kTraceIndex##constant;
+MADNET_TRACE_CATEGORIES(MADNET_TRACE_BIT)
+#undef MADNET_TRACE_BIT
 
 /// Number of distinct categories (for per-category sampling state).
-inline constexpr int kTraceCategoryCount = 7;
+inline constexpr int kTraceCategoryCount = kTraceIndexCount;
+inline constexpr uint32_t kTraceAll = (1u << kTraceCategoryCount) - 1u;
+
+/// Record names ("event", "tx", ...), indexed by bit.
+inline constexpr const char* kTraceCategoryNames[kTraceCategoryCount] = {
+#define MADNET_TRACE_NAME(constant, name) name,
+    MADNET_TRACE_CATEGORIES(MADNET_TRACE_NAME)
+#undef MADNET_TRACE_NAME
+};
 
 /// The short name used in records and --trace-categories ("event", "tx",
-/// ...). `category` must be exactly one bit of kTraceAll.
+/// ...). `category` must be exactly one bit of kTraceAll ("?" otherwise).
 const char* TraceCategoryName(uint32_t category);
 
 /// Parses a comma-separated category list ("tx,rx", "all", "none") into a

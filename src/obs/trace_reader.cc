@@ -2,7 +2,11 @@
 
 #include "obs/trace_reader.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <iterator>
+
+#include "obs/trace.h"
 
 namespace madnet::obs {
 namespace {
@@ -135,10 +139,9 @@ struct Cursor {
     if (!ok) return Malformed(line);
   }
   if (!cursor.rest.empty()) return Malformed(line);
-  if (event->cat != "run" && event->cat != "event" && event->cat != "tx" &&
-      event->cat != "rx" && event->cat != "deliver" &&
-      event->cat != "suppress" && event->cat != "sketch" &&
-      event->cat != "fault") {
+  if (event->cat != "run" &&
+      std::find(std::begin(kTraceCategoryNames), std::end(kTraceCategoryNames),
+                event->cat) == std::end(kTraceCategoryNames)) {
     return Status::InvalidArgument("unknown trace category: " + event->cat);
   }
   return Status::Ok();

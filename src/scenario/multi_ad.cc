@@ -9,15 +9,9 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
-#include <memory>
 #include <sstream>
+#include <utility>
 
-#include "core/opportunistic_gossip.h"
-#include "core/resource_exchange.h"
-#include "core/restricted_flooding.h"
-#include "mobility/constant_velocity.h"
-#include "mobility/random_waypoint.h"
-#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace madnet::scenario {
@@ -28,6 +22,36 @@ std::string Num(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%g", v);
   return buf;
+}
+
+// The read-apply-validate loop behind both loaders. Every key goes
+// through ApplyMultiAdConfigKey, which hands single-ad keys on to
+// `config->base`. The file validates as multi-ad when `force_multi_ad` is
+// set or any of its keys IsMultiAdKey; `*is_multi_ad` says which.
+[[nodiscard]] Status LoadScenarioFile(const std::string& path,
+                                      bool force_multi_ad,
+                                      MultiAdConfig* config,
+                                      bool* is_multi_ad) {
+  auto entries = ReadConfigEntries(path);
+  if (!entries.ok()) return entries.status();
+  *is_multi_ad = force_multi_ad ||
+                 std::any_of(entries->begin(), entries->end(),
+                             [](const ConfigEntry& entry) {
+                               return IsMultiAdKey(entry.key);
+                             });
+  for (const ConfigEntry& entry : *entries) {
+    Status applied = ApplyMultiAdConfigKey(entry.key, entry.value, config);
+    if (!applied.ok()) {
+      return Status::InvalidArgument(path + ":" +
+                                     std::to_string(entry.line) + ": " +
+                                     applied.message());
+    }
+  }
+  Status valid = *is_multi_ad ? config->Validate() : config->base.Validate();
+  if (!valid.ok()) {
+    return Status::InvalidArgument(path + ": " + valid.message());
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -85,13 +109,6 @@ Status MultiAdConfig::Validate() const {
         "key 'zipf' = " + Num(zipf_s) +
         ": accepted range [0, inf) (0 = uniform stall demand)");
   }
-  if (base.fault.Enabled()) {
-    return Status::InvalidArgument(
-        "keys 'churn_rate'/'loss_extra'/'outage_*': fault plans are not "
-        "supported in multi-ad scenarios (key 'ads') — the multi-ad "
-        "harness builds no FaultInjector, so the plan would be silently "
-        "ignored");
-  }
   return Status::Ok();
 }
 
@@ -116,50 +133,22 @@ double MultiAdResult::MeanDeliveryTime() const {
   return count == 0 ? 0.0 : sum / static_cast<double>(count);
 }
 
-MultiAdResult RunMultiAdScenario(const MultiAdConfig& config) {
+Scenario::Plan Scenario::MultiAdPlan(const MultiAdConfig& config,
+                                     bool observed) {
   Status valid = config.Validate();
   assert(valid.ok() && "invalid MultiAdConfig");
   (void)valid;
-
-  // Fold the per-method switches into the gossip options, as Scenario does.
-  core::GossipOptions gossip = config.base.gossip;
-  switch (config.base.method) {
-    case Method::kFlooding:
-    case Method::kResourceExchange:
-      break;
-    case Method::kGossip:
-      gossip.annulus = false;
-      gossip.postpone = false;
-      break;
-    case Method::kOptimized1:
-      gossip.annulus = true;
-      gossip.postpone = false;
-      break;
-    case Method::kOptimized2:
-      gossip.annulus = false;
-      gossip.postpone = true;
-      break;
-    case Method::kOptimized:
-      gossip.annulus = true;
-      gossip.postpone = true;
-      break;
-  }
-
-  sim::Simulator simulator;
-  // Log records inside this run carry virtual time.
-  const ScopedLogClock log_clock(simulator.NowHandle());
-  Rng root(config.base.seed);
-  net::Medium medium(config.base.medium, &simulator, root.Fork(0x4D414449));
-  stats::DeliveryLog log;
+  MultiAdConfig folded = config;
+  folded.base = FoldMethod(config.base);
+  Plan plan{folded.base, {}, kMultiAdStreams, {}};
+  if (observed) plan.config_text = SaveMultiAdConfigText(folded);
 
   // Issue locations, uniform with a border margin.
-  Rng placer = root.Fork(0x504C4143);  // "PLAC"
+  Rng placer = Rng(config.base.seed).Fork(0x504C4143);  // "PLAC"
   const Rect placement{{config.border_margin_m, config.border_margin_m},
                        {config.base.area_size_m - config.border_margin_m,
                         config.base.area_size_m - config.border_margin_m}};
-
-  MultiAdResult result;
-  result.ads.resize(config.num_ads);
+  std::vector<Vec2> locations(config.num_ads);
   if (config.num_stalls > 0) {
     // Marketplace mode: fixed stalls, each ad drawn to a stall with Zipf
     // weight 1/(rank+1)^s — stall 0 is the most popular. Stall positions
@@ -172,100 +161,35 @@ MultiAdResult RunMultiAdScenario(const MultiAdConfig& config) {
       total += 1.0 / std::pow(static_cast<double>(r + 1), config.zipf_s);
       cumulative[r] = total;
     }
-    for (int i = 0; i < config.num_ads; ++i) {
+    for (Vec2& location : locations) {
       const double draw = placer.Uniform(0.0, total);
       const size_t stall = static_cast<size_t>(
           std::lower_bound(cumulative.begin(), cumulative.end(), draw) -
           cumulative.begin());
-      result.ads[i].location = stalls[std::min(
+      location = stalls[std::min(
           stall, static_cast<size_t>(config.num_stalls - 1))];
     }
   } else {
-    for (int i = 0; i < config.num_ads; ++i) {
-      result.ads[i].location = placer.UniformInRect(placement);
-    }
+    for (Vec2& location : locations) location = placer.UniformInRect(placement);
   }
   for (int i = 0; i < config.num_ads; ++i) {
-    result.ads[i].issue_time =
-        config.first_issue_s + config.issue_spacing_s * i;
+    core::AdContent content = config.base.content;
+    content.text += " #" + std::to_string(i);
+    plan.issues.push_back(Issue{
+        locations[i], config.first_issue_s + config.issue_spacing_s * i,
+        config.ad_radius_m, config.ad_duration_s, std::move(content)});
   }
+  return plan;
+}
 
-  // Mobility: issuers stationary; peers follow config.base.mobility.
-  const int node_count = config.num_ads + config.base.num_peers;
-  std::vector<std::unique_ptr<mobility::MobilityModel>> mobilities;
-  mobilities.reserve(node_count);
-  for (int i = 0; i < config.num_ads; ++i) {
-    mobilities.push_back(
-        std::make_unique<mobility::Stationary>(result.ads[i].location));
-  }
-  for (int i = 0; i < config.base.num_peers; ++i) {
-    // Per-peer mobility streams draw from the reserved range
-    // [0x10000, 0x20000), mirroring scenario.cc.
-    mobilities.push_back(MakePeerMobility(
-        config.base,
-        root.Fork(0x10000 + i)));  // NOLINT(madnet-rng-fork-label): reserved range 0x10000+peer.
-  }
+Scenario::Scenario(const MultiAdConfig& config, obs::RunContext* obs)
+    : Scenario(MultiAdPlan(config, obs != nullptr), obs) {}
 
-  std::vector<std::unique_ptr<core::Protocol>> protocols;
-  protocols.reserve(node_count);
-  for (net::NodeId id = 0; id < static_cast<net::NodeId>(node_count); ++id) {
-    Status added = medium.AddNode(id, mobilities[id].get());
-    assert(added.ok());
-    (void)added;
-    core::ProtocolContext context;
-    context.simulator = &simulator;
-    context.medium = &medium;
-    context.self = id;
-    context.delivery_log = &log;
-    // Per-node protocol streams draw from the reserved range
-    // [0x20000, 0x30000), mirroring scenario.cc.
-    // NOLINTNEXTLINE(madnet-rng-fork-label): reserved range 0x20000+node.
-    context.rng = root.Fork(0x20000 + id);
-    switch (config.base.method) {
-      case Method::kFlooding:
-        protocols.push_back(std::make_unique<core::RestrictedFlooding>(
-            std::move(context), config.base.flooding));
-        break;
-      case Method::kResourceExchange:
-        protocols.push_back(std::make_unique<core::ResourceExchange>(
-            std::move(context), config.base.exchange));
-        break;
-      default:
-        protocols.push_back(std::make_unique<core::OpportunisticGossip>(
-            std::move(context), gossip));
-        break;
-    }
-    protocols.back()->Start();
-  }
-
-  // Schedule the issues.
-  for (int i = 0; i < config.num_ads; ++i) {
-    MultiAdResult::PerAd* ad = &result.ads[i];
-    simulator.ScheduleAt(ad->issue_time, [&, ad, i]() {
-      core::AdContent content = config.base.content;
-      content.text += " #" + std::to_string(i);
-      auto issued = protocols[i]->Issue(content, config.ad_radius_m,
-                                        config.ad_duration_s);
-      assert(issued.ok());
-      ad->key = issued->Key();
-    });
-  }
-
-  simulator.RunUntil(config.base.sim_time_s);
-
-  // Per-ad reports over each ad's own life cycle; only mobile peers count.
-  for (MultiAdResult::PerAd& ad : result.ads) {
-    const double life_end = std::min(ad.issue_time + config.ad_duration_s,
-                                     config.base.sim_time_s);
-    stats::AreaTracker tracker(Circle{ad.location, config.ad_radius_m},
-                               ad.issue_time, life_end);
-    for (int i = 0; i < config.base.num_peers; ++i) {
-      const net::NodeId id = static_cast<net::NodeId>(config.num_ads + i);
-      tracker.Observe(id, mobilities[id].get());
-    }
-    ad.report = ComputeDeliveryReport(tracker, log, ad.key);
-  }
-  result.net = medium.stats();
+MultiAdResult RunMultiAdScenario(const MultiAdConfig& config) {
+  Scenario scenario(config);
+  MultiAdResult result;
+  result.net = scenario.Run().net;
+  result.ads = scenario.ads();
   return result;
 }
 
@@ -311,25 +235,6 @@ Status ApplyMultiAdConfigKey(const std::string& key, const std::string& value,
   return ApplyConfigKey(key, value, &config->base);
 }
 
-[[nodiscard]]
-Status LoadMultiAdConfigFile(const std::string& path, MultiAdConfig* config) {
-  auto entries = ReadConfigEntries(path);
-  if (!entries.ok()) return entries.status();
-  for (const ConfigEntry& entry : *entries) {
-    Status applied = ApplyMultiAdConfigKey(entry.key, entry.value, config);
-    if (!applied.ok()) {
-      return Status::InvalidArgument(path + ":" +
-                                     std::to_string(entry.line) + ": " +
-                                     applied.message());
-    }
-  }
-  Status valid = config->Validate();
-  if (!valid.ok()) {
-    return Status::InvalidArgument(path + ": " + valid.message());
-  }
-  return Status::Ok();
-}
-
 std::string SaveMultiAdConfigText(const MultiAdConfig& config) {
   std::ostringstream out;
   char buf[96];
@@ -351,28 +256,15 @@ std::string SaveMultiAdConfigText(const MultiAdConfig& config) {
 }
 
 [[nodiscard]]
+Status LoadMultiAdConfigFile(const std::string& path, MultiAdConfig* config) {
+  bool is_multi_ad = true;
+  return LoadScenarioFile(path, /*force_multi_ad=*/true, config, &is_multi_ad);
+}
+
+[[nodiscard]]
 Status LoadScenarioFileAuto(const std::string& path, MultiAdConfig* out,
                             bool* is_multi_ad) {
-  auto entries = ReadConfigEntries(path);
-  if (!entries.ok()) return entries.status();
-  *is_multi_ad = std::any_of(
-      entries->begin(), entries->end(),
-      [](const ConfigEntry& entry) { return IsMultiAdKey(entry.key); });
-  for (const ConfigEntry& entry : *entries) {
-    Status applied =
-        *is_multi_ad ? ApplyMultiAdConfigKey(entry.key, entry.value, out)
-                     : ApplyConfigKey(entry.key, entry.value, &out->base);
-    if (!applied.ok()) {
-      return Status::InvalidArgument(path + ":" +
-                                     std::to_string(entry.line) + ": " +
-                                     applied.message());
-    }
-  }
-  Status valid = *is_multi_ad ? out->Validate() : out->base.Validate();
-  if (!valid.ok()) {
-    return Status::InvalidArgument(path + ": " + valid.message());
-  }
-  return Status::Ok();
+  return LoadScenarioFile(path, /*force_multi_ad=*/false, out, is_multi_ad);
 }
 
 }  // namespace madnet::scenario

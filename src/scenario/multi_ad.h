@@ -20,9 +20,10 @@
 namespace madnet::scenario {
 
 /// Configuration of a multi-ad run. The embedded `base` supplies the
-/// method, population, mobility, medium and protocol options; its single-ad
-/// fields (issue_location, initial R/D, issue_time) are ignored in favour
-/// of the fields below.
+/// method, population, mobility, medium, protocol and fault options; its
+/// single-ad fields (issue_location, initial R/D, issue_time) are ignored
+/// in favour of the fields below. base.issuer_goes_offline takes each
+/// issuer offline shortly after its own issue.
 struct MultiAdConfig {
   ScenarioConfig base;
 
@@ -45,20 +46,13 @@ struct MultiAdConfig {
   double zipf_s = 1.0;
 
   /// Cross-field validation with key-named diagnostics, mirroring
-  /// ScenarioConfig::Validate(). Fault plans are rejected here: the
-  /// multi-ad harness does not build a FaultInjector, so a plan would be
-  /// silently ignored.
+  /// ScenarioConfig::Validate().
   [[nodiscard]] Status Validate() const;
 };
 
 /// Per-ad and aggregate results of a multi-ad run.
 struct MultiAdResult {
-  struct PerAd {
-    uint64_t key = 0;
-    Vec2 location;
-    sim::Time issue_time = 0.0;
-    stats::DeliveryReport report;
-  };
+  using PerAd = IssuedAd;
   std::vector<PerAd> ads;
   net::MediumStats net;
 
@@ -69,8 +63,9 @@ struct MultiAdResult {
   double MeanDeliveryTime() const;
 };
 
-/// Builds, runs and reports a multi-ad scenario. Node ids: issuers are
-/// 0..num_ads-1 (stationary at their ad's location), peers follow.
+/// Builds, runs and reports a multi-ad scenario through Scenario's
+/// multi-ad constructor. Node ids: issuers are 0..num_ads-1 (stationary at
+/// their ad's location), peers follow.
 MultiAdResult RunMultiAdScenario(const MultiAdConfig& config);
 
 // --- Multi-ad config files -------------------------------------------------

@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <cassert>
 #include <iterator>
+#include <utility>
 #include <vector>
 
 #include "core/opportunistic_gossip.h"
+#include "core/resource_exchange.h"
 #include "core/restricted_flooding.h"
 #include "mobility/constant_velocity.h"
 #include "mobility/hotspot_waypoint.h"
@@ -23,125 +25,10 @@ namespace {
 // The issuer broadcasts at issue time; deliveries land within milliseconds.
 // A gossip issuer that "goes offline" does so shortly after.
 constexpr double kIssuerOfflineDelay = 1.0;
-}  // namespace
 
-Scenario::Scenario(const ScenarioConfig& config, obs::RunContext* obs)
-    : config_(config), obs_(obs), log_clock_(simulator_.NowHandle()) {
-  obs::PhaseTimer setup_timer(obs_, "setup");
-  Status valid = config_.Validate();
-  assert(valid.ok() && "invalid ScenarioConfig");
-  (void)valid;
-
-  // Fold the per-method optimization switches into the gossip options.
-  switch (config_.method) {
-    case Method::kFlooding: break;
-    case Method::kResourceExchange: break;
-    case Method::kGossip:
-      config_.gossip.annulus = false;
-      config_.gossip.postpone = false;
-      break;
-    case Method::kOptimized1:
-      config_.gossip.annulus = true;
-      config_.gossip.postpone = false;
-      break;
-    case Method::kOptimized2:
-      config_.gossip.annulus = false;
-      config_.gossip.postpone = true;
-      break;
-    case Method::kOptimized:
-      config_.gossip.annulus = true;
-      config_.gossip.postpone = true;
-      break;
-  }
-
-  Rng root(config_.seed);
-  medium_ = std::make_unique<net::Medium>(config_.medium, &simulator_,
-                                          root.Fork(0x4D454449));  // "MEDI"
-
-  if (obs_ != nullptr) {
-    // Header first, so every run's chunk is self-describing; then hand the
-    // sink to the subsystems that emit records. The hash covers the folded
-    // config (what actually ran), seed included.
-    obs_->trace.BeginRun(config_.seed,
-                         obs::HashHex(SaveConfigText(config_)));
-    simulator_.SetTrace(&obs_->trace);
-    medium_->SetTrace(&obs_->trace);
-    // Spatial load telemetry: one tile per radio range, so each tile is
-    // one interference neighbourhood and the tile-load report reads as a
-    // congestion map. Summarized by CaptureMetrics.
-    tiles_ = std::make_unique<obs::TileLoadMap>(config_.medium.range_m,
-                                                config_.area_size_m);
-    medium_->SetTileLoad(tiles_.get());
-    // Inter-event virtual-time gaps: a spike at 0 means event storms, a
-    // heavy right tail means the calendar queue idles between bursts.
-    // The simulator buckets them inline; CaptureMetrics books the counts.
-    simulator_.EnableDispatchGapTelemetry();
-  }
-
-  const int node_count = config_.num_peers + 1;  // Peers plus the issuer.
-  mobilities_.reserve(node_count);
-  protocols_.reserve(node_count);
-
-  // Node 0: the issuer, stationary at the issuing location.
-  mobilities_.push_back(
-      std::make_unique<mobility::Stationary>(config_.issue_location));
-  // Nodes 1..N: mobile peers.
-  for (int i = 1; i <= config_.num_peers; ++i) {
-    // Per-peer mobility streams draw from the reserved range
-    // [0x10000, 0x20000), disjoint from every other Fork range.
-    // NOLINTNEXTLINE(madnet-rng-fork-label): reserved range 0x10000+peer.
-    mobilities_.push_back(MakeMobility(root.Fork(0x10000 + i)));
-  }
-
-  for (net::NodeId id = 0; id < static_cast<net::NodeId>(node_count); ++id) {
-    Status added = medium_->AddNode(id, mobilities_[id].get());
-    assert(added.ok());
-    (void)added;
-  }
-  for (net::NodeId id = 0; id < static_cast<net::NodeId>(node_count); ++id) {
-    // Per-node protocol streams draw from the reserved range
-    // [0x20000, 0x30000), disjoint from every other Fork range.
-    // NOLINTNEXTLINE(madnet-rng-fork-label): reserved range 0x20000+node.
-    protocols_.push_back(MakeProtocol(id, root.Fork(0x20000 + id)));
-    protocols_.back()->Start();
-  }
-
-  if (config_.fault.Enabled()) {
-    // The injector draws from its own labelled fork, so enabling faults
-    // leaves the medium/mobility/protocol streams untouched.
-    injector_ = std::make_unique<fault::FaultInjector>(
-        config_.fault, &simulator_, medium_.get(),
-        root.Fork(0x4641554C));  // "FAUL"
-    if (obs_ != nullptr) injector_->SetTrace(&obs_->trace);
-    fault::FaultInjector::Hooks hooks;
-    hooks.on_crash = [this](net::NodeId id) { protocols_[id]->OnCrash(); };
-    hooks.on_rejoin = [this](net::NodeId id) { protocols_[id]->OnRejoin(); };
-    // Only mobile peers churn; the issuer's availability is governed by
-    // issuer_goes_offline alone.
-    if (config_.num_peers > 0) {
-      injector_->Arm(issuer_id() + 1,
-                     issuer_id() + static_cast<net::NodeId>(config_.num_peers),
-                     std::move(hooks));
-    }
-    if (obs_ != nullptr && obs_->flight_recorder == nullptr) {
-      // Fault runs get a postmortem ring even when the session did not ask
-      // for one: a crash under injected faults is exactly when the last few
-      // hundred records matter. Recorder-only capture never gates on the
-      // text mask, so the trace text stays byte-identical either way.
-      recorder_ = std::make_unique<obs::FlightRecorder>();
-      obs_->trace.SetFlightRecorder(recorder_.get());
-      obs::RegisterCrashDump(recorder_.get(), config_.seed);
-    }
-  }
-}
-
-Scenario::~Scenario() {
-  if (recorder_ != nullptr) {
-    obs::UnregisterCrashDump(recorder_.get());
-    obs_->trace.SetFlightRecorder(nullptr);
-  }
-}
-
+// Builds one mobile peer's mobility model per `config.mobility` (Random
+// Waypoint / Manhattan grid / hotspot waypoint / constant-velocity highway
+// lanes, with the speed, pause and model-specific fields of `config`).
 std::unique_ptr<mobility::MobilityModel> MakePeerMobility(
     const ScenarioConfig& config, Rng rng) {
   const Rect area{{0.0, 0.0}, {config.area_size_m, config.area_size_m}};
@@ -201,8 +88,152 @@ std::unique_ptr<mobility::MobilityModel> MakePeerMobility(
   return std::make_unique<mobility::RandomWaypoint>(options, rng);
 }
 
-std::unique_ptr<mobility::MobilityModel> Scenario::MakeMobility(Rng rng) {
-  return MakePeerMobility(config_, rng);
+}  // namespace
+
+ScenarioConfig Scenario::FoldMethod(const ScenarioConfig& config) {
+  ScenarioConfig folded = config;
+  switch (folded.method) {
+    case Method::kFlooding: break;
+    case Method::kResourceExchange: break;
+    case Method::kGossip:
+      folded.gossip.annulus = false;
+      folded.gossip.postpone = false;
+      break;
+    case Method::kOptimized1:
+      folded.gossip.annulus = true;
+      folded.gossip.postpone = false;
+      break;
+    case Method::kOptimized2:
+      folded.gossip.annulus = false;
+      folded.gossip.postpone = true;
+      break;
+    case Method::kOptimized:
+      folded.gossip.annulus = true;
+      folded.gossip.postpone = true;
+      break;
+  }
+  return folded;
+}
+
+Scenario::Plan Scenario::SingleAdPlan(const ScenarioConfig& config,
+                                      bool observed) {
+  Status valid = config.Validate();
+  assert(valid.ok() && "invalid ScenarioConfig");
+  (void)valid;
+  Plan plan{FoldMethod(config), {}, kSingleAdStreams, {}};
+  plan.issues.push_back(Issue{config.issue_location, config.issue_time_s,
+                              config.initial_radius_m,
+                              config.initial_duration_s, config.content});
+  // The hash covers the folded config (what actually ran), seed included.
+  if (observed) plan.config_text = SaveConfigText(plan.config);
+  return plan;
+}
+
+Scenario::Scenario(const ScenarioConfig& config, obs::RunContext* obs)
+    : Scenario(SingleAdPlan(config, obs != nullptr), obs) {}
+
+Scenario::Scenario(Plan plan, obs::RunContext* obs)
+    : config_(std::move(plan.config)),
+      obs_(obs),
+      log_clock_(simulator_.NowHandle()),
+      issues_(std::move(plan.issues)) {
+  obs::PhaseTimer setup_timer(obs_, "setup");
+  ads_.resize(issues_.size());
+  for (size_t i = 0; i < issues_.size(); ++i) {
+    ads_[i].location = issues_[i].location;
+    ads_[i].issue_time = issues_[i].time;
+  }
+  Rng root(config_.seed);
+  // NOLINTNEXTLINE(madnet-rng-fork-label): "MEDI" or "MADI", StreamLabels.
+  const Rng medium_rng = root.Fork(plan.streams.medium);
+  medium_ = std::make_unique<net::Medium>(config_.medium, &simulator_,
+                                          medium_rng);
+
+  if (obs_ != nullptr) {
+    // Header first, so every run's chunk is self-describing; then hand the
+    // sink to the subsystems that emit records.
+    obs_->trace.BeginRun(config_.seed, obs::HashHex(plan.config_text));
+    simulator_.SetTrace(&obs_->trace);
+    medium_->SetTrace(&obs_->trace);
+    // Spatial load telemetry: one tile per radio range, so each tile is
+    // one interference neighbourhood and the tile-load report reads as a
+    // congestion map. Summarized by CaptureMetrics.
+    tiles_ = std::make_unique<obs::TileLoadMap>(config_.medium.range_m,
+                                                config_.area_size_m);
+    medium_->SetTileLoad(tiles_.get());
+    // Inter-event virtual-time gaps: a spike at 0 means event storms, a
+    // heavy right tail means the calendar queue idles between bursts.
+    // The simulator buckets them inline; CaptureMetrics books the counts.
+    simulator_.EnableDispatchGapTelemetry();
+  }
+
+  const int issuers = num_issuers();
+  const int node_count = issuers + config_.num_peers;
+  mobilities_.reserve(node_count);
+  protocols_.reserve(node_count);
+
+  // Nodes 0..K-1: the issuers, stationary at their issuing locations.
+  for (const Issue& issue : issues_) {
+    mobilities_.push_back(
+        std::make_unique<mobility::Stationary>(issue.location));
+  }
+  // Nodes K..K+N-1: mobile peers.
+  for (int i = 0; i < config_.num_peers; ++i) {
+    // Per-peer mobility streams draw from the reserved range
+    // [0x10000, 0x20000), disjoint from every other Fork range.
+    mobilities_.push_back(MakePeerMobility(
+        config_,
+        // NOLINTNEXTLINE(madnet-rng-fork-label): reserved range 0x10000+i.
+        root.Fork(plan.streams.first_peer_mobility + i)));
+  }
+
+  for (net::NodeId id = 0; id < static_cast<net::NodeId>(node_count); ++id) {
+    Status added = medium_->AddNode(id, mobilities_[id].get());
+    assert(added.ok());
+    (void)added;
+  }
+  for (net::NodeId id = 0; id < static_cast<net::NodeId>(node_count); ++id) {
+    // Per-node protocol streams draw from the reserved range
+    // [0x20000, 0x30000), disjoint from every other Fork range.
+    // NOLINTNEXTLINE(madnet-rng-fork-label): reserved range 0x20000+node.
+    protocols_.push_back(MakeProtocol(id, root.Fork(0x20000 + id)));
+    protocols_.back()->Start();
+  }
+
+  if (config_.fault.Enabled()) {
+    // The injector draws from its own labelled fork, so enabling faults
+    // leaves the medium/mobility/protocol streams untouched.
+    injector_ = std::make_unique<fault::FaultInjector>(
+        config_.fault, &simulator_, medium_.get(),
+        root.Fork(0x4641554C));  // "FAUL"
+    if (obs_ != nullptr) injector_->SetTrace(&obs_->trace);
+    fault::FaultInjector::Hooks hooks;
+    hooks.on_crash = [this](net::NodeId id) { protocols_[id]->OnCrash(); };
+    hooks.on_rejoin = [this](net::NodeId id) { protocols_[id]->OnRejoin(); };
+    // Only mobile peers churn; the issuers' availability is governed by
+    // issuer_goes_offline alone.
+    if (config_.num_peers > 0) {
+      injector_->Arm(static_cast<net::NodeId>(issuers),
+                     static_cast<net::NodeId>(node_count - 1),
+                     std::move(hooks));
+    }
+    if (obs_ != nullptr && obs_->flight_recorder == nullptr) {
+      // Fault runs get a postmortem ring even when the session did not ask
+      // for one: a crash under injected faults is exactly when the last few
+      // hundred records matter. Recorder-only capture never gates on the
+      // text mask, so the trace text stays byte-identical either way.
+      recorder_ = std::make_unique<obs::FlightRecorder>();
+      obs_->trace.SetFlightRecorder(recorder_.get());
+      obs::RegisterCrashDump(recorder_.get(), config_.seed);
+    }
+  }
+}
+
+Scenario::~Scenario() {
+  if (recorder_ != nullptr) {
+    obs::UnregisterCrashDump(recorder_.get());
+    obs_->trace.SetFlightRecorder(nullptr);
+  }
 }
 
 std::unique_ptr<core::Protocol> Scenario::MakeProtocol(net::NodeId id,
@@ -237,26 +268,27 @@ RunResult Scenario::Run() {
   assert(!ran_ && "Scenario::Run may only be called once");
   ran_ = true;
 
-  RunResult result;
-  // Issue the advertisement at the configured time.
-  simulator_.ScheduleAt(config_.issue_time_s, [this, &result]() {
-    auto issued = protocols_[issuer_id()]->Issue(config_.content,
-                                                 config_.initial_radius_m,
-                                                 config_.initial_duration_s);
-    assert(issued.ok());
-    result.ad_key = issued->Key();
-    issued_ad_key_ = result.ad_key;
-    if (config_.method != Method::kFlooding && config_.issuer_goes_offline) {
-      simulator_.Schedule(kIssuerOfflineDelay, [this]() {
-        const Status off = medium_->SetOnline(issuer_id(), false);
-        if (!off.ok()) {
-          MADNET_LOG_ERROR("issuer %u could not go offline: %s",
-                           static_cast<unsigned>(issuer_id()),
-                           off.message().c_str());
-        }
-      });
-    }
-  });
+  // Issuer i puts out its ad at the ad's issue time.
+  for (size_t i = 0; i < issues_.size(); ++i) {
+    simulator_.ScheduleAt(issues_[i].time, [this, i]() {
+      const Issue& issue = issues_[i];
+      const net::NodeId issuer = static_cast<net::NodeId>(i);
+      auto issued = protocols_[issuer]->Issue(issue.content, issue.radius_m,
+                                              issue.duration_s);
+      assert(issued.ok());
+      ads_[i].key = issued->Key();
+      if (config_.method != Method::kFlooding && config_.issuer_goes_offline) {
+        simulator_.Schedule(kIssuerOfflineDelay, [this, issuer]() {
+          const Status off = medium_->SetOnline(issuer, false);
+          if (!off.ok()) {
+            MADNET_LOG_ERROR("issuer %u could not go offline: %s",
+                             static_cast<unsigned>(issuer),
+                             off.message().c_str());
+          }
+        });
+      }
+    });
+  }
 
   {
     obs::PhaseTimer loop_timer(obs_, "event_loop");
@@ -264,21 +296,28 @@ RunResult Scenario::Run() {
   }
   obs::PhaseTimer aggregate_timer(obs_, "aggregate");
 
-  // Metrics over the ad's life cycle within the simulated horizon.
-  const double life_end = std::min(
-      config_.issue_time_s + config_.initial_duration_s, config_.sim_time_s);
-  stats::AreaTracker tracker(
-      Circle{config_.issue_location, config_.initial_radius_m},
-      config_.issue_time_s, life_end);
-  for (int i = 1; i <= config_.num_peers; ++i) {
-    tracker.Observe(static_cast<net::NodeId>(i), mobilities_[i].get());
+  // Metrics over each ad's life cycle within the simulated horizon; only
+  // mobile peers count.
+  for (size_t i = 0; i < issues_.size(); ++i) {
+    const Issue& issue = issues_[i];
+    const double life_end =
+        std::min(issue.time + issue.duration_s, config_.sim_time_s);
+    stats::AreaTracker tracker(Circle{issue.location, issue.radius_m},
+                               issue.time, life_end);
+    for (size_t id = issues_.size(); id < mobilities_.size(); ++id) {
+      tracker.Observe(static_cast<net::NodeId>(id), mobilities_[id].get());
+    }
+    ads_[i].report = ComputeDeliveryReport(tracker, delivery_log_,
+                                           ads_[i].key);
   }
-  result.report = ComputeDeliveryReport(tracker, delivery_log_, result.ad_key);
+  RunResult result;
+  result.report = ads_.front().report;
+  result.ad_key = ads_.front().key;
   result.net = medium_->stats();
   if (injector_ != nullptr) result.fault = injector_->stats();
   result.events_executed = simulator_.ExecutedEvents();
 
-  // Ranking evidence: the most-enlarged surviving copy of the ad.
+  // Ranking evidence: the most-enlarged surviving copy of the first ad.
   for (const auto& protocol : protocols_) {
     const auto* gossip =
         dynamic_cast<const core::OpportunisticGossip*>(protocol.get());
@@ -324,14 +363,16 @@ void Scenario::CaptureMetrics(const RunResult& result) {
     *metrics.Counter("fault.loss_episodes") += result.fault.loss_episodes;
     *metrics.Counter("fault.outages") += result.fault.outages;
   }
-  metrics
-      .Histogram("scenario.delivery_rate_percent",
-                 {10, 20, 30, 40, 50, 60, 70, 80, 90, 100})
-      ->Observe(result.DeliveryRatePercent());
-  metrics
-      .Histogram("scenario.mean_delivery_time_s",
-                 {1, 2, 5, 10, 20, 50, 100, 200, 500})
-      ->Observe(result.MeanDeliveryTime());
+  // One observation per issued ad.
+  obs::FixedHistogram* rates = metrics.Histogram(
+      "scenario.delivery_rate_percent",
+      {10, 20, 30, 40, 50, 60, 70, 80, 90, 100});
+  obs::FixedHistogram* times = metrics.Histogram(
+      "scenario.mean_delivery_time_s", {1, 2, 5, 10, 20, 50, 100, 200, 500});
+  for (const IssuedAd& ad : ads_) {
+    rates->Observe(ad.report.DeliveryRatePercent());
+    times->Observe(ad.report.MeanDeliveryTime());
+  }
   metrics.SetGauge("scenario.final_rank", result.final_rank);
   metrics.SetGauge("scenario.final_radius_m", result.final_radius_m);
   metrics.SetGauge("scenario.final_duration_s", result.final_duration_s);

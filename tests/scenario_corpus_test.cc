@@ -8,11 +8,14 @@
 // docs/scenario_schema.md, asserted character for character.
 
 #include <map>
+#include <sstream>
 #include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
 
+#include "obs/run_context.h"
+#include "obs/trace_reader.h"
 #include "scenario/multi_ad.h"
 #include "scenario/scenario.h"
 
@@ -145,6 +148,44 @@ TEST(ScenarioCorpusTest, MarketplaceZipf) {
   EXPECT_LT(result.net.messages_sent, 100000u);
 }
 
+TEST(ScenarioCorpusTest, MarketplaceZipfFaulted) {
+  MultiAdConfig config = LoadCorpus("marketplace_zipf_faulted.cfg", true);
+  EXPECT_EQ(config.num_ads, 12);
+  ASSERT_TRUE(config.base.fault.ChurnEnabled());
+  ASSERT_TRUE(config.base.fault.LossEpisodesEnabled());
+  obs::TraceOptions options;
+  options.categories = obs::kTraceFault;
+  obs::RunContext context{options};
+  Scenario scenario(config, &context);
+  const RunResult result = scenario.Run();
+  MultiAdResult per_ad;
+  per_ad.ads = scenario.ads();
+  ASSERT_EQ(per_ad.ads.size(), 12u);
+  // Baseline (seed 21): 94.4% mean delivery rate, 3801 messages, 123
+  // crash-downs of churning peers and 4 loss episodes.
+  EXPECT_GE(per_ad.MeanDeliveryRatePercent(), 60.0);
+  EXPECT_GT(result.net.messages_sent, 1000u);
+  EXPECT_LT(result.net.messages_sent, 100000u);
+  EXPECT_GE(result.fault.node_downs, 1u);
+  EXPECT_EQ(result.fault.crashes, result.fault.node_downs);  // churn_crash.
+  EXPECT_GE(result.fault.loss_episodes, 1u);
+  EXPECT_EQ(result.fault.outages, 0u);
+  // Churn is drawn over the mobile peers only: no issuer ever goes down.
+  std::istringstream trace(context.trace.text());
+  std::string line;
+  uint64_t downs = 0;
+  while (std::getline(trace, line)) {
+    obs::TraceEvent event;
+    ASSERT_TRUE(obs::ParseTraceLine(line, &event).ok()) << line;
+    if (event.cat != "fault") continue;
+    if (event.reason != "down" && event.reason != "crash") continue;
+    ++downs;
+    EXPECT_GE(event.node, static_cast<uint32_t>(scenario.num_issuers()))
+        << line;
+  }
+  EXPECT_EQ(downs, result.fault.node_downs);
+}
+
 // --- Negative fixtures -----------------------------------------------------
 
 struct NegativeFixture {
@@ -180,11 +221,6 @@ TEST(ScenarioCorpusTest, NegativeFixturesFailWithExactDiagnostics) {
        ": key 'hotspot_sigma' = 600: accepted range [0, area/2) = [0, "
        "500) when hotspot_extra > 0 — extra hotspot centres are placed "
        "one sigma inside the arena (key 'area')"},
-      {"bad_multi_fault.cfg",
-       ": keys 'churn_rate'/'loss_extra'/'outage_*': fault plans are not "
-       "supported in multi-ad scenarios (key 'ads') — the multi-ad "
-       "harness builds no FaultInjector, so the plan would be silently "
-       "ignored"},
       {"bad_max_speed.cfg",
        ": key 'max_speed' = 12: must cover the fastest mobile peer, "
        "speed + speed_delta = 15 (keys 'speed'/'speed_delta') — the "

@@ -7,8 +7,14 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#ifndef MADNET_SCENARIO_DIR
+#error "build must define MADNET_SCENARIO_DIR (see tests/CMakeLists.txt)"
+#endif
 
 namespace madnet::scenario {
 namespace {
@@ -153,14 +159,49 @@ TEST(MultiAdTest, StallAssignmentDeterministicInSeed) {
   }
 }
 
-TEST(MultiAdConfigTest, RejectsFaultPlans) {
+TEST(MultiAdConfigTest, AcceptsFaultPlans) {
   MultiAdConfig config = FastConfig();
   config.base.fault.churn_rate = 0.2;
-  Status status = config.Validate();
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("fault plans are not supported"),
-            std::string::npos)
-      << status.message();
+  config.base.fault.loss_extra = 0.3;
+  config.base.fault.loss_episode_s = 30.0;
+  config.base.fault.loss_period_s = 100.0;
+  ASSERT_TRUE(config.Validate().ok());
+  Scenario scenario(config);
+  const RunResult result = scenario.Run();
+  EXPECT_GT(result.fault.node_downs, 0u);
+  EXPECT_GT(result.fault.loss_episodes, 0u);
+  // The plan churns peers only: every issuer is still online at the end.
+  for (int i = 0; i < scenario.num_issuers(); ++i) {
+    EXPECT_TRUE(scenario.medium()->IsOnline(static_cast<net::NodeId>(i)))
+        << "issuer " << i;
+  }
+}
+
+TEST(MultiAdTest, IssuerOfflineAppliesToEveryIssuer) {
+  MultiAdConfig config = FastConfig(Method::kGossip);
+  config.base.issuer_goes_offline = true;
+  Scenario scenario(config);
+  // Issuer i goes offline one second after its own issue: sample just
+  // before and just after that instant.
+  std::vector<int> online_before(config.num_ads, -1);
+  std::vector<int> online_after(config.num_ads, -1);
+  for (int i = 0; i < config.num_ads; ++i) {
+    const double offline_at =
+        config.first_issue_s + config.issue_spacing_s * i + 1.0;
+    const net::NodeId issuer = static_cast<net::NodeId>(i);
+    scenario.simulator()->ScheduleAt(offline_at - 0.5, [&, i, issuer]() {
+      online_before[i] = scenario.medium()->IsOnline(issuer);
+    });
+    scenario.simulator()->ScheduleAt(offline_at + 0.5, [&, i, issuer]() {
+      online_after[i] = scenario.medium()->IsOnline(issuer);
+    });
+  }
+  scenario.Run();
+  for (int i = 0; i < config.num_ads; ++i) {
+    EXPECT_EQ(online_before[i], 1) << "issuer " << i;
+    EXPECT_EQ(online_after[i], 0) << "issuer " << i;
+  }
+  for (const IssuedAd& ad : scenario.ads()) EXPECT_NE(ad.key, 0u);
 }
 
 TEST(MultiAdConfigTest, RejectsNegativeStallsAndZipf) {
@@ -170,6 +211,96 @@ TEST(MultiAdConfigTest, RejectsNegativeStallsAndZipf) {
   config = FastConfig();
   config.zipf_s = -0.5;
   EXPECT_FALSE(config.Validate().ok());
+}
+
+// --- Golden fingerprints -----------------------------------------------------
+//
+// Exact values of whole multi-ad runs: the message and delivery counters,
+// every ad's key, issue location and delivered-peer count, and the mean
+// delivery rate. Any change to the multi-ad random streams, the issue
+// placement, or the order in which nodes and events are set up moves them.
+// Update them only for a deliberate re-baseline of those streams, and say
+// so where it is made. One line per run: "msgs <messages_sent> rx
+// <deliveries> rate <mean delivery rate %>", then one per ad: "ad <key in
+// hex> (<x>, <y>) <delivered peers>". Doubles print with %.17g, so
+// equality is exact.
+
+std::string FingerprintText(const MultiAdResult& result) {
+  std::string text;
+  char line[160];
+  std::snprintf(line, sizeof(line), "msgs %llu rx %llu rate %.17g\n",
+                static_cast<unsigned long long>(result.net.messages_sent),
+                static_cast<unsigned long long>(result.net.deliveries),
+                result.MeanDeliveryRatePercent());
+  text += line;
+  for (const MultiAdResult::PerAd& ad : result.ads) {
+    std::snprintf(line, sizeof(line), "ad %llx (%.17g, %.17g) %llu\n",
+                  static_cast<unsigned long long>(ad.key), ad.location.x,
+                  ad.location.y,
+                  static_cast<unsigned long long>(ad.report.peers_delivered));
+    text += line;
+  }
+  return text;
+}
+
+TEST(MultiAdGoldenTest, MarketplaceZipfCorpusFile) {
+  MultiAdConfig config;
+  bool is_multi_ad = false;
+  const Status loaded = LoadScenarioFileAuto(
+      std::string(MADNET_SCENARIO_DIR) + "/marketplace_zipf.cfg", &config,
+      &is_multi_ad);
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  ASSERT_TRUE(is_multi_ad);
+  ASSERT_EQ(config.base.seed, 21u);
+  EXPECT_EQ(FingerprintText(RunMultiAdScenario(config)),
+            "msgs 3809 rx 26328 rate 96.824193927852448\n"
+            "ad 1 (2023.8311256974832, 1207.2450577532579) 58\n"
+            "ad 100000001 (1338.9911779852468, 880.93722785528234) 55\n"
+            "ad 200000001 (1338.9911779852468, 880.93722785528234) 56\n"
+            "ad 300000001 (1338.9911779852468, 880.93722785528234) 59\n"
+            "ad 400000001 (1091.0368573983385, 621.47738727409205) 36\n"
+            "ad 500000001 (2023.8311256974832, 1207.2450577532579) 67\n"
+            "ad 600000001 (1874.7743820916583, 1664.2791202318324) 65\n"
+            "ad 700000001 (2023.8311256974832, 1207.2450577532579) 69\n"
+            "ad 800000001 (1091.0368573983385, 621.47738727409205) 33\n"
+            "ad 900000001 (1091.0368573983385, 621.47738727409205) 33\n"
+            "ad a00000001 (2023.8311256974832, 1207.2450577532579) 70\n"
+            "ad b00000001 (2023.8311256974832, 1207.2450577532579) 72\n");
+}
+
+TEST(MultiAdGoldenTest, OneLocationPerAdAcrossMethods) {
+  struct Golden {
+    Method method;
+    const char* expected;
+  };
+  const Golden goldens[] = {
+      {Method::kFlooding,
+       "msgs 4802 rx 32369 rate 98.428633784373645\n"
+       "ad 1 (1910.5940197146501, 1244.2662248477814) 84\n"
+       "ad 100000001 (1369.2784097894805, 1554.5233204051019) 99\n"
+       "ad 200000001 (1232.7039541329086, 875.80221827588093) 78\n"},
+      {Method::kGossip,
+       "msgs 4259 rx 28147 rate 97.66235025946942\n"
+       "ad 1 (1910.5940197146501, 1244.2662248477814) 82\n"
+       "ad 100000001 (1369.2784097894805, 1554.5233204051019) 99\n"
+       "ad 200000001 (1232.7039541329086, 875.80221827588093) 78\n"},
+      {Method::kOptimized,
+       "msgs 947 rx 5207 rate 96.988949586068728\n"
+       "ad 1 (1910.5940197146501, 1244.2662248477814) 82\n"
+       "ad 100000001 (1369.2784097894805, 1554.5233204051019) 97\n"
+       "ad 200000001 (1232.7039541329086, 875.80221827588093) 78\n"},
+      {Method::kResourceExchange,
+       "msgs 51208 rx 242160 rate 99.233716475095775\n"
+       "ad 1 (1910.5940197146501, 1244.2662248477814) 85\n"
+       "ad 100000001 (1369.2784097894805, 1554.5233204051019) 99\n"
+       "ad 200000001 (1232.7039541329086, 875.80221827588093) 79\n"},
+  };
+  for (const Golden& golden : goldens) {
+    MultiAdConfig config = FastConfig(golden.method);
+    config.num_ads = 3;
+    EXPECT_EQ(FingerprintText(RunMultiAdScenario(config)), golden.expected)
+        << MethodName(golden.method);
+  }
 }
 
 class MultiAdIoTest : public ::testing::Test {
@@ -258,14 +389,13 @@ TEST_F(MultiAdIoTest, BadMultiAdValueNamesKeyAndLine) {
       << status.message();
 }
 
-TEST_F(MultiAdIoTest, MultiAdFileWithFaultPlanRejected) {
+TEST_F(MultiAdIoTest, MultiAdFileWithFaultPlanLoads) {
   WriteFile("ads = 3\nchurn_rate = 0.2\n");
   MultiAdConfig config;
-  Status status = LoadMultiAdConfigFile(path_, &config);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("fault plans are not supported"),
-            std::string::npos)
-      << status.message();
+  const Status status = LoadMultiAdConfigFile(path_, &config);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(config.num_ads, 3);
+  EXPECT_DOUBLE_EQ(config.base.fault.churn_rate, 0.2);
 }
 
 }  // namespace

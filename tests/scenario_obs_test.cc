@@ -10,6 +10,7 @@
 
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -25,6 +26,7 @@
 #include "obs/trace_reader.h"
 #include "exec/parallel_for.h"
 #include "exec/replication.h"
+#include "scenario/multi_ad.h"
 #include "scenario/scenario.h"
 
 namespace madnet::scenario {
@@ -302,6 +304,60 @@ TEST(ScenarioObsTest, DeliverTraceReconstructsADisseminationForest) {
       EXPECT_GE(tree.max_hop, 1u);
     }
   }
+}
+
+TEST(ScenarioObsTest, ObservedMarketplaceRunTracesEveryAd) {
+  // A multi-ad run goes through the same assembly as a single-ad one, so
+  // it gets the same trace header, provenance records and run metrics.
+  MultiAdConfig config;
+  config.base = SmallConfig();
+  config.num_ads = 3;
+  config.first_issue_s = 20.0;
+  config.issue_spacing_s = 15.0;
+  config.ad_radius_m = 500.0;
+  config.ad_duration_s = 150.0;
+  config.border_margin_m = 500.0;
+  obs::TraceOptions trace_options;
+  trace_options.categories = obs::kTraceDeliver;
+  obs::RunContext context{trace_options};
+  Scenario scenario(config, &context);
+  const RunResult result = scenario.Run();
+  ASSERT_EQ(scenario.ads().size(), 3u);
+
+  // The header hashes the multi-ad config that ran (method folded).
+  MultiAdConfig ran = config;
+  ran.base = scenario.config();
+  std::istringstream trace(context.trace.text());
+  std::string line;
+  ASSERT_TRUE(std::getline(trace, line));
+  obs::TraceEvent header;
+  ASSERT_TRUE(obs::ParseTraceLine(line, &header).ok()) << line;
+  EXPECT_EQ(header.cat, "run");
+  EXPECT_EQ(header.seed, config.base.seed);
+  EXPECT_EQ(header.config, obs::HashHex(SaveMultiAdConfigText(ran)));
+
+  // Deliver records for every ad, and for nothing else.
+  std::set<uint64_t> delivered;
+  while (std::getline(trace, line)) {
+    obs::TraceEvent event;
+    ASSERT_TRUE(obs::ParseTraceLine(line, &event).ok()) << line;
+    EXPECT_EQ(event.cat, "deliver");
+    delivered.insert(event.ad);
+  }
+  std::set<uint64_t> issued;
+  for (const IssuedAd& ad : scenario.ads()) issued.insert(ad.key);
+  EXPECT_EQ(delivered, issued);
+
+  const auto& counters = context.metrics.counters();
+  EXPECT_EQ(counters.at("scenario.runs"), 1u);
+  EXPECT_EQ(counters.at("net.messages_sent"), result.net.messages_sent);
+  EXPECT_EQ(counters.at("sim.events_executed"), result.events_executed);
+  // One delivery-rate observation per ad.
+  EXPECT_EQ(context.metrics.histograms()
+                .at("scenario.delivery_rate_percent")
+                .count(),
+            3u);
+  EXPECT_EQ(context.phases().at("event_loop").count, 1u);
 }
 
 TEST(ScenarioObsTest, TileLoadAndDispatchGapMetricsAreBooked) {

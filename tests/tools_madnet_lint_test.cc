@@ -486,10 +486,7 @@ TEST(MadnetLintTest, RuleNamesListsEveryRule) {
       names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "madnet-rng-fork-label"),
             names.end());
-  EXPECT_NE(
-      std::find(names.begin(), names.end(), "madnet-trace-category-sync"),
-      names.end());
-  EXPECT_EQ(names.size(), 14u);
+  EXPECT_EQ(names.size(), 13u);
 }
 
 // --------------------------------------------------------------------------
@@ -872,115 +869,6 @@ TEST(MadnetLintTest, NolintSuppressesForkLabelRule) {
       "// NOLINTNEXTLINE(madnet-rng-fork-label): reserved range 0x10000+i\n"
       "Rng r = root.Fork(0x10000 + i);\n");
   EXPECT_FALSE(HasRule(diags, "madnet-rng-fork-label"));
-}
-
-// --------------------------------------------------------------------------
-// madnet-trace-category-sync
-
-std::string MessageOf(const std::vector<Diagnostic>& diagnostics,
-                      const std::string& rule) {
-  std::string all;
-  for (const Diagnostic& d : diagnostics) {
-    if (d.rule == rule) all += d.message + "\n";
-  }
-  return all;
-}
-
-const char kSyncedTraceHeader[] =
-    "inline constexpr uint32_t kTraceEvent = 1u << 0;\n"
-    "inline constexpr uint32_t kTraceTx = 1u << 1;\n"
-    "inline constexpr int kTraceCategoryCount = 2;\n";
-
-const char kSyncedTraceSource[] =
-    "const char* TraceCategoryName(uint32_t category) {\n"
-    "  switch (category) {\n"
-    "    case kTraceEvent: return \"event\";\n"
-    "    case kTraceTx: return \"tx\";\n"
-    "  }\n"
-    "  return \"?\";\n"
-    "}\n"
-    "[[nodiscard]] StatusOr<uint32_t> ParseTraceCategories(\n"
-    "    const std::string& csv) {\n"
-    "  uint32_t mask = 0;\n"
-    "  if (name == \"event\") mask |= kTraceEvent;\n"
-    "  if (name == \"tx\") mask |= kTraceTx;\n"
-    "  return mask;\n"
-    "}\n";
-
-TEST(MadnetLintTest, AcceptsSyncedTraceCategoryTables) {
-  const auto diags = RunLinter({
-      {"src/obs/trace.h", kSyncedTraceHeader},
-      {"src/obs/trace.cc", kSyncedTraceSource},
-  });
-  EXPECT_FALSE(HasRule(diags, "madnet-trace-category-sync"))
-      << MessageOf(diags, "madnet-trace-category-sync");
-}
-
-TEST(MadnetLintTest, FlagsTraceCategoryCountMismatch) {
-  const auto diags = RunLinter({
-      {"src/obs/trace.h",
-       "inline constexpr uint32_t kTraceEvent = 1u << 0;\n"
-       "inline constexpr uint32_t kTraceTx = 1u << 1;\n"
-       "inline constexpr int kTraceCategoryCount = 3;\n"},
-      {"src/obs/trace.cc", kSyncedTraceSource},
-  });
-  ASSERT_TRUE(HasRule(diags, "madnet-trace-category-sync"));
-  EXPECT_EQ(LineOf(diags, "madnet-trace-category-sync"), 3);
-}
-
-TEST(MadnetLintTest, FlagsMissingTraceCategoryNameCase) {
-  // kTraceTx is declared and parseable but has no name case: records of
-  // that category would serialize with cat "?".
-  const auto diags = RunLinter({
-      {"src/obs/trace.h", kSyncedTraceHeader},
-      {"src/obs/trace.cc",
-       "const char* TraceCategoryName(uint32_t category) {\n"
-       "  switch (category) {\n"
-       "    case kTraceEvent: return \"event\";\n"
-       "  }\n"
-       "  return \"?\";\n"
-       "}\n"
-       "[[nodiscard]] StatusOr<uint32_t> ParseTraceCategories(\n"
-       "    const std::string& csv) {\n"
-       "  if (name == \"event\") mask |= kTraceEvent;\n"
-       "  if (name == \"tx\") mask |= kTraceTx;\n"
-       "}\n"},
-  });
-  ASSERT_TRUE(HasRule(diags, "madnet-trace-category-sync"));
-  EXPECT_NE(MessageOf(diags, "madnet-trace-category-sync").find("kTraceTx"),
-            std::string::npos);
-}
-
-TEST(MadnetLintTest, FlagsMissingParseTraceCategoriesMapping) {
-  // The name case exists but the parser never maps "tx", so the category
-  // cannot be enabled from the command line.
-  const auto diags = RunLinter({
-      {"src/obs/trace.h", kSyncedTraceHeader},
-      {"src/obs/trace.cc",
-       "const char* TraceCategoryName(uint32_t category) {\n"
-       "  switch (category) {\n"
-       "    case kTraceEvent: return \"event\";\n"
-       "    case kTraceTx: return \"tx\";\n"
-       "  }\n"
-       "  return \"?\";\n"
-       "}\n"
-       "[[nodiscard]] StatusOr<uint32_t> ParseTraceCategories(\n"
-       "    const std::string& csv) {\n"
-       "  if (name == \"event\") mask |= kTraceEvent;\n"
-       "}\n"},
-  });
-  ASSERT_TRUE(HasRule(diags, "madnet-trace-category-sync"));
-  EXPECT_NE(MessageOf(diags, "madnet-trace-category-sync").find("\"tx\""),
-            std::string::npos);
-}
-
-TEST(MadnetLintTest, TraceCategorySyncSkippedWithoutBothFiles) {
-  // A header-only (or source-only) scan set cannot be cross-checked.
-  const auto diags =
-      RunLinter({{"src/obs/trace.h",
-                  "inline constexpr uint32_t kTraceEvent = 1u << 0;\n"
-                  "inline constexpr int kTraceCategoryCount = 5;\n"}});
-  EXPECT_FALSE(HasRule(diags, "madnet-trace-category-sync"));
 }
 
 // --------------------------------------------------------------------------

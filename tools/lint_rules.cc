@@ -853,134 +853,6 @@ void CheckRngForkLabel(const ProjectModel& model,
   }
 }
 
-// ---------------------------------------------------------------------------
-// madnet-trace-category-sync.
-//
-// src/obs/trace.h declares the category bit constants and
-// kTraceCategoryCount; src/obs/trace.cc names them (TraceCategoryName) and
-// parses them (ParseTraceCategories). A new category that misses one of
-// those sites compiles fine and silently mislabels records ("?") or
-// rejects the category on the command line, so the linter cross-checks the
-// three whenever both files are in the scanned set.
-
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-void CheckTraceCategorySync(const std::vector<FileScan>& scans,
-                            std::vector<Diagnostic>* out) {
-  const FileScan* header = nullptr;
-  const FileScan* source = nullptr;
-  for (const FileScan& scan : scans) {
-    if (scan.path == "src/obs/trace.h" ||
-        EndsWith(scan.path, "/src/obs/trace.h")) {
-      header = &scan;
-    }
-    if (scan.path == "src/obs/trace.cc" ||
-        EndsWith(scan.path, "/src/obs/trace.cc")) {
-      source = &scan;
-    }
-  }
-  if (header == nullptr || source == nullptr) return;
-
-  // The category constants are exactly the single-bit kTrace* definitions
-  // (kTraceAll is an OR of them, kTraceCategoryCount a plain integer, so
-  // neither matches the shift shape).
-  static const std::regex kCategoryRe(
-      "\\bkTrace(\\w+)\\s*=\\s*1u?\\s*<<\\s*([0-9]+)");
-  struct Category {
-    std::string suffix;  // "Deliver"
-    int shift = 0;
-    int line = 0;
-  };
-  std::vector<Category> categories;
-  int count_value = -1;
-  int count_line = 1;
-  static const std::regex kCountRe("\\bkTraceCategoryCount\\s*=\\s*([0-9]+)");
-  for (size_t idx = 0; idx < header->code_lines.size(); ++idx) {
-    const std::string& line = header->code_lines[idx];
-    std::smatch match;
-    if (std::regex_search(line, match, kCategoryRe)) {
-      categories.push_back(Category{match[1].str(), std::stoi(match[2].str()),
-                                    static_cast<int>(idx) + 1});
-    }
-    if (std::regex_search(line, match, kCountRe)) {
-      count_value = std::stoi(match[1].str());
-      count_line = static_cast<int>(idx) + 1;
-    }
-  }
-  if (categories.empty()) return;  // Rewritten beyond recognition; bail.
-
-  int max_shift = 0;
-  for (const Category& category : categories) {
-    max_shift = std::max(max_shift, category.shift);
-  }
-  if (count_value != static_cast<int>(categories.size()) ||
-      max_shift + 1 != static_cast<int>(categories.size())) {
-    if (!Suppressed(header->suppressions, count_line,
-                    "madnet-trace-category-sync")) {
-      out->push_back(
-          {header->path, count_line, "madnet-trace-category-sync",
-           "kTraceCategoryCount is " + std::to_string(count_value) +
-               " but trace.h declares " + std::to_string(categories.size()) +
-               " category bits (max shift " + std::to_string(max_shift) +
-               "); the count sizes per-category sampling state, so keep "
-               "bits contiguous from 0 and the count equal to the number "
-               "of categories"});
-    }
-  }
-
-  // Source anchor for missing-case diagnostics: the TraceCategoryName
-  // definition if present, else line 1.
-  int name_line = 1;
-  for (size_t idx = 0; idx < source->code_lines.size(); ++idx) {
-    if (Contains(source->code_lines[idx], "TraceCategoryName")) {
-      name_line = static_cast<int>(idx) + 1;
-      break;
-    }
-  }
-  for (const Category& category : categories) {
-    const std::string constant = "kTrace" + category.suffix;
-    bool has_case = false;
-    int uses = 0;
-    for (const std::string& line : source->code_lines) {
-      for (size_t at = line.find(constant); at != std::string::npos;
-           at = line.find(constant, at + 1)) {
-        ++uses;
-      }
-      if (Contains(line, "case " + constant)) has_case = true;
-    }
-    std::string lower = category.suffix;
-    for (char& c : lower) {
-      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    }
-    bool named = false;
-    for (const std::string& line : source->raw_lines) {
-      if (Contains(line, "\"" + lower + "\"")) named = true;
-    }
-    if (Suppressed(source->suppressions, name_line,
-                   "madnet-trace-category-sync")) {
-      continue;
-    }
-    if (!has_case) {
-      out->push_back({source->path, name_line, "madnet-trace-category-sync",
-                      "TraceCategoryName has no case for " + constant +
-                          " (trace.h declares it); records of that "
-                          "category would be labelled \"?\""});
-    }
-    // One use is the name switch (when present); the parser table must
-    // add another.
-    if (uses < (has_case ? 2 : 1) || !named) {
-      out->push_back({source->path, name_line, "madnet-trace-category-sync",
-                      "ParseTraceCategories does not map \"" + lower +
-                          "\" to " + constant +
-                          "; the category cannot be enabled from "
-                          "--trace-categories"});
-    }
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -1005,7 +877,6 @@ const std::vector<std::string>& RuleNames() {
       "madnet-hot-transitive-alloc",
       "madnet-layering",
       "madnet-rng-fork-label",
-      "madnet-trace-category-sync",
       "madnet-nolint",
   };
   return names;
@@ -1096,7 +967,6 @@ std::vector<Diagnostic> Linter::Run() const {
   CheckLayering(model, scans, &project_diagnostics);
   CheckHotTransitiveAlloc(model, scans, &project_diagnostics);
   CheckRngForkLabel(model, scans, &project_diagnostics);
-  CheckTraceCategorySync(scans, &project_diagnostics);
   for (Diagnostic& diagnostic : project_diagnostics) {
     if (active(diagnostic.file)) {
       diagnostics.push_back(std::move(diagnostic));

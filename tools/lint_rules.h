@@ -45,11 +45,6 @@
 //                               integer literal, or whose literal value is
 //                               reused by another Fork site in src/
 //                               (duplicate labels correlate streams).
-//   madnet-trace-category-sync  src/obs/trace.h's kTrace* bit constants,
-//                               kTraceCategoryCount, and src/obs/trace.cc's
-//                               TraceCategoryName/ParseTraceCategories
-//                               tables drifting out of sync (a category
-//                               missing a name case or a parser mapping).
 //   madnet-nolint               NOLINT without a justification, or naming
 //                               an unknown madnet rule.
 //
