@@ -17,9 +17,7 @@
 //      exec::ThreadPool engine moves.
 //   4. Metro scale (opt-in: --metro or MADNET_BENCH_METRO): one
 //      Table-II-density run at metro population (100k peers; 20k in fast
-//      mode) at intra-run jobs 1, 2 and 4 — wall-clock and events/sec per
-//      point, with a determinism gate on top: every point must report
-//      identical events/messages/deliveries.
+//      mode) — wall-clock, events/sec and spatial-grid builds.
 //
 // Results go to stdout and to BENCH_throughput.json in $MADNET_BENCH_CSV
 // (default "."). The sweep's aggregates are compared between the serial
@@ -31,10 +29,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <vector>
-
-#include "exec/intra_run.h"
 
 #include "bench/bench_util.h"
 #include "exec/parallel_for.h"
@@ -105,25 +102,20 @@ bool SweepsIdentical(const SweepResult& a, const SweepResult& b) {
   return true;
 }
 
-/// One intra-run jobs point of the metro axis.
+/// The metro run's measurement.
 struct MetroPoint {
-  int jobs = 1;
   double wall_s = 0.0;
   RunResult result;
 };
 
-/// Runs the metro scenario once with `jobs` intra-run workers.
-MetroPoint RunMetroPoint(const ScenarioConfig& config, int jobs) {
+/// Runs the metro scenario once.
+MetroPoint RunMetroPoint(const ScenarioConfig& config) {
   MetroPoint point;
-  point.jobs = jobs;
   if (Status status = config.Validate(); !status.ok()) {
     MADNET_LOG_ERROR("metro config: %s", status.ToString().c_str());
     std::exit(EXIT_FAILURE);
   }
   scenario::Scenario scenario(config);
-  if (jobs > 1) {
-    scenario.medium()->SetParallelExecutor(exec::IntraRunExecutor(jobs));
-  }
   const auto start = std::chrono::steady_clock::now();
   point.result = scenario.Run();
   point.wall_s = SecondsSince(start);
@@ -258,7 +250,7 @@ void Run(const bench::BenchEnv& env, bool metro) {
 
   // --- 4. Metro scale (opt-in; see the EXPERIMENTS.md "Metro scale"
   // section). ---
-  std::vector<MetroPoint> metro_points;
+  std::optional<MetroPoint> metro_point;
   ScenarioConfig metro_config;
   if (metro) {
     // Table II density (300 peers on a 5 km side) preserved at metro
@@ -266,8 +258,8 @@ void Run(const bench::BenchEnv& env, bool metro) {
     // physics — match the paper's regime at city scale. Pure gossiping,
     // not the postpone-optimized variant: one global round per peer. A
     // peer schedules its round only while it caches an ad, so the event
-    // count scales with the ad's reach, not with the population; set-up
-    // and the spatial index scale with the population.
+    // count scales with the ad's reach, not with the population, and so
+    // do the spatial-grid builds; set-up scales with the population.
     metro_config.num_peers = env.fast ? 20000 : 100000;
     metro_config.area_size_m =
         5000.0 * std::sqrt(metro_config.num_peers / 300.0);
@@ -281,31 +273,13 @@ void Run(const bench::BenchEnv& env, bool metro) {
         "\nMetro scale (%d peers, %.0f m side, %.0f s simulated):\n",
         metro_config.num_peers, metro_config.area_size_m,
         metro_config.sim_time_s);
-    for (int jobs : {1, 2, 4}) {
-      MetroPoint point = RunMetroPoint(metro_config, jobs);
-      std::printf("  jobs=%d  %8.3f s  %11.0f events/s\n", jobs, point.wall_s,
-                  static_cast<double>(point.result.events_executed) /
-                      point.wall_s);
-      metro_points.push_back(std::move(point));
-    }
-    // The determinism gate at scale: every point computed the identical
-    // simulation. Trace-byte identity across intra-run jobs is covered by
-    // scenario_intra_run_test; at 100k peers the cheap full-strength check
-    // is the counter triple.
-    const RunResult& head = metro_points.front().result;
-    for (const MetroPoint& point : metro_points) {
-      if (point.result.events_executed != head.events_executed ||
-          point.result.net.messages_sent != head.net.messages_sent ||
-          point.result.net.deliveries != head.net.deliveries) {
-        MADNET_LOG_ERROR(
-            "metro point jobs=%d diverged from jobs=%d — determinism "
-            "contract broken",
-            point.jobs, metro_points.front().jobs);
-        std::exit(EXIT_FAILURE);
-      }
-    }
-    std::printf("  determinism       all %zu jobs points identical ✓\n",
-                metro_points.size());
+    metro_point = RunMetroPoint(metro_config);
+    std::printf("  %8.3f s  %11.0f events/s  %llu grid builds\n",
+                metro_point->wall_s,
+                static_cast<double>(metro_point->result.events_executed) /
+                    metro_point->wall_s,
+                static_cast<unsigned long long>(
+                    metro_point->result.net.index_rebuilds));
   }
 
   if (env.csv_dir.empty()) return;
@@ -382,7 +356,7 @@ void Run(const bench::BenchEnv& env, bool metro) {
   json.Key("deterministic");
   json.Value(true);
   json.EndObject();
-  if (!metro_points.empty()) {
+  if (metro_point.has_value()) {
     json.Key("metro");
     json.BeginObject();
     json.Key("peers");
@@ -391,24 +365,15 @@ void Run(const bench::BenchEnv& env, bool metro) {
     json.Value(metro_config.area_size_m);
     json.Key("sim_time_s");
     json.Value(metro_config.sim_time_s);
-    json.Key("points");
-    json.BeginArray();
-    for (const MetroPoint& point : metro_points) {
-      json.BeginObject();
-      json.Key("jobs");
-      json.Value(point.jobs);
-      json.Key("wall_s");
-      json.Value(point.wall_s);
-      json.Key("events");
-      json.Value(static_cast<uint64_t>(point.result.events_executed));
-      json.Key("events_per_sec");
-      json.Value(static_cast<double>(point.result.events_executed) /
-                 point.wall_s);
-      json.EndObject();
-    }
-    json.EndArray();
-    json.Key("deterministic");
-    json.Value(true);
+    json.Key("wall_s");
+    json.Value(metro_point->wall_s);
+    json.Key("events");
+    json.Value(static_cast<uint64_t>(metro_point->result.events_executed));
+    json.Key("events_per_sec");
+    json.Value(static_cast<double>(metro_point->result.events_executed) /
+               metro_point->wall_s);
+    json.Key("index_rebuilds");
+    json.Value(metro_point->result.net.index_rebuilds);
     json.EndObject();
   }
   json.EndObject();

@@ -52,6 +52,7 @@ Status Medium::AddNode(NodeId id, MobilityModel* mobility) {
   leg_from_y_.push_back(0.0);
   leg_to_x_.push_back(0.0);
   leg_to_y_.push_back(0.0);
+  ++online_count_;
   index_time_ = -1.0;  // Force reindex: the node set changed.
   ++mutation_epoch_;
   return Status::Ok();
@@ -70,7 +71,11 @@ Status Medium::SetOnline(NodeId id, bool online) {
   // Index rebuilds skip offline nodes, so a node coming back must become
   // queryable immediately: force a rebuild at the next query. Going
   // offline needs none — queries filter on the live flag anyway.
-  if (online && !online_[index]) index_time_ = -1.0;
+  if (online && !online_[index]) {
+    index_time_ = -1.0;
+    ++online_count_;
+  }
+  if (!online && online_[index]) --online_count_;
   online_[index] = online ? 1 : 0;
   ++mutation_epoch_;  // Invalidate the same-tick neighbour memo.
   return Status::Ok();
@@ -110,19 +115,28 @@ bool Medium::IsOnline(NodeId id) const {
 // MADNET_HOT
 Vec2 Medium::CachedPositionAt(uint32_t index, Time now) const {
   if (pos_time_[index] == now) return Vec2{pos_x_[index], pos_y_[index]};
+  const Vec2 position = PositionAt(index, now);
+  pos_time_[index] = now;
+  pos_x_[index] = position.x;
+  pos_y_[index] = position.y;
+  return position;
+}
+
+// MADNET_HOT
+Vec2 Medium::PositionAt(uint32_t index, Time t) const {
   Vec2 position;
   const Time start = leg_start_[index];
   const Time end = leg_end_[index];
-  if (start < now && now < end) {
+  if (start < t && t < end) {
     // Strictly inside the mirrored leg: that leg is the unique one
-    // containing `now` in its interior, and the expression below is the
+    // containing `t` in its interior, and the expression below is the
     // one Leg::PositionAt uses (interior times make its clamp a no-op),
     // so this is bit-identical to asking the model.
-    const double s = (now - start) / (end - start);
+    const double s = (t - start) / (end - start);
     position.x = leg_from_x_[index] + (leg_to_x_[index] - leg_from_x_[index]) * s;
     position.y = leg_from_y_[index] + (leg_to_y_[index] - leg_from_y_[index]) * s;
   } else {
-    position = mobility_[index]->PositionAt(now);
+    position = mobility_[index]->PositionAt(t);
     if (const mobility::Leg* leg = mobility_[index]->CursorLeg()) {
       leg_start_[index] = leg->start;
       leg_end_[index] = leg->end;
@@ -132,9 +146,6 @@ Vec2 Medium::CachedPositionAt(uint32_t index, Time now) const {
       leg_to_y_[index] = leg->to.y;
     }
   }
-  pos_time_[index] = now;
-  pos_x_[index] = position.x;
-  pos_y_[index] = position.y;
   return position;
 }
 
@@ -151,54 +162,100 @@ Vec2 Medium::VelocityOf(NodeId id) const {
 }
 
 // MADNET_HOT
+void Medium::BuildIndex(Time now) const {
+  // The index stores dense node indices (cast through NodeId), so query
+  // results feed straight into the state arrays without a hash lookup
+  // per hit.
+  const size_t n = ids_.size();
+  rebuild_id_scratch_.clear();
+  rebuild_x_scratch_.clear();
+  rebuild_y_scratch_.clear();
+  rebuild_id_scratch_.reserve(n);
+  rebuild_x_scratch_.reserve(n);
+  rebuild_y_scratch_.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    // Offline nodes are excluded: under heavy churn they would bloat
+    // every query's candidate set just to be filtered out one by one.
+    // SetOnline(…, true) forces a rebuild, so exclusion never hides a
+    // node that has come back.
+    if (!online_[i]) continue;
+    const Vec2 position = CachedPositionAt(i, now);
+    rebuild_id_scratch_.push_back(i);
+    rebuild_x_scratch_.push_back(position.x);
+    rebuild_y_scratch_.push_back(position.y);
+  }
+  index_.Rebuild(rebuild_id_scratch_, rebuild_x_scratch_,
+                 rebuild_y_scratch_);
+  base_time_ = now;
+  scanned_since_build_ = 0;
+  stats_.index_rebuilds += 1;
+}
+
+// MADNET_HOT
 double Medium::RefreshIndex() const {
   const Time now = simulator_->Now();
-  if (index_time_ < 0.0 || now - index_time_ > options_.reindex_interval_s) {
-    // The index stores dense node indices (cast through NodeId), so query
-    // results feed straight into the state arrays without a hash lookup
-    // per hit.
-    const size_t n = ids_.size();
-    if (parallel_ && n >= 4096) {
-      // Warm the per-tick position cache across workers before the serial
-      // pack below. Each index owns its cache slots and mobility model
-      // exclusively, so disjoint [begin, end) ranges never touch shared
-      // state, and the arithmetic per node is the same as the serial
-      // path's — the pack then reads identical warm values in identical
-      // order, keeping the rebuild bit-for-bit reproducible at any worker
-      // count. Below ~4k nodes the fork/join overhead beats the win.
-      parallel_(n, [this, now](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          if (!online_[i]) continue;
-          (void)CachedPositionAt(static_cast<uint32_t>(i), now);
-        }
-      });
+  const bool forced = index_time_ < 0.0;
+  if (forced || now - index_time_ > options_.reindex_interval_s) {
+    // A forced move may follow a node joining or coming back online, which
+    // the grid lacks. Otherwise rebuild once the queries have scanned more
+    // candidates than a build costs, or before a grid built now could
+    // coarsen: the snapshot order is the order of a grid with the
+    // configured cell edge, which SortAsSnapshot can recreate from cell
+    // coordinates alone. Every online node is within max_speed * age of
+    // its grid entry, so RebuildKeepsCellSize bounds that grid's size.
+    if (forced || scanned_since_build_ > index_.Size() ||
+        !index_.RebuildKeepsCellSize(
+            options_.max_speed_mps * (now - base_time_), online_count_)) {
+      BuildIndex(now);
     }
-    rebuild_id_scratch_.clear();
-    rebuild_x_scratch_.clear();
-    rebuild_y_scratch_.clear();
-    rebuild_id_scratch_.reserve(n);
-    rebuild_x_scratch_.reserve(n);
-    rebuild_y_scratch_.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      // Offline nodes are excluded: under heavy churn they would bloat
-      // every query's candidate set just to be filtered out one by one.
-      // SetOnline(…, true) forces a rebuild, so exclusion never hides a
-      // node that has come back.
-      if (!online_[i]) continue;
-      const Vec2 position = CachedPositionAt(i, now);
-      rebuild_id_scratch_.push_back(i);
-      rebuild_x_scratch_.push_back(position.x);
-      rebuild_y_scratch_.push_back(position.y);
-    }
-    index_.Rebuild(rebuild_id_scratch_, rebuild_x_scratch_,
-                   rebuild_y_scratch_);
     index_time_ = now;
   }
-  // Indexed positions are up to (now - index_time_) old; both endpoints of a
+  // Grid positions are up to (now - base_time_) old; both endpoints of a
   // distance check may each have moved max_speed * staleness, so a query
   // enlarged by twice that is a guaranteed superset.
-  MADNET_DCHECK_GE(simulator_->Now(), index_time_);  // Slack must be >= 0.
-  return 2.0 * options_.max_speed_mps * (simulator_->Now() - index_time_);
+  MADNET_DCHECK_GE(now, base_time_);  // Slack must be >= 0.
+  return 2.0 * options_.max_speed_mps * (now - base_time_);
+}
+
+// MADNET_HOT
+void Medium::SortAsSnapshot(const Vec2& center, double radius) const {
+  const Time now = simulator_->Now();
+  const double reach = options_.max_speed_mps * (now - index_time_);
+  // QueryRange on a grid built at index_time_, with that grid's slack,
+  // walks only this cell box and keeps only points passing this
+  // indexed-distance check. Both are applied so the result matches it
+  // even where rounding puts a point of the disc's rim outside the box.
+  const double index_radius = radius + 2.0 * reach;
+  const double index_r2 = index_radius * index_radius;
+  const int64_t lo_cx = index_.CellCoord(center.x - index_radius);
+  const int64_t hi_cx = index_.CellCoord(center.x + index_radius);
+  const int64_t lo_cy = index_.CellCoord(center.y - index_radius);
+  const int64_t hi_cy = index_.CellCoord(center.y + index_radius);
+  snapshot_scratch_.clear();
+  for (uint32_t index : neighbor_scratch_) {
+    const Vec2 position = PositionAt(index, index_time_);
+    // The snapshot order is only exact if no node outran max_speed_mps
+    // (Validate checks that for the built-in mobility models only).
+    MADNET_DCHECK(Distance(position, CachedPositionAt(index, now)) <=
+                  reach + 1e-6);
+    const double dx = position.x - center.x;
+    const double dy = position.y - center.y;
+    if (dx * dx + dy * dy > index_r2) continue;
+    const int64_t cx = index_.CellCoord(position.x);
+    const int64_t cy = index_.CellCoord(position.y);
+    if (cx < lo_cx || cx > hi_cx || cy < lo_cy || cy > hi_cy) continue;
+    snapshot_scratch_.push_back({cx, cy, index});
+  }
+  std::sort(snapshot_scratch_.begin(), snapshot_scratch_.end(),
+            [](const SnapshotKey& a, const SnapshotKey& b) {
+              if (a.cx != b.cx) return a.cx < b.cx;
+              if (a.cy != b.cy) return a.cy < b.cy;
+              return a.index < b.index;
+            });
+  neighbor_scratch_.clear();
+  for (const SnapshotKey& key : snapshot_scratch_) {
+    neighbor_scratch_.push_back(key.index);
+  }
 }
 
 // MADNET_HOT
@@ -219,6 +276,7 @@ const std::vector<uint32_t>& Medium::NeighborIndicesOf(const Vec2& center,
   const double slack = RefreshIndex();
   candidate_scratch_.clear();
   index_.QueryRange(center, radius + slack, &candidate_scratch_);
+  scanned_since_build_ += candidate_scratch_.size();
 
   const double r2 = radius * radius;
   neighbor_scratch_.clear();
@@ -230,6 +288,8 @@ const std::vector<uint32_t>& Medium::NeighborIndicesOf(const Vec2& center,
       neighbor_scratch_.push_back(index);
     }
   }
+  // A grid built at the snapshot already walks in snapshot order.
+  if (base_time_ != index_time_) SortAsSnapshot(center, radius);
   memo_valid_ = true;
   memo_time_ = now;
   memo_center_ = center;
@@ -253,78 +313,11 @@ void Medium::QueryNeighbors(const std::vector<RangeQuery>& queries,
   out->ids.clear();
   out->offsets.reserve(queries.size() + 1);
   out->offsets.push_back(0);
-  if (queries.empty()) return;
-  const double slack = RefreshIndex();
-  const Time now = simulator_->Now();
   stats_.batch_queries += queries.size();
-
-  // Sort query order by grid cell box so runs of queries covering the
-  // same buckets share one walk; ties keep input order (deterministic).
-  const size_t count = queries.size();
-  batch_order_scratch_.resize(count);
-  for (uint32_t i = 0; i < count; ++i) batch_order_scratch_[i] = i;
-  std::sort(batch_order_scratch_.begin(), batch_order_scratch_.end(),
-            [&](uint32_t a, uint32_t b) {
-              const SpatialIndex::CellBox box_a =
-                  index_.BoxFor(queries[a].center, queries[a].radius + slack);
-              const SpatialIndex::CellBox box_b =
-                  index_.BoxFor(queries[b].center, queries[b].radius + slack);
-              if (box_a.lo_cx != box_b.lo_cx) return box_a.lo_cx < box_b.lo_cx;
-              if (box_a.lo_cy != box_b.lo_cy) return box_a.lo_cy < box_b.lo_cy;
-              if (box_a.hi_cx != box_b.hi_cx) return box_a.hi_cx < box_b.hi_cx;
-              if (box_a.hi_cy != box_b.hi_cy) return box_a.hi_cy < box_b.hi_cy;
-              return a < b;
-            });
-
-  batch_span_scratch_.assign(count, {0, 0});
-  batch_id_scratch_.clear();
-  SpatialIndex::CellBox walk_box;
-  bool have_walk = false;
-  for (uint32_t qi : batch_order_scratch_) {
-    const RangeQuery& query = queries[qi];
-    MADNET_DCHECK(query.radius >= 0.0 && std::isfinite(query.radius));
-    MADNET_DCHECK(std::isfinite(query.center.x) &&
-                  std::isfinite(query.center.y));
-    const SpatialIndex::CellBox box =
-        index_.BoxFor(query.center, query.radius + slack);
-    if (!have_walk || !(box == walk_box)) {
-      walk_id_scratch_.clear();
-      walk_x_scratch_.clear();
-      walk_y_scratch_.clear();
-      index_.CollectBox(box, &walk_id_scratch_, &walk_x_scratch_,
-                        &walk_y_scratch_);
-      walk_box = box;
-      have_walk = true;
-    } else {
-      stats_.batch_walk_reuse += 1;
+  for (const RangeQuery& query : queries) {
+    for (uint32_t index : NeighborIndicesOf(query.center, query.radius)) {
+      out->ids.push_back(ids_[index]);
     }
-    // Same filter chain as NeighborIndicesOf: indexed-distance superset
-    // prefilter, then online + live-position exact filter, in walk order.
-    const double query_r2 = query.radius * query.radius;
-    const double index_radius = query.radius + slack;
-    const double index_r2 = index_radius * index_radius;
-    const uint32_t begin = static_cast<uint32_t>(batch_id_scratch_.size());
-    for (size_t k = 0; k < walk_id_scratch_.size(); ++k) {
-      const double dx = walk_x_scratch_[k] - query.center.x;
-      const double dy = walk_y_scratch_[k] - query.center.y;
-      if (dx * dx + dy * dy > index_r2) continue;
-      const uint32_t index = static_cast<uint32_t>(walk_id_scratch_[k]);
-      if (!online_[index]) continue;
-      if (DistanceSquared(CachedPositionAt(index, now), query.center) <=
-          query_r2) {
-        batch_id_scratch_.push_back(ids_[index]);
-      }
-    }
-    batch_span_scratch_[qi] = {begin,
-                               static_cast<uint32_t>(batch_id_scratch_.size())};
-  }
-
-  // Assemble results back into input query order.
-  out->ids.reserve(batch_id_scratch_.size());
-  for (size_t i = 0; i < count; ++i) {
-    const auto [begin, end] = batch_span_scratch_[i];
-    out->ids.insert(out->ids.end(), batch_id_scratch_.begin() + begin,
-                    batch_id_scratch_.begin() + end);
     out->offsets.push_back(static_cast<uint32_t>(out->ids.size()));
   }
 }

@@ -61,11 +61,13 @@ struct MediumStats {
   uint64_t dropped_jammed = 0;      ///< Receiver was inside a jammed zone.
   uint64_t dropped_mac_busy = 0;    ///< CSMA: frame gave up after retries.
   uint64_t mac_defers = 0;          ///< CSMA: busy-channel backoffs taken.
-  // Batched/memoized neighbour-query instrumentation (medium.batch_* in
-  // the obs metrics output).
+  // Neighbour-query instrumentation (medium.index_rebuilds and
+  // medium.batch_* in the obs metrics output).
+  uint64_t index_rebuilds = 0;    ///< Spatial grid builds (see RefreshIndex).
   uint64_t batch_queries = 0;     ///< Queries answered via QueryNeighbors.
-  uint64_t batch_walk_reuse = 0;  ///< Batch queries that reused the previous
-                                  ///< query's bucket walk.
+  uint64_t batch_walk_reuse = 0;  ///< Always 0: batches no longer share
+                                  ///< bucket walks. Kept for readers of
+                                  ///< medium.batch_walk_reuse.
   uint64_t batch_memo_hits = 0;   ///< Same-tick repeat queries served from
                                   ///< the neighbour memo.
   uint64_t arena_frames_peak = 0;  ///< Frame-arena in-flight high water.
@@ -126,8 +128,7 @@ class Medium {
 
   /// Flat result set of a QueryNeighbors batch: query i's neighbours are
   /// ids[offsets[i]] .. ids[offsets[i] + CountOf(i)), in input query
-  /// order, element-wise identical to calling NeighborsOf per query at
-  /// the same instant.
+  /// order.
   struct NeighborBatch {
     std::vector<uint32_t> offsets;  ///< queries.size() + 1 entries.
     std::vector<NodeId> ids;        ///< Flat results, grouped per query.
@@ -170,16 +171,12 @@ class Medium {
 
   /// Ids of online nodes within `radius` of `center` right now (exact).
   /// Allocates the result vector on every call: for external/test use
-  /// only. Internal hot paths use the scratch-backed NeighborIndicesOf;
-  /// batched callers use QueryNeighbors.
+  /// only. Internal hot paths use the scratch-backed NeighborIndicesOf.
   std::vector<NodeId> NeighborsOf(const Vec2& center, double radius) const;
 
-  /// Answers every range query against a single index refresh. Queries
-  /// are sorted internally by grid cell so queries whose boxes coincide
-  /// share one bucket walk; results come back in input order and are
-  /// element-wise identical to sequential NeighborsOf calls at the same
-  /// instant. `out` is cleared and reused (its capacity persists across
-  /// batches).
+  /// Answers each range query in turn, exactly as sequential NeighborsOf
+  /// calls at the same instant would. `out` is cleared and reused (its
+  /// capacity persists across batches).
   void QueryNeighbors(const std::vector<RangeQuery>& queries,
                       NeighborBatch* out) const;
 
@@ -198,18 +195,6 @@ class Medium {
   /// medium or be cleared first. Purely observational: attaching one never
   /// changes delivery order or RNG draws.
   void SetTileLoad(obs::TileLoadMap* tiles) { tiles_ = tiles; }
-
-  /// Range-parallel execution hook: body(begin, end) partitions [0, count)
-  /// across workers. Injected by the layer that owns a thread pool (exec
-  /// or a tool binary — net itself must stay below exec in the layer DAG);
-  /// unset means serial. The medium only uses it for order-free per-node
-  /// work (the index rebuild's position warm-up), so results are
-  /// bit-identical with and without it, at any worker count.
-  using ParallelExecutor = std::function<void(
-      size_t count, const std::function<void(size_t begin, size_t end)>& body)>;
-  void SetParallelExecutor(ParallelExecutor executor) {
-    parallel_ = std::move(executor);
-  }
 
   /// Transmit sequence number (1-based, per medium, assigned in broadcast
   /// order) of the frame currently being delivered to a receive handler;
@@ -281,13 +266,41 @@ class Medium {
   /// (positions are pure functions of time, so caching is exact).
   Vec2 CachedPositionAt(uint32_t index, Time now) const;
 
-  /// Rebuilds the spatial index if stale, and returns the slack to add to
-  /// query radii so stale entries still yield a superset.
+  /// Position of node `index` at `t` through the leg mirror, without the
+  /// per-tick cache (CachedPositionAt's uncached path).
+  Vec2 PositionAt(uint32_t index, Time t) const;
+
+  /// Rebuilds the spatial grid over the online nodes' positions at `now`.
+  void BuildIndex(Time now) const;
+
+  /// Advances the index snapshot if stale, rebuilding the grid when that
+  /// is due, and returns the slack to add to query radii so the grid's
+  /// stale entries still yield a superset.
+  ///
+  /// Two instants are kept. The snapshot `index_time_` follows the fixed
+  /// rule: it moves to now once it is more than reindex_interval_s old,
+  /// and AddNode / SetOnline(…, true) force a move at the next query. It
+  /// fixes neighbour enumeration order: the order of a grid built over the
+  /// online nodes' positions at `index_time_`. The grid itself, built at
+  /// `base_time_`, moves with the snapshot only when the queries since the
+  /// last build scanned more candidates than that build indexed, when a
+  /// forced move may have brought a node the grid lacks, or when a grid
+  /// built at the snapshot could have a coarser cell than the
+  /// configured one. Otherwise NeighborIndicesOf queries the older grid
+  /// and restores the snapshot order itself (SortAsSnapshot).
   double RefreshIndex() const;
 
-  /// Dense indices of online nodes within `radius` of `center`, in index
-  /// insertion order. Returns a reference to a per-medium scratch buffer:
-  /// valid until the next call, so callers must finish iterating (and not
+  /// Orders neighbor_scratch_ as a query of a grid built at `index_time_`
+  /// would: drops the entries that grid's cell box and indexed-distance
+  /// prefilter would drop, then sorts by (snapshot cell x, snapshot cell y, dense index).
+  /// Exact as long as no node outruns Options::max_speed_mps.
+  void SortAsSnapshot(const Vec2& center, double radius) const;
+
+  /// Dense indices of online nodes within `radius` of `center`, ordered by
+  /// (cell x, cell y, dense index) of their positions at the index
+  /// snapshot (see RefreshIndex). Returns a reference to a per-medium
+  /// scratch buffer: valid until the next call, so callers must finish
+  /// iterating (and not
   /// trigger nested neighbour queries) before any other medium call that
   /// queries neighbours. Repeat same-tick queries with the same center
   /// and radius (one gossip round broadcasts every cached ad from one
@@ -374,14 +387,16 @@ class Medium {
 
   std::unordered_map<NodeId, uint32_t> index_of_;  // id -> index.
   mutable SpatialIndex index_;
-  mutable Time index_time_ = -1.0;
+  mutable Time index_time_ = -1.0;  // Snapshot instant (see RefreshIndex).
+  mutable Time base_time_ = -1.0;   // Instant index_ was built at.
+  mutable uint64_t scanned_since_build_ = 0;  // Candidates queried from it.
+  uint32_t online_count_ = 0;                 // Nodes with online_ set.
   mutable MediumStats stats_;    // Mutable: query paths count cache hits.
   double extra_loss_ = 0.0;      // Episode loss added by the fault layer.
   std::vector<Rect> jam_zones_;  // Active jammer rectangles (usually 0-1).
   BroadcastObserver observer_;
   obs::Trace* trace_ = nullptr;
   obs::TileLoadMap* tiles_ = nullptr;
-  ParallelExecutor parallel_;  // Unset: serial (SetParallelExecutor).
 
   // Frame arena (see Frame).
   std::deque<Frame> frame_pool_;
@@ -414,13 +429,13 @@ class Medium {
   mutable std::vector<double> rebuild_y_scratch_;
   mutable std::vector<NodeId> candidate_scratch_;
   mutable std::vector<uint32_t> neighbor_scratch_;
-  // Batch-query scratch (QueryNeighbors).
-  mutable std::vector<uint32_t> batch_order_scratch_;
-  mutable std::vector<NodeId> walk_id_scratch_;
-  mutable std::vector<double> walk_x_scratch_;
-  mutable std::vector<double> walk_y_scratch_;
-  mutable std::vector<NodeId> batch_id_scratch_;
-  mutable std::vector<std::pair<uint32_t, uint32_t>> batch_span_scratch_;
+  // SortAsSnapshot's sort keys: a neighbour's snapshot cell and index.
+  struct SnapshotKey {
+    int64_t cx;
+    int64_t cy;
+    uint32_t index;
+  };
+  mutable std::vector<SnapshotKey> snapshot_scratch_;
 };
 
 }  // namespace madnet::net

@@ -20,6 +20,18 @@ namespace {
 constexpr int64_t kMinGridCells = 1024;
 constexpr int64_t kCellsPerPoint = 8;
 
+int64_t MaxCells(size_t points) {
+  return std::max<int64_t>(kMinGridCells,
+                           kCellsPerPoint * static_cast<int64_t>(points));
+}
+
+// True iff a width x height grid over `points` points fits the cap.
+bool FitsCap(int64_t width, int64_t height, size_t points) {
+  const int64_t max_cells = MaxCells(points);
+  return width <= max_cells && height <= max_cells &&
+         width * height <= max_cells;
+}
+
 }  // namespace
 
 SpatialIndex::SpatialIndex(double cell_size)
@@ -75,8 +87,6 @@ void SpatialIndex::Rebuild(const std::vector<NodeId>& ids,
   // cell size until the dense grid fits the cap (pure function of the
   // input, so rebuilds stay deterministic).
   grid_cell_size_ = cell_size_;
-  const int64_t max_cells =
-      std::max<int64_t>(kMinGridCells, kCellsPerPoint * static_cast<int64_t>(n));
   cx_scratch_.resize(n);
   cy_scratch_.resize(n);
   for (;;) {
@@ -104,7 +114,7 @@ void SpatialIndex::Rebuild(const std::vector<NodeId>& ids,
     }
     const int64_t width = hi_cx - lo_cx + 1;
     const int64_t height = hi_cy - lo_cy + 1;
-    if (width <= max_cells && height <= max_cells && width * height <= max_cells) {
+    if (FitsCap(width, height, n)) {
       min_cx_ = lo_cx;
       min_cy_ = lo_cy;
       width_ = width;
@@ -136,26 +146,33 @@ void SpatialIndex::Rebuild(const std::vector<NodeId>& ids,
   }
 }
 
-SpatialIndex::CellBox SpatialIndex::BoxFor(const Vec2& center,
-                                           double radius) const {
-  CellBox box;
-  if (width_ == 0 || height_ == 0) return box;  // Empty index: empty box.
-  box.lo_cx = std::max(CellCoord(center.x - radius), min_cx_);
-  box.hi_cx = std::min(CellCoord(center.x + radius), min_cx_ + width_ - 1);
-  box.lo_cy = std::max(CellCoord(center.y - radius), min_cy_);
-  box.hi_cy = std::min(CellCoord(center.y + radius), min_cy_ + height_ - 1);
-  return box;
+bool SpatialIndex::RebuildKeepsCellSize(double grow_m, size_t points) const {
+  if (grid_cell_size_ != cell_size_) return false;
+  // A point within grow_m of the bounding box [lo, hi] lands in cells
+  // CellCoord(lo - grow_m) .. CellCoord(hi + grow_m), at most
+  // ceil(grow_m / edge) cells past each side; one more absorbs rounding.
+  const double grow_cells = std::ceil(grow_m / cell_size_) + 1.0;
+  // Already past the cap (the check also keeps the int64 math safe).
+  if (!(grow_cells <= static_cast<double>(MaxCells(points)))) return false;
+  const int64_t grow = static_cast<int64_t>(grow_cells);
+  return FitsCap(width_ + 2 * grow, height_ + 2 * grow, points);
 }
 
 // MADNET_HOT
 void SpatialIndex::QueryRange(const Vec2& center, double radius,
                               std::vector<NodeId>* out) const {
   MADNET_DCHECK(radius >= 0.0 && std::isfinite(radius));
+  if (width_ == 0 || height_ == 0) return;  // Empty index.
   const double r2 = radius * radius;
-  const CellBox box = BoxFor(center, radius);
-  for (int64_t cx = box.lo_cx; cx <= box.hi_cx; ++cx) {
+  const int64_t lo_cx = std::max(CellCoord(center.x - radius), min_cx_);
+  const int64_t hi_cx =
+      std::min(CellCoord(center.x + radius), min_cx_ + width_ - 1);
+  const int64_t lo_cy = std::max(CellCoord(center.y - radius), min_cy_);
+  const int64_t hi_cy =
+      std::min(CellCoord(center.y + radius), min_cy_ + height_ - 1);
+  for (int64_t cx = lo_cx; cx <= hi_cx; ++cx) {
     const size_t column = static_cast<size_t>(cx - min_cx_) * height_;
-    for (int64_t cy = box.lo_cy; cy <= box.hi_cy; ++cy) {
+    for (int64_t cy = lo_cy; cy <= hi_cy; ++cy) {
       const size_t cell = column + static_cast<size_t>(cy - min_cy_);
       for (uint32_t k = cell_start_[cell]; k < cell_start_[cell + 1]; ++k) {
         const double dx = xs_[k] - center.x;
@@ -163,23 +180,6 @@ void SpatialIndex::QueryRange(const Vec2& center, double radius,
         if (dx * dx + dy * dy <= r2) {
           out->push_back(ids_[k]);
         }
-      }
-    }
-  }
-}
-
-// MADNET_HOT
-void SpatialIndex::CollectBox(const CellBox& box, std::vector<NodeId>* out_ids,
-                              std::vector<double>* out_xs,
-                              std::vector<double>* out_ys) const {
-  for (int64_t cx = box.lo_cx; cx <= box.hi_cx; ++cx) {
-    const size_t column = static_cast<size_t>(cx - min_cx_) * height_;
-    for (int64_t cy = box.lo_cy; cy <= box.hi_cy; ++cy) {
-      const size_t cell = column + static_cast<size_t>(cy - min_cy_);
-      for (uint32_t k = cell_start_[cell]; k < cell_start_[cell + 1]; ++k) {
-        out_ids->push_back(ids_[k]);
-        out_xs->push_back(xs_[k]);
-        out_ys->push_back(ys_[k]);
       }
     }
   }

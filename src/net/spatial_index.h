@@ -1,18 +1,22 @@
 // Copyright (c) 2026 madnet authors. All rights reserved.
 //
 // Uniform-grid spatial index over node positions. The broadcast medium
-// rebuilds it periodically (virtual time) and range-queries it on every
-// transmission; exact distance filtering happens on live positions, so the
-// index only needs to return a superset (see Medium for the slack logic).
+// range-queries it on every transmission and rebuilds it only when the
+// queries have paid for a rebuild (see Medium::RefreshIndex); exact
+// distance filtering happens on live positions, so the index only needs
+// to return a superset (see Medium for the slack logic).
 //
 // Layout: each Rebuild counting-sorts the points into a dense grid over
 // their bounding box — `cell_start_` holds prefix offsets per cell and
 // `ids_`/`xs_`/`ys_` are parallel arrays grouped by cell — so a range
 // query is two clamped loops over contiguous memory with zero hashing.
 // The sort is stable and queries walk cells in (cx, cy) lexicographic
-// order, which keeps result order identical to the historical hash-grid
-// implementation (a determinism requirement: neighbour enumeration order
-// feeds the per-receiver RNG draw sequence).
+// order, so a query's result order is (cell x, cell y, input order). The
+// medium feeds points in dense-index order and relies on that order (a
+// determinism requirement: neighbour enumeration order feeds the
+// per-receiver RNG draw sequence). CellCoord and RebuildKeepsCellSize let
+// it recreate the order a rebuild at a later instant would give without
+// performing that rebuild.
 
 #ifndef MADNET_NET_SPATIAL_INDEX_H_
 #define MADNET_NET_SPATIAL_INDEX_H_
@@ -28,20 +32,6 @@ namespace madnet::net {
 /// Dense counting-sort grid over 2-D points keyed by NodeId.
 class SpatialIndex {
  public:
-  /// The grid cells covering one query's bounding box, clamped to the
-  /// cells that exist in the current rebuild. Two queries with equal
-  /// boxes walk exactly the same buckets (see Medium::QueryNeighbors).
-  struct CellBox {
-    int64_t lo_cx = 0;
-    int64_t lo_cy = 0;
-    int64_t hi_cx = -1;  // Empty by default (hi < lo).
-    int64_t hi_cy = -1;
-    bool operator==(const CellBox& o) const {
-      return lo_cx == o.lo_cx && lo_cy == o.lo_cy && hi_cx == o.hi_cx &&
-             hi_cy == o.hi_cy;
-    }
-  };
-
   /// Creates an index with the given cell edge length (metres, > 0).
   /// A cell size near the query radius keeps candidate sets tight.
   explicit SpatialIndex(double cell_size);
@@ -62,23 +52,20 @@ class SpatialIndex {
   void QueryRange(const Vec2& center, double radius,
                   std::vector<NodeId>* out) const;
 
-  /// The clamped cell box a QueryRange(center, radius) would walk.
-  CellBox BoxFor(const Vec2& center, double radius) const;
-
-  /// Appends every indexed (id, x, y) stored in the cells of `box`, in
-  /// the same walk order QueryRange uses, without distance filtering.
-  /// QueryRange ≡ CollectBox + per-point indexed-distance filter; batched
-  /// callers share one CollectBox across queries with equal boxes.
-  void CollectBox(const CellBox& box, std::vector<NodeId>* out_ids,
-                  std::vector<double>* out_xs,
-                  std::vector<double>* out_ys) const;
-
   /// Number of indexed points.
   size_t Size() const { return ids_.size(); }
 
- private:
+  /// Cell coordinate of `v` (either axis) in this build's grid: floor of
+  /// `v` over the effective cell edge.
   int64_t CellCoord(double v) const;
 
+  /// True iff this build kept the configured cell edge, and a rebuild over
+  /// `points` points, each within `grow_m` of some point of this build,
+  /// would keep it too. The grown grid is then no wider than the cap, so
+  /// the rebuild's cells are CellCoord's cells at the same edge.
+  bool RebuildKeepsCellSize(double grow_m, size_t points) const;
+
+ private:
   double cell_size_;       // Configured cell edge.
   double grid_cell_size_;  // Effective edge this rebuild (doubled from
                            // cell_size_ only when the points' bounding box

@@ -349,9 +349,10 @@ void Scenario::CaptureMetrics(const RunResult& result) {
   *metrics.Counter("net.dropped_jammed") += result.net.dropped_jammed;
   *metrics.Counter("net.dropped_mac_busy") += result.net.dropped_mac_busy;
   *metrics.Counter("net.mac_defers") += result.net.mac_defers;
-  // Hot-path instrumentation: batched/memoized neighbour queries and the
-  // frame arena (peaks sum across replications — divide by scenario.runs
-  // for a mean per-run high water).
+  // Hot-path instrumentation: spatial-grid builds, batched/memoized
+  // neighbour queries and the frame arena (peaks sum across replications
+  // — divide by scenario.runs for a mean per-run high water).
+  *metrics.Counter("medium.index_rebuilds") += result.net.index_rebuilds;
   *metrics.Counter("medium.batch_queries") += result.net.batch_queries;
   *metrics.Counter("medium.batch_walk_reuse") += result.net.batch_walk_reuse;
   *metrics.Counter("medium.batch_memo_hits") += result.net.batch_memo_hits;

@@ -9,14 +9,12 @@
 //
 // Prints the paper's three metrics (multi-seed mean ± sd) as a table.
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
 
 #include "mobility/trace_io.h"
 #include "scenario/config_io.h"
-#include "exec/parallel_for.h"
 #include "exec/replication.h"
 #include "scenario/multi_ad.h"
 #include "scenario/scenario.h"
@@ -72,10 +70,9 @@ int Run(int argc, char** argv) {
   flags.Define("seed", "1", "base random seed");
   flags.Define("reps", "3", "replications (seeds seed..seed+reps-1)");
   flags.Define("jobs", "1",
-               "worker threads (<= 0 = hardware concurrency), spent on "
-               "replications first: min(jobs, reps) run at once, and each "
-               "gets jobs / min(jobs, reps) workers for its index "
-               "rebuild; results stay byte-identical at any value");
+               "worker threads (<= 0 = hardware concurrency), one "
+               "replication each; results stay byte-identical at any "
+               "value");
   flags.Define("dump_traces", "",
                "write every node's mobility trace to this file and exit");
   flags.Define("config", "",
@@ -200,12 +197,8 @@ int Run(int argc, char** argv) {
   }
 
   const int reps = static_cast<int>(*flags.GetInt("reps"));
-  // One thread budget: replications first, the share left per running
-  // replication for its index rebuild, so at most `jobs` threads work.
-  const int jobs =
-      exec::ResolveJobs(static_cast<int>(*flags.GetInt("jobs")));
-  const int running = std::max(1, std::min(jobs, reps));
-  Aggregate aggregate = RunReplicated(config, reps, jobs, jobs / running);
+  Aggregate aggregate =
+      RunReplicated(config, reps, static_cast<int>(*flags.GetInt("jobs")));
 
   if (*flags.GetBool("json")) {
     JsonWriter json;
