@@ -62,9 +62,13 @@ void RestrictedFlooding::OnReceive(const net::Packet& packet,
   if (message == nullptr) return;  // Not a flooding frame.
 
   const uint64_t ad_key = message->ad.id.Key();
-  RecordReceipt(ad_key);
   const auto [hop_it, first_sight] = first_hop_.try_emplace(ad_key, packet.hop);
-  if (first_sight) TraceDeliver(ad_key, packet.hop, from);
+  if (first_sight) {
+    // Only the first receipt can be the earliest one the log keeps; the
+    // issuer's own copy (hop 0 from Issue) is never logged.
+    RecordReceipt(ad_key);
+    TraceDeliver(ad_key, packet.hop, from);
+  }
 
   const uint64_t relay_key = RelayKey(ad_key, message->round);
   if (!relayed_.insert(relay_key).second) return;  // Already relayed.

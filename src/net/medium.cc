@@ -155,10 +155,22 @@ Vec2 Medium::PositionOf(NodeId id) const {
   return CachedPositionAt(index, simulator_->Now());
 }
 
+// MADNET_HOT
 Vec2 Medium::VelocityOf(NodeId id) const {
   const uint32_t index = IndexOf(id);
   MADNET_DCHECK(index != kNotFound);  // VelocityOf on unknown node.
-  return mobility_[index]->VelocityAt(simulator_->Now());
+  const Time now = simulator_->Now();
+  const Time start = leg_start_[index];
+  const Time end = leg_end_[index];
+  if (start < now && now < end) {
+    // Strictly inside the mirrored leg, the unique leg containing `now`
+    // (the rule PositionAt uses): Leg::Velocity's expression, so the
+    // result is bit-identical to asking the model.
+    const double d = end - start;
+    return Vec2{(leg_to_x_[index] - leg_from_x_[index]) / d,
+                (leg_to_y_[index] - leg_from_y_[index]) / d};
+  }
+  return mobility_[index]->VelocityAt(now);
 }
 
 // MADNET_HOT
@@ -337,6 +349,7 @@ uint32_t Medium::AcquireFrame(const Packet& packet, NodeId from,
   frame.from = from;
   frame.from_index = from_index;
   frame.origin = Vec2{};
+  frame.receivers.clear();
   frame.refs = 0;
   frame.next_free = kNotFound;
   ++live_frames_;
@@ -392,15 +405,18 @@ Status Medium::Broadcast(NodeId from, const Packet& packet) {
     // Queue depth counts this frame too (it is in flight from now on).
     tiles_->RecordBroadcast(origin.x, origin.y, live_frames_ + 1);
   }
-  // All deliveries of this broadcast share one arena frame (acquired on
-  // the first scheduled delivery). Each delivery callback captures
-  // {medium, slot, receiver} — 16 bytes, within std::function's inline
-  // buffer — so the loop performs no per-receiver heap allocation.
+  // All deliveries of this broadcast share one arena frame (acquired at
+  // the first receiver), which lists the receivers, and one queue run: n
+  // deliveries cost one calendar entry and one callback capturing
+  // {medium, slot}. Latencies are drawn in neighbour order and the run
+  // takes one id per receiver in that order, so each delivery keeps the
+  // (time, id) key a per-receiver Schedule would have given it.
   // Loss, fading, and collisions are all decided in DeliverTo, at delivery
   // time: a frame that will be lost still arrives at the receiver's radio
   // and must contend in its collision window, and a receiver that churns
   // offline mid-flight is charged dropped_offline, not dropped_loss.
   uint32_t slot = kNotFound;
+  when_scratch_.clear();
   for (uint32_t to : NeighborIndicesOf(origin, options_.range_m)) {
     if (to == from_index) continue;
     const double latency =
@@ -412,9 +428,16 @@ Status Medium::Broadcast(NodeId from, const Packet& packet) {
       frame_pool_[slot].origin = origin;
       frame_pool_[slot].tx_seq = tx_seq;
     }
-    ++frame_pool_[slot].refs;
-    simulator_->Schedule(latency,
-                         [this, slot, to]() { DeliverFrame(slot, to); });
+    // NOLINTNEXTLINE(madnet-hot-alloc): capacity kept per arena slot.
+    frame_pool_[slot].receivers.push_back(to);
+    when_scratch_.push_back(now + latency);
+  }
+  if (slot != kNotFound) {
+    // One frame ref per delivery, dropped as each one completes.
+    frame_pool_[slot].refs += static_cast<uint32_t>(when_scratch_.size());
+    simulator_->ScheduleRunAt(when_scratch_, [this, slot](uint32_t i) {
+      DeliverFrame(slot, frame_pool_[slot].receivers[i]);
+    });
   }
   return Status::Ok();
 }
@@ -485,6 +508,7 @@ void Medium::CsmaTransmit(uint32_t slot) {
     tiles_->RecordBroadcast(origin.x, origin.y, live_frames_);
   }
 
+  when_scratch_.clear();
   for (uint32_t to : NeighborIndicesOf(origin, options_.range_m)) {
     if (to == from_index) continue;
     // The receiver was already mid-reception of another frame: this frame
@@ -511,9 +535,15 @@ void Medium::CsmaTransmit(uint32_t slot) {
       }
     }
     // Reception completes when the frame's airtime ends.
-    ++frame.refs;
-    simulator_->Schedule(airtime,
-                         [this, slot, to]() { CsmaCompleteRx(slot, to); });
+    // NOLINTNEXTLINE(madnet-hot-alloc): capacity kept per arena slot.
+    frame.receivers.push_back(to);
+    when_scratch_.push_back(end);
+  }
+  if (!when_scratch_.empty()) {
+    frame.refs += static_cast<uint32_t>(when_scratch_.size());
+    simulator_->ScheduleRunAt(when_scratch_, [this, slot](uint32_t i) {
+      CsmaCompleteRx(slot, frame_pool_[slot].receivers[i]);
+    });
   }
   ReleaseFrame(slot);  // Drop the retry chain's carry ref.
 }

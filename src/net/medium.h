@@ -18,11 +18,13 @@
 // loop then runs on plain array accesses. The spatial index stores dense
 // indices too, so a broadcast performs zero hash lookups per receiver.
 // In-flight frames live in a medium-owned arena (slot pool with intrusive
-// refcounts) instead of one shared_ptr heap allocation per broadcast, and
-// delivery callbacks capture {medium, slot, receiver} — 16 bytes, inside
-// std::function's inline buffer, so scheduling a delivery allocates
-// nothing. A Medium instance is single-threaded by design — concurrent
-// replications each build their own Medium (see exec::RunReplicated).
+// refcounts) instead of one shared_ptr heap allocation per broadcast. A
+// frame lists its receivers, and its deliveries are one event-queue run
+// (sim::EventQueue::PushRun) whose callback captures {medium, slot} —
+// inside std::function's inline buffer, so scheduling a broadcast's
+// deliveries allocates nothing in steady state. A Medium instance is
+// single-threaded by design — concurrent replications each build their
+// own Medium (see exec::RunReplicated).
 
 #ifndef MADNET_NET_MEDIUM_H_
 #define MADNET_NET_MEDIUM_H_
@@ -248,6 +250,9 @@ class Medium {
     uint32_t from_index = 0;
     Vec2 origin;
     uint64_t tx_seq = 0;  ///< Per-medium transmit sequence (1-based).
+    /// Dense indices of the scheduled receivers; delivery run item i goes
+    /// to receivers[i]. Capacity is kept across slot reuse.
+    std::vector<uint32_t> receivers;
     uint32_t refs = 0;
     uint32_t next_free = 0xFFFFFFFFu;
   };
@@ -429,6 +434,8 @@ class Medium {
   mutable std::vector<double> rebuild_y_scratch_;
   mutable std::vector<NodeId> candidate_scratch_;
   mutable std::vector<uint32_t> neighbor_scratch_;
+  std::vector<Time> when_scratch_;  // Delivery times of the frame being
+                                    // scheduled (Broadcast, CsmaTransmit).
   // SortAsSnapshot's sort keys: a neighbour's snapshot cell and index.
   struct SnapshotKey {
     int64_t cx;

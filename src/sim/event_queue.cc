@@ -3,6 +3,7 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "util/logging.h"
@@ -30,10 +31,14 @@ void EventQueue::HeapPush(const Entry& entry) {
 void EventQueue::HeapPop() {
   const Entry last = near_.back();
   near_.pop_back();
-  const size_t n = near_.size();
-  if (n == 0) return;
+  if (!near_.empty()) SiftDownFromRoot(last);
+}
+
+// MADNET_HOT
+void EventQueue::SiftDownFromRoot(const Entry& entry) {
   // Hole-based sift-down from the root: promote the smallest child until
-  // `last` fits.
+  // `entry` fits.
+  const size_t n = near_.size();
   size_t i = 0;
   for (;;) {
     const size_t first_child = 4 * i + 1;
@@ -43,11 +48,31 @@ void EventQueue::HeapPop() {
     for (size_t c = first_child + 1; c < end_child; ++c) {
       if (Before(near_[c], near_[best])) best = c;
     }
-    if (!Before(near_[best], last)) break;
+    if (!Before(near_[best], entry)) break;
     near_[i] = near_[best];
     i = best;
   }
-  near_[i] = last;
+  near_[i] = entry;
+}
+
+// MADNET_HOT
+void EventQueue::Place(const Entry& entry) {
+  const int64_t e = EpochOf(entry.when);
+  if (e <= cur_epoch_) {
+    // Current (or past — a zero-delay reschedule) epoch: straight into the
+    // near heap so SettleTop sees it.
+    HeapPush(entry);
+  } else if (static_cast<uint64_t>(e) - static_cast<uint64_t>(cur_epoch_) <
+             static_cast<uint64_t>(kRingSize)) {
+    // NOLINTNEXTLINE(madnet-hot-alloc): amortized O(1) bucket growth;
+    // buckets are recycled every ring lap.
+    ring_[static_cast<uint64_t>(e) & (kRingSize - 1)].push_back(entry);
+    ++ring_count_;
+  } else {
+    // NOLINTNEXTLINE(madnet-hot-alloc): far-future events are rare.
+    overflow_.push_back(entry);
+    min_overflow_epoch_ = std::min(min_overflow_epoch_, e);
+  }
 }
 
 void EventQueue::RedistributeOverflow() {
@@ -155,28 +180,81 @@ EventId EventQueue::Push(Time when, Callback callback) {
     slot = static_cast<uint32_t>(slots_.size());
     slots_.push_back(std::move(callback));
   }
+  MADNET_DCHECK_LT(slot, kRunBit);
   // NOLINTNEXTLINE(madnet-hot-alloc): amortized O(1) per-id byte growth.
   state_.push_back(kPending);  // state_[id - 1].
   MADNET_DCHECK_LE(id, std::numeric_limits<uint32_t>::max());
-  const Entry entry{when, static_cast<uint32_t>(id), slot};
-  const int64_t e = EpochOf(when);
-  if (e <= cur_epoch_) {
-    // Current (or past — a zero-delay reschedule) epoch: straight into the
-    // near heap so SettleTop sees it.
-    HeapPush(entry);
-  } else if (static_cast<uint64_t>(e) - static_cast<uint64_t>(cur_epoch_) <
-             static_cast<uint64_t>(kRingSize)) {
-    // NOLINTNEXTLINE(madnet-hot-alloc): amortized O(1) bucket growth;
-    // buckets are recycled every ring lap.
-    ring_[static_cast<uint64_t>(e) & (kRingSize - 1)].push_back(entry);
-    ++ring_count_;
-  } else {
-    // NOLINTNEXTLINE(madnet-hot-alloc): far-future events are rare.
-    overflow_.push_back(entry);
-    min_overflow_epoch_ = std::min(min_overflow_epoch_, e);
-  }
+  Place(Entry{when, static_cast<uint32_t>(id), slot});
   ++live_count_;
   return id;
+}
+
+EventId EventQueue::Push(Time when, Firing&& firing) {
+  MADNET_DCHECK(firing.run_ == nullptr);  // A run item cannot be re-pushed.
+  return Push(when, std::move(firing.callback_));
+}
+
+// MADNET_HOT
+EventId EventQueue::PushRun(const Time* when, uint32_t n, RunCallback fire) {
+  if (n == 0) return kInvalidEventId;
+  MADNET_DCHECK(fire != nullptr);
+  const EventId first = next_seq_;
+  next_seq_ += n;
+  MADNET_DCHECK_LE(next_seq_ - 1, std::numeric_limits<uint32_t>::max());
+  // Grow to the power-of-two capacity n push_backs would reach: resize
+  // alone would seed capacities from run sizes and raise peak memory.
+  const size_t needed = state_.size() + n;
+  // NOLINTNEXTLINE(madnet-hot-alloc): amortized O(1) per-id byte growth.
+  if (needed > state_.capacity()) state_.reserve(std::bit_ceil(needed));
+  state_.resize(needed, kRunItem);
+  uint32_t index;
+  if (!free_runs_.empty()) {
+    index = free_runs_.back();
+    free_runs_.pop_back();
+  } else {
+    index = static_cast<uint32_t>(run_pool_.size());
+    run_pool_.emplace_back();
+  }
+  MADNET_DCHECK_LT(index, kRunBit);
+  Run& run = run_pool_[index];
+  std::vector<RunItem>& items = run.items;
+  items.clear();
+  for (uint32_t i = 0; i < n; ++i) {
+    MADNET_DCHECK(when[i] == when[i]);  // NaN keys would corrupt the order.
+    // NOLINTNEXTLINE(madnet-hot-alloc): recycled per record; amortized.
+    items.push_back(RunItem{when[i], i});
+  }
+  // (when, index) is a strict total order, so the result is unique.
+  std::sort(items.begin(), items.end(),
+            [](const RunItem& a, const RunItem& b) {
+              return a.when < b.when || (a.when == b.when && a.index < b.index);
+            });
+  run.next = 0;
+  run.first_seq = static_cast<uint32_t>(first);
+  run.fire = std::move(fire);
+  Place(Entry{items[0].when, run.first_seq + items[0].index, kRunBit | index});
+  live_count_ += n;
+  return first;
+}
+
+// MADNET_HOT
+void EventQueue::AdvanceRun(uint32_t run) {
+  Run& record = run_pool_[run];
+  if (++record.next == record.items.size()) {
+    HeapPop();
+    retired_run_ = run;
+    return;
+  }
+  const RunItem& item = record.items[record.next];
+  const Entry next{item.when, record.first_seq + item.index, kRunBit | run};
+  if (EpochOf(item.when) <= cur_epoch_) {
+    // Items are sorted, so `next` is no earlier than the entry it
+    // replaces at the root.
+    SiftDownFromRoot(next);
+  } else {
+    HeapPop();
+    Place(next);
+  }
 }
 
 bool EventQueue::Cancel(EventId id) {
@@ -207,7 +285,14 @@ Time EventQueue::NextTime() {
   return near_.front().when;
 }
 
-std::pair<Time, EventQueue::Callback> EventQueue::Pop() {
+// MADNET_HOT
+std::pair<Time, EventQueue::Firing> EventQueue::Pop() {
+  if (retired_run_ != kNoRun) {
+    // Its last item's callback has returned by now.
+    run_pool_[retired_run_].fire = nullptr;
+    free_runs_.push_back(retired_run_);
+    retired_run_ = kNoRun;
+  }
   const bool live = SettleTop();
   MADNET_DCHECK(live);  // Pop() on an empty queue.
   (void)live;
@@ -216,12 +301,21 @@ std::pair<Time, EventQueue::Callback> EventQueue::Pop() {
   // entry leaving the heap must still be pending (tombstones were reaped by
   // SettleTop above, and ids never re-enter the queue).
   MADNET_DCHECK_GE(top.when, last_pop_time_);
-  MADNET_DCHECK_EQ(state_[top.seq - 1], kPending);
   last_pop_time_ = top.when;
+  --live_count_;
+  if ((top.slot & kRunBit) != 0) {
+    MADNET_DCHECK_EQ(state_[top.seq - 1], kRunItem);
+    state_[top.seq - 1] = kDone;
+    const uint32_t run = top.slot & ~kRunBit;
+    const Run& record = run_pool_[run];
+    const uint32_t item = record.items[record.next].index;
+    AdvanceRun(run);
+    return {top.when, Firing(&record.fire, item)};
+  }
+  MADNET_DCHECK_EQ(state_[top.seq - 1], kPending);
   HeapPop();
   state_[top.seq - 1] = kDone;
-  --live_count_;
-  return {top.when, TakeSlot(top.slot)};
+  return {top.when, Firing(TakeSlot(top.slot))};
 }
 
 void EventQueue::Clear() {
@@ -233,6 +327,13 @@ void EventQueue::Clear() {
   cur_epoch_ = 0;
   slots_.clear();
   free_slots_.clear();
+  // Run records stay allocated for reuse; only their callbacks go.
+  free_runs_.clear();
+  for (uint32_t i = 0; i < run_pool_.size(); ++i) {
+    run_pool_[i].fire = nullptr;
+    free_runs_.push_back(i);
+  }
+  retired_run_ = kNoRun;
   // Outstanding ids become permanently non-cancellable (they neither run
   // nor linger); ids keep growing across Clear so old handles stay dead.
   std::fill(state_.begin(), state_.end(), kDone);

@@ -19,20 +19,32 @@
 // Every entry still pops in exact (time, sequence) order: the near heap
 // always contains every pending entry of the earliest non-empty epoch.
 //
-// Layout is driven by the broadcast hot path (one event per receiver per
-// frame — millions per run): heap entries are 24-byte trivially-copyable
-// keys so sift operations are memcpys, callbacks live in a recycled slot
-// pool rather than inside the heap, and event lifecycle (pending / ran /
-// cancelled) is a flat byte-per-id vector indexed by the monotonically
-// increasing sequence number — no hash-set insert+erase per event.
+// A *run* is n events pushed together (one broadcast's deliveries, one
+// per receiver): PushRun takes the n consecutive ids that n Push calls
+// would take, sorts its items by (time, id) once, and keeps a single
+// near/ring/overflow entry keyed by its earliest unpopped item plus a
+// single callback. Popping an item re-keys that entry with the next
+// item (a sift-down from the root that usually stops at once, or a move
+// to the item's later epoch). Every item keeps the (time, id) key a plain
+// Push would have given it, so pop order is the same as if each had been
+// pushed alone. Run items cannot be cancelled.
+//
+// Entries are 16-byte trivially-copyable keys so sift operations are
+// memcpys, callbacks live in a recycled slot pool (plain events) or a
+// recycled run pool rather than inside the heap, and event lifecycle
+// (pending / ran / cancelled) is a flat byte-per-id vector indexed by the
+// monotonically increasing sequence number — no hash-set insert+erase per
+// event.
 
 #ifndef MADNET_SIM_EVENT_QUEUE_H_
 #define MADNET_SIM_EVENT_QUEUE_H_
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <limits>
+#include <utility>
 #include <vector>
 
 namespace madnet::sim {
@@ -50,6 +62,31 @@ inline constexpr EventId kInvalidEventId = 0;
 class EventQueue {
  public:
   using Callback = std::function<void()>;
+  /// A run's callback; fires item `i` (its index in PushRun's `when`).
+  using RunCallback = std::function<void(uint32_t i)>;
+
+  /// What Pop hands back to run: a plain event's callback, or one item of
+  /// a run. An item's Firing borrows the run's callback, so it must be
+  /// invoked before the next Pop or Clear.
+  class Firing {
+   public:
+    void operator()() const {
+      if (run_ != nullptr) {
+        (*run_)(item_);
+      } else {
+        callback_();
+      }
+    }
+
+   private:
+    friend class EventQueue;
+    explicit Firing(Callback callback) : callback_(std::move(callback)) {}
+    Firing(const RunCallback* run, uint32_t item) : run_(run), item_(item) {}
+
+    Callback callback_;
+    const RunCallback* run_ = nullptr;
+    uint32_t item_ = 0;
+  };
 
   EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
@@ -59,8 +96,18 @@ class EventQueue {
   /// cancel the event while it is still pending.
   EventId Push(Time when, Callback callback);
 
+  /// Re-queues a plain event's callback, as Pop returned it, at `when`
+  /// without wrapping it in a new Callback. Not for a run item's Firing.
+  EventId Push(Time when, Firing&& firing);
+
+  /// Schedules `fire(i)` at `when[i]` for each i < n, exactly as n Push
+  /// calls in index order would (same ids, same pop order), behind one
+  /// queue entry. Returns the first id (item i has id first + i), or
+  /// kInvalidEventId when n == 0. Run items cannot be cancelled.
+  EventId PushRun(const Time* when, uint32_t n, RunCallback fire);
+
   /// Cancels a pending event. Returns false if the event already ran, was
-  /// already cancelled, or never existed.
+  /// already cancelled, never existed, or is a run item.
   bool Cancel(EventId id);
 
   /// True iff no runnable event is pending.
@@ -73,10 +120,11 @@ class EventQueue {
   Time NextTime();
 
   /// Removes and returns the earliest runnable event. Requires !Empty().
-  /// The returned pair is (time, callback).
-  std::pair<Time, Callback> Pop();
+  /// The returned pair is (time, firing).
+  std::pair<Time, Firing> Pop();
 
-  /// Drops every pending event.
+  /// Drops every pending event. Not to be called from inside a run's
+  /// callback (it destroys run callbacks).
   void Clear();
 
  private:
@@ -87,7 +135,24 @@ class EventQueue {
     // cache line. Safe: state_ grows one byte per id, so a queue would need
     // > 4 GiB of lifecycle bytes before ids could wrap (DCHECKed in Push).
     uint32_t seq;
-    uint32_t slot;  // Index of the callback in slots_.
+    uint32_t slot;  // Index into slots_, or kRunBit | index into run_pool_.
+  };
+  static constexpr uint32_t kRunBit = 0x80000000u;
+  static constexpr uint32_t kNoRun = 0xFFFFFFFFu;
+
+  /// One item of a run: its time and its index in PushRun's `when`.
+  struct RunItem {
+    Time when;
+    uint32_t index;
+  };
+  /// A run's items, sorted by (when, index), and its callback. Records
+  /// and their item vectors are recycled, so steady state allocates
+  /// nothing.
+  struct Run {
+    std::vector<RunItem> items;
+    uint32_t next = 0;       // First unpopped item.
+    uint32_t first_seq = 0;  // Id of item index 0.
+    RunCallback fire;
   };
   /// Strict total order: (when, seq) lexicographic. seq values are unique,
   /// so no two entries compare equal.
@@ -121,6 +186,17 @@ class EventQueue {
   /// Removes the minimum (near_[0]) from the near heap.
   void HeapPop();
 
+  /// Replaces near_[0] (non-empty heap) with `entry` and sifts it down.
+  void SiftDownFromRoot(const Entry& entry);
+
+  /// Files `entry` by epoch: near heap, ring bucket or overflow.
+  void Place(const Entry& entry);
+
+  /// Re-keys the near-heap top, run `run`, after its next item popped:
+  /// the next item's key sifts down from the root (or moves to its later
+  /// epoch); after the last item the entry leaves and the record retires.
+  void AdvanceRun(uint32_t run);
+
   /// Ensures near_[0] is the earliest live entry: reaps tombstones and
   /// migrates epochs forward as the near heap drains. Returns false when no
   /// runnable entry exists anywhere.
@@ -139,6 +215,7 @@ class EventQueue {
   enum : uint8_t { kPending = 0, kDone = 1 };  // Done = ran, cancelled+
                                                // reaped, or cleared.
   enum : uint8_t { kCancelled = 2 };           // Cancelled, still in heap.
+  enum : uint8_t { kRunItem = 3 };  // Pending run item (not cancellable).
 
   /// Returns the callback slot `slot` to the free pool.
   Callback TakeSlot(uint32_t slot);
@@ -154,6 +231,12 @@ class EventQueue {
   std::vector<Callback> slots_;       // Callback storage, heap-independent.
   std::vector<uint32_t> free_slots_;  // Recyclable indices into slots_.
   std::vector<uint8_t> state_;        // Per-id lifecycle, indexed by id - 1.
+  std::deque<Run> run_pool_;  // Run records; a deque so a record stays
+                              // put while its callback runs.
+  std::vector<uint32_t> free_runs_;  // Recyclable indices into run_pool_.
+  // The run whose last item popped most recently. Its callback may still
+  // be running, so the record is recycled at the next Pop, not at once.
+  uint32_t retired_run_ = kNoRun;
   uint64_t next_seq_ = 1;  // 0 is kInvalidEventId.
   size_t live_count_ = 0;
   // Timestamp of the most recent Pop; Pop DCHECKs that extraction times

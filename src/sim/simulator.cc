@@ -30,6 +30,16 @@ EventId Simulator::ScheduleAt(Time when, EventQueue::Callback callback) {
   return queue_.Push(when, std::move(callback));
 }
 
+// MADNET_HOT
+EventId Simulator::ScheduleRunAt(std::span<Time> when,
+                                 EventQueue::RunCallback fire) {
+  for (Time& t : when) {
+    if (t < now_) t = now_;
+  }
+  return queue_.PushRun(when.data(), static_cast<uint32_t>(when.size()),
+                        std::move(fire));
+}
+
 PeriodicHandle Simulator::SchedulePeriodic(Time initial_delay, Time period,
                                            std::function<bool()> callback) {
   assert(period > 0.0 && "periodic events require a positive period");
@@ -71,7 +81,7 @@ void Simulator::RecordDispatchGap(double gap) {
 
 bool Simulator::Step() {
   if (queue_.Empty()) return false;
-  auto [when, callback] = queue_.Pop();
+  auto [when, firing] = queue_.Pop();
   assert(when >= now_ && "event queue went backwards in time");
   if (record_dispatch_gaps_) RecordDispatchGap(when - now_);
   now_ = when;
@@ -79,7 +89,7 @@ bool Simulator::Step() {
   if (trace_ != nullptr && trace_->Enabled(obs::kTraceEvent)) {
     trace_->Event(now_, executed_);
   }
-  callback();
+  firing();
   return true;
 }
 

@@ -12,6 +12,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 
 #include "obs/trace.h"
 #include "sim/event_queue.h"
@@ -60,6 +61,13 @@ class Simulator {
   /// Schedules `callback` at absolute virtual time `when`. Times in the past
   /// are clamped to Now().
   EventId ScheduleAt(Time when, EventQueue::Callback callback);
+
+  /// Schedules `fire(i)` at absolute time `when[i]` for each i, as
+  /// ScheduleAt calls in index order would (same ids, same run order),
+  /// behind one queue entry (EventQueue::PushRun). Times in the past are
+  /// clamped to Now() in place. The items cannot be cancelled. Returns
+  /// the first item's id, or kInvalidEventId for an empty span.
+  EventId ScheduleRunAt(std::span<Time> when, EventQueue::RunCallback fire);
 
   /// Cancels a pending event; false if it already ran or was cancelled.
   bool Cancel(EventId id) { return queue_.Cancel(id); }

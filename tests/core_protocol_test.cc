@@ -113,6 +113,29 @@ TEST(FloodingTest, RelaysHopByHopWithinRadius) {
   EXPECT_LT(bed.log_.FirstReceipt(key, beyond), 0.0);
 }
 
+TEST(FloodingTest, LogsOnlyFirstReceipts) {
+  // A triangle of mutually reachable nodes: the issuer hears both relays
+  // of its own ad, and each relay hears the other's copy after its first
+  // receipt. Only first receipts reach the log, so the issuer (which holds
+  // the ad from Issue) is never logged.
+  ProtocolTestBed bed;
+  bed.AddStationary({0.0, 0.0});
+  bed.AddStationary({150.0, 0.0});
+  bed.AddStationary({75.0, 120.0});
+  bed.StartFlooding();
+
+  auto issued = bed.floods_[0]->Issue(PetrolAd(), 1000.0, 800.0);
+  ASSERT_TRUE(issued.ok());
+  const uint64_t key = issued->Key();
+  bed.sim_.RunUntil(20.0);
+
+  EXPECT_GT(bed.medium_->ReceivedBy(0), 0u);  // Heard the relays.
+  EXPECT_LT(bed.log_.FirstReceipt(key, 0), 0.0);
+  EXPECT_GE(bed.log_.FirstReceipt(key, 1), 0.0);
+  EXPECT_GE(bed.log_.FirstReceipt(key, 2), 0.0);
+  EXPECT_EQ(bed.log_.ReceiverCount(key), 2u);
+}
+
 TEST(FloodingTest, DoesNotRelayBeyondRadiusLimit) {
   // Nodes at 900 and 1100 m, chain via 450m? Use direct layout: issuer,
   // relay inside R at 240 m, listener at 480 m but R = 300 m: the relay is

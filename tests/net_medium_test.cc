@@ -428,5 +428,51 @@ TEST(MediumMovingTest, StaleIndexStillFindsMovingNodes) {
   EXPECT_GT(checks, 200);
 }
 
+TEST(MediumVelocityTest, VelocityOfMatchesTheModelBitForBit) {
+  // VelocityOf answers from the mirrored leg strictly inside it and asks
+  // the model elsewhere; both must equal the model's VelocityAt exactly,
+  // at interior instants, at leg boundaries and during pauses.
+  Simulator sim;
+  Medium medium(Medium::Options{}, &sim, Rng(5));
+  RandomWaypoint::Options waypoint;
+  waypoint.area = Rect{{0.0, 0.0}, {1000.0, 1000.0}};
+  waypoint.max_pause_s = 4.0;
+  std::vector<std::unique_ptr<RandomWaypoint>> models;
+  std::vector<std::unique_ptr<RandomWaypoint>> twins;
+  const int n = 8;
+  for (int i = 0; i < n; ++i) {
+    models.push_back(std::make_unique<RandomWaypoint>(waypoint, Rng(50 + i)));
+    twins.push_back(std::make_unique<RandomWaypoint>(waypoint, Rng(50 + i)));
+    ASSERT_TRUE(medium.AddNode(static_cast<NodeId>(i), models[i].get()).ok());
+  }
+  std::vector<double> times;
+  for (double t = 0.05; t < 60.0; t += 0.29) times.push_back(t);
+  // Node 0's leg boundaries, from a third copy: extending a twin's
+  // trajectory ahead of time would change what VelocityAt reports at the
+  // end of its last generated leg.
+  RandomWaypoint probe(waypoint, Rng(50));
+  probe.EnsureHorizon(60.0);
+  for (const mobility::Leg& leg : probe.legs()) times.push_back(leg.end);
+  std::sort(times.begin(), times.end());
+  int checks = 0;
+  for (double t : times) {
+    sim.ScheduleAt(t, [&, t] {
+      for (int i = 0; i < n; ++i) {
+        const NodeId id = static_cast<NodeId>(i);
+        (void)medium.PositionOf(id);  // Refreshes the leg mirror.
+        const Vec2 got = medium.VelocityOf(id);
+        // The twin sees the calls the medium used to make.
+        (void)twins[i]->PositionAt(t);
+        const Vec2 expected = twins[i]->VelocityAt(t);
+        EXPECT_EQ(got.x, expected.x) << "node " << i << " t=" << t;
+        EXPECT_EQ(got.y, expected.y) << "node " << i << " t=" << t;
+        ++checks;
+      }
+    });
+  }
+  sim.Run();
+  EXPECT_GT(checks, 1500);
+}
+
 }  // namespace
 }  // namespace madnet::net

@@ -135,6 +135,30 @@ TEST(ScenarioTest, FloodingKeepsIssuerTransmitting) {
   EXPECT_GT(result.Messages(), 50u);
 }
 
+TEST(ScenarioTest, FloodingReportIgnoresDuplicateReceipts) {
+  // Flooding logs only a peer's first receipt of an ad. The log keeps the
+  // earliest receipt per peer and the report counts mobile peers only, so
+  // dropping the duplicates (and the issuer's receipts of relayed copies
+  // of its own ad) must leave every number as it was when each duplicate
+  // was logged too. The values below were recorded that way.
+  ScenarioConfig config;
+  config.method = Method::kFlooding;
+  config.num_peers = 200;
+  config.medium.loss_probability = 0.05;
+  config.seed = 19;
+  ASSERT_TRUE(config.Validate().ok());
+  const RunResult result = RunScenario(config);
+  EXPECT_EQ(result.report.peers_passed, 163u);
+  EXPECT_EQ(result.report.peers_delivered, 157u);
+  EXPECT_EQ(result.report.delivery_times.Count(), 157u);
+  EXPECT_EQ(result.report.delivery_times.Sum(), 0x1.0ed0ac985cb8cp+13);
+  EXPECT_EQ(result.report.delivery_times.Max(), 0x1.8650e501eff16p+9);
+  EXPECT_EQ(result.net.messages_sent, 3176u);
+  EXPECT_EQ(result.net.deliveries, 11602u);
+  EXPECT_EQ(result.net.dropped_loss, 613u);
+  EXPECT_EQ(result.events_executed, 15393u);
+}
+
 TEST(ScenarioTest, RankingPathProducesRank) {
   ScenarioConfig config = FastConfig(Method::kGossip, 200);
   // Stop before the ad expires so cache entries (and their enlarged R/D)

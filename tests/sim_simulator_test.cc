@@ -2,6 +2,7 @@
 
 #include "sim/simulator.h"
 
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -54,6 +55,27 @@ TEST(SimulatorTest, NestedSchedulingRunsInOrder) {
   sim.Schedule(1.5, [&] { order.push_back(2); });
   sim.Run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(SimulatorTest, RunItemsAreEventsInTimeThenIdOrder) {
+  // A run's items interleave with plain events by (time, id), each one
+  // counted as an executed event; past times clamp to Now().
+  Simulator sim;
+  std::vector<std::pair<double, int>> seen;
+  sim.Schedule(4.0, [&] {
+    seen.push_back({sim.Now(), -1});
+    std::vector<Time> when = {6.0, 1.0, 5.0};  // 1.0 is in the past.
+    sim.ScheduleRunAt(when, [&](uint32_t i) {
+      seen.push_back({sim.Now(), static_cast<int>(i)});
+    });
+    EXPECT_EQ(when[1], 4.0);
+  });
+  sim.ScheduleAt(5.0, [&] { seen.push_back({sim.Now(), -2}); });
+  EXPECT_EQ(sim.Run(), 5u);
+  EXPECT_EQ(sim.ExecutedEvents(), 5u);
+  const std::vector<std::pair<double, int>> expected = {
+      {4.0, -1}, {4.0, 1}, {5.0, -2}, {5.0, 2}, {6.0, 0}};
+  EXPECT_EQ(seen, expected);
 }
 
 TEST(SimulatorTest, RunUntilStopsAndAdvancesClock) {
