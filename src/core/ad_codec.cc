@@ -151,7 +151,6 @@ size_t EncodedSize(const Advertisement& ad) {
   return size;
 }
 
-[[nodiscard]]
 StatusOr<Advertisement> DecodeAdvertisement(std::string_view bytes) {
   Reader reader(bytes);
   uint32_t magic;

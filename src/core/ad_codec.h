@@ -33,7 +33,6 @@ std::string EncodeAdvertisement(const Advertisement& ad);
 
 /// Parses a wire-form advertisement. Returns InvalidArgument on a bad
 /// magic/version, truncation, or inconsistent sketch geometry.
-[[nodiscard]]
 StatusOr<Advertisement> DecodeAdvertisement(std::string_view bytes);
 
 /// Exact encoded size, in bytes (== EncodeAdvertisement(ad).size(),

@@ -100,7 +100,7 @@ class OpportunisticGossip : public Protocol {
   /// Issues a new ad: inserts it into the local cache and broadcasts it
   /// once. The issuer may go offline afterwards; the network maintains the
   /// ad from here on.
-  [[nodiscard]] StatusOr<AdId> Issue(const AdContent& content, double radius_m,
+  StatusOr<AdId> Issue(const AdContent& content, double radius_m,
                        double duration_s) override;
 
   /// Crash-with-cache-loss: drops every cached ad and cancels its timer

@@ -51,7 +51,6 @@ class Protocol {
   /// the current virtual time. The returned id identifies the ad in metrics.
   /// The base implementation returns FailedPrecondition; protocols that can
   /// originate ads override it.
-  [[nodiscard]]
   virtual StatusOr<AdId> Issue(const AdContent& content, double radius_m,
                                double duration_s);
 

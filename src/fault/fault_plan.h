@@ -68,7 +68,7 @@ struct FaultPlan {
   }
 
   /// Range/consistency checks; called from ScenarioConfig::Validate().
-  [[nodiscard]] Status Validate() const;
+  Status Validate() const;
 };
 
 }  // namespace madnet::fault

@@ -16,7 +16,6 @@ constexpr char kMagic[] = "madnet-trace";
 constexpr int kVersion = 1;
 }  // namespace
 
-[[nodiscard]]
 Status SaveTraces(const std::string& path, const TraceSet& traces) {
   std::ofstream out(path, std::ios::trunc);
   if (!out.good()) return Status::IoError("cannot open " + path);
@@ -37,7 +36,7 @@ Status SaveTraces(const std::string& path, const TraceSet& traces) {
   return Status::Ok();
 }
 
-[[nodiscard]] StatusOr<TraceSet> LoadTraces(const std::string& path) {
+StatusOr<TraceSet> LoadTraces(const std::string& path) {
   std::ifstream in(path);
   if (!in.good()) return Status::IoError("cannot open " + path);
 
@@ -94,7 +93,6 @@ Status SaveTraces(const std::string& path, const TraceSet& traces) {
   return traces;
 }
 
-[[nodiscard]]
 Status SaveNs2Movements(const std::string& path, const TraceSet& traces) {
   std::ofstream out(path, std::ios::trunc);
   if (!out.good()) return Status::IoError("cannot open " + path);

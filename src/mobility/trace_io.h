@@ -30,18 +30,16 @@ using TraceSet = std::vector<std::pair<uint32_t, Trace>>;
 
 /// Writes a trace set to `path`. Overwrites. IoError on filesystem
 /// problems.
-[[nodiscard]]
 Status SaveTraces(const std::string& path, const TraceSet& traces);
 
 /// Reads a trace set from `path`. Validates the header, leg counts, and
 /// leg continuity (via Trace::FromLegs).
-[[nodiscard]] StatusOr<TraceSet> LoadTraces(const std::string& path);
+StatusOr<TraceSet> LoadTraces(const std::string& path);
 
 /// Writes the traces in the ns-2 `setdest` movement-file dialect the paper
 /// used with ns-2 ("$node_(i) set X_ ..." plus "$ns_ at t \"$node_(i)
 /// setdest x y speed\"" lines), for interop with ns-2 tooling. Pause legs
 /// are implicit (no setdest is emitted while a node rests). Export only.
-[[nodiscard]]
 Status SaveNs2Movements(const std::string& path, const TraceSet& traces);
 
 }  // namespace madnet::mobility

@@ -145,15 +145,15 @@ class Medium {
 
   /// Registers a node with its mobility model (borrowed; must outlive the
   /// medium). Returns AlreadyExists if the id is taken.
-  [[nodiscard]] Status AddNode(NodeId id, MobilityModel* mobility);
+  Status AddNode(NodeId id, MobilityModel* mobility);
 
   /// Sets the upcall invoked when `id` receives a packet.
-  [[nodiscard]] Status SetReceiver(NodeId id, ReceiveHandler handler);
+  Status SetReceiver(NodeId id, ReceiveHandler handler);
 
   /// Marks a node on/off-line. Offline nodes neither send nor receive
   /// (the paper's issuer "goes off-line" after seeding the ad, and the
   /// fault layer's churn duty-cycles peers through here).
-  [[nodiscard]] Status SetOnline(NodeId id, bool online);
+  Status SetOnline(NodeId id, bool online);
 
   /// True iff the node exists and is online.
   bool IsOnline(NodeId id) const;
@@ -163,7 +163,7 @@ class Medium {
   /// actually transmits; a frame that exhausts its MAC retries is counted
   /// in dropped_mac_busy instead). Returns FailedPrecondition if the
   /// sender is offline, NotFound if it was never added.
-  [[nodiscard]] Status Broadcast(NodeId from, const Packet& packet);
+  Status Broadcast(NodeId from, const Packet& packet);
 
   /// Current position of a node (exact, from its mobility model).
   Vec2 PositionOf(NodeId id) const;

@@ -62,7 +62,7 @@ class Session {
   ///   - metrics_path: {"manifest":…,"phases":…,"counters":…,…};
   ///   - trace_path + ".manifest.json" when only a trace was requested.
   /// Returns the first I/O error, if any.
-  [[nodiscard]] Status Flush(const Manifest& manifest);
+  Status Flush(const Manifest& manifest);
 
   /// Number of runs collected so far.
   size_t run_count() const;

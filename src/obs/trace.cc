@@ -28,7 +28,7 @@ const char* TraceCategoryName(uint32_t category) {
   return "?";
 }
 
-[[nodiscard]] StatusOr<uint32_t> ParseTraceCategories(const std::string& csv) {
+StatusOr<uint32_t> ParseTraceCategories(const std::string& csv) {
   uint32_t mask = 0;
   std::string name;
   for (size_t i = 0; i <= csv.size(); ++i) {

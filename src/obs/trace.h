@@ -86,7 +86,7 @@ const char* TraceCategoryName(uint32_t category);
 
 /// Parses a comma-separated category list ("tx,rx", "all", "none") into a
 /// bitmask. InvalidArgument on unknown names.
-[[nodiscard]] StatusOr<uint32_t> ParseTraceCategories(const std::string& csv);
+StatusOr<uint32_t> ParseTraceCategories(const std::string& csv);
 
 /// What a Trace records and how aggressively it samples.
 struct TraceOptions {

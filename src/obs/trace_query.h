@@ -90,11 +90,11 @@ class DisseminationForest {
   /// redundancy; "deliver" records grow a tree and are validated against
   /// the invariants in the file comment. Other categories are ignored.
   /// On error the record is not applied.
-  [[nodiscard]] Status Add(const TraceEvent& event);
+  Status Add(const TraceEvent& event);
 
   /// Reads a whole JSONL trace file through Add. Errors carry line
   /// numbers.
-  [[nodiscard]] Status AddFile(const std::string& path);
+  Status AddFile(const std::string& path);
 
   const std::vector<RunForest>& runs() const { return runs_; }
 

@@ -65,14 +65,14 @@ struct Cursor {
   }
 };
 
-[[nodiscard]] Status Malformed(std::string_view line) {
+Status Malformed(std::string_view line) {
   return Status::InvalidArgument("malformed trace line: " +
                                  std::string(line.substr(0, 120)));
 }
 
 }  // namespace
 
-[[nodiscard]] Status ParseTraceLine(std::string_view line, TraceEvent* event) {
+Status ParseTraceLine(std::string_view line, TraceEvent* event) {
   *event = TraceEvent{};
   // Strip a trailing CR/LF so callers can pass raw getline output.
   while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {

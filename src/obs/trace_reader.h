@@ -41,7 +41,7 @@ struct TraceEvent {
 
 /// Parses one JSONL line into `*event` (reset first). Returns
 /// InvalidArgument on malformed input or an unknown "cat" value.
-[[nodiscard]] Status ParseTraceLine(std::string_view line, TraceEvent* event);
+Status ParseTraceLine(std::string_view line, TraceEvent* event);
 
 }  // namespace madnet::obs
 

@@ -43,14 +43,13 @@ std::string Num(double v) {
 /// "key 'peers' = 0: <requirement>" — the uniform shape of every
 /// validation diagnostic, so a bad config file tells the user which key to
 /// edit, what it held, and what would be accepted.
-[[nodiscard]] Status BadKey(const char* key, const std::string& value,
-                            const std::string& requirement) {
+Status BadKey(const char* key, const std::string& value,
+              const std::string& requirement) {
   return Status::InvalidArgument("key '" + std::string(key) + "' = " + value +
                                  ": " + requirement);
 }
 
-[[nodiscard]] Status BadKey(const char* key, double value,
-                            const std::string& requirement) {
+Status BadKey(const char* key, double value, const std::string& requirement) {
   return BadKey(key, Num(value), requirement);
 }
 

@@ -13,7 +13,7 @@ namespace madnet::scenario {
 
 namespace {
 
-[[nodiscard]] Status ParseMethodName(const std::string& name, Method* out) {
+Status ParseMethodName(const std::string& name, Method* out) {
   if (name == "flooding") *out = Method::kFlooding;
   else if (name == "gossip") *out = Method::kGossip;
   else if (name == "optimized1") *out = Method::kOptimized1;
@@ -29,7 +29,7 @@ namespace {
   return Status::Ok();
 }
 
-[[nodiscard]] Status ParseMobilityName(const std::string& name, Mobility* out) {
+Status ParseMobilityName(const std::string& name, Mobility* out) {
   if (name == "waypoint") *out = Mobility::kRandomWaypoint;
   else if (name == "manhattan") *out = Mobility::kManhattanGrid;
   else if (name == "hotspot") *out = Mobility::kHotspot;
@@ -66,14 +66,12 @@ const char* MobilityToken(Mobility mobility) {
 
 /// Prefixes a parse failure with the key it belongs to, so "250m" in a
 /// config file reads as: key 'range': not a number: '250m'.
-[[nodiscard]] Status KeyedParseError(const std::string& key,
-                                     const Status& error) {
+Status KeyedParseError(const std::string& key, const Status& error) {
   return Status::InvalidArgument("key '" + key + "': " + error.message());
 }
 
 }  // namespace
 
-[[nodiscard]]
 Status ApplyConfigKey(const std::string& key, const std::string& value,
                       ScenarioConfig* config) {
   auto as_double = [&](double* field) -> Status {
@@ -225,7 +223,6 @@ Status ApplyConfigKey(const std::string& key, const std::string& value,
                                  "' (see docs/scenario_schema.md)");
 }
 
-[[nodiscard]]
 StatusOr<std::vector<ConfigEntry>> ReadConfigEntries(const std::string& path) {
   std::ifstream in(path);
   if (!in.good()) return Status::IoError("cannot open " + path);
@@ -256,7 +253,6 @@ StatusOr<std::vector<ConfigEntry>> ReadConfigEntries(const std::string& path) {
   return entries;
 }
 
-[[nodiscard]]
 Status LoadConfigFile(const std::string& path, ScenarioConfig* config) {
   auto entries = ReadConfigEntries(path);
   if (!entries.ok()) return entries.status();

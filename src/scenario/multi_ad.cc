@@ -28,10 +28,8 @@ std::string Num(double v) {
 // through ApplyMultiAdConfigKey, which hands single-ad keys on to
 // `config->base`. The file validates as multi-ad when `force_multi_ad` is
 // set or any of its keys IsMultiAdKey; `*is_multi_ad` says which.
-[[nodiscard]] Status LoadScenarioFile(const std::string& path,
-                                      bool force_multi_ad,
-                                      MultiAdConfig* config,
-                                      bool* is_multi_ad) {
+Status LoadScenarioFile(const std::string& path, bool force_multi_ad,
+                        MultiAdConfig* config, bool* is_multi_ad) {
   auto entries = ReadConfigEntries(path);
   if (!entries.ok()) return entries.status();
   *is_multi_ad = force_multi_ad ||
@@ -199,7 +197,6 @@ bool IsMultiAdKey(const std::string& key) {
          key == "border_margin" || key == "stalls" || key == "zipf";
 }
 
-[[nodiscard]]
 Status ApplyMultiAdConfigKey(const std::string& key, const std::string& value,
                              MultiAdConfig* config) {
   auto as_double = [&](double* field) -> Status {
@@ -255,13 +252,11 @@ std::string SaveMultiAdConfigText(const MultiAdConfig& config) {
   return out.str();
 }
 
-[[nodiscard]]
 Status LoadMultiAdConfigFile(const std::string& path, MultiAdConfig* config) {
   bool is_multi_ad = true;
   return LoadScenarioFile(path, /*force_multi_ad=*/true, config, &is_multi_ad);
 }
 
-[[nodiscard]]
 Status LoadScenarioFileAuto(const std::string& path, MultiAdConfig* out,
                             bool* is_multi_ad) {
   return LoadScenarioFile(path, /*force_multi_ad=*/false, out, is_multi_ad);

@@ -47,7 +47,7 @@ struct MultiAdConfig {
 
   /// Cross-field validation with key-named diagnostics, mirroring
   /// ScenarioConfig::Validate().
-  [[nodiscard]] Status Validate() const;
+  Status Validate() const;
 };
 
 /// Per-ad and aggregate results of a multi-ad run.
@@ -80,13 +80,11 @@ bool IsMultiAdKey(const std::string& key);
 
 /// Applies one assignment: multi-ad keys to `config`, everything else to
 /// `config->base` via ApplyConfigKey. Same fail-fast diagnostics.
-[[nodiscard]]
 Status ApplyMultiAdConfigKey(const std::string& key, const std::string& value,
                              MultiAdConfig* config);
 
 /// Loads a multi-ad config file on top of `*config`; validated before
 /// returning, like LoadConfigFile.
-[[nodiscard]]
 Status LoadMultiAdConfigFile(const std::string& path, MultiAdConfig* config);
 
 /// Serializes a multi-ad config (base keys + multi-ad keys); round-trips.
@@ -98,7 +96,6 @@ std::string SaveMultiAdConfigText(const MultiAdConfig& config);
 /// single-ad files). This is what `madnet_run --validate-only` and the
 /// corpus smoke tests call, so every file under scenarios/ goes through
 /// one sniffing contract.
-[[nodiscard]]
 Status LoadScenarioFileAuto(const std::string& path, MultiAdConfig* out,
                             bool* is_multi_ad);
 

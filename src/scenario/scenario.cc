@@ -179,11 +179,14 @@ Scenario::Scenario(Plan plan, obs::RunContext* obs)
   }
   // Nodes K..K+N-1: mobile peers.
   for (int i = 0; i < config_.num_peers; ++i) {
-    // Per-peer mobility streams draw from the reserved range
-    // [0x10000, 0x20000), disjoint from every other Fork range.
+    // Per-peer mobility streams fork label first_peer_mobility + i. These
+    // stay below the per-node protocol labels 0x20000 + id only for fewer
+    // than 65,536 peers; beyond that, single-ad peer i shares node
+    // (i - 65,535)'s protocol stream, as Fork is a pure function of
+    // (parent state, label). The fix changes streams: ROADMAP item 6.
     mobilities_.push_back(MakePeerMobility(
         config_,
-        // NOLINTNEXTLINE(madnet-rng-fork-label): reserved range 0x10000+i.
+        // NOLINTNEXTLINE(madnet-rng-fork-label): 0x10000+i, unique if N<65536.
         root.Fork(plan.streams.first_peer_mobility + i)));
   }
 
@@ -193,9 +196,9 @@ Scenario::Scenario(Plan plan, obs::RunContext* obs)
     (void)added;
   }
   for (net::NodeId id = 0; id < static_cast<net::NodeId>(node_count); ++id) {
-    // Per-node protocol streams draw from the reserved range
-    // [0x20000, 0x30000), disjoint from every other Fork range.
-    // NOLINTNEXTLINE(madnet-rng-fork-label): reserved range 0x20000+node.
+    // Per-node protocol streams fork label 0x20000 + id. They are distinct
+    // from the peer mobility labels only below 65,536 peers (see above).
+    // NOLINTNEXTLINE(madnet-rng-fork-label): 0x20000+node, unique if N<65536.
     protocols_.push_back(MakeProtocol(id, root.Fork(0x20000 + id)));
     protocols_.back()->Start();
   }

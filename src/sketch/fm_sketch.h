@@ -51,7 +51,7 @@ class FmSketch {
 
   /// Bitwise-OR merge; equals the sketch of the union of both input sets.
   /// Returns InvalidArgument if the lengths differ.
-  [[nodiscard]] Status Merge(const FmSketch& other);
+  Status Merge(const FmSketch& other);
 
   /// True iff no bit is set.
   bool Empty() const { return bits_ == 0; }
@@ -61,7 +61,6 @@ class FmSketch {
 
   /// Restores a sketch from its raw bitmap. Bits at positions >=
   /// `length_bits` must be zero (InvalidArgument otherwise).
-  [[nodiscard]]
   static StatusOr<FmSketch> FromBits(uint64_t bits, int length_bits);
 
   /// Number of bits in the bitmap.
@@ -102,7 +101,7 @@ class FmSketchArray {
 
   /// Bitwise-OR merge of two arrays built with identical Options.
   /// Returns InvalidArgument on shape or seed mismatch.
-  [[nodiscard]] Status Merge(const FmSketchArray& other);
+  Status Merge(const FmSketchArray& other);
 
   /// True iff no user has been added.
   bool Empty() const;
@@ -113,7 +112,7 @@ class FmSketchArray {
   /// Reconstructs an array from its options and raw bitmaps (one word per
   /// sketch, wire/persistence path). InvalidArgument if the count does not
   /// match options.num_sketches or any bitmap has bits beyond length_bits.
-  [[nodiscard]] static StatusOr<FmSketchArray> FromParts(
+  static StatusOr<FmSketchArray> FromParts(
       const Options& options, const std::vector<uint64_t>& bitmaps);
 
   /// The i-th sketch. Requires 0 <= i < options().num_sketches.

@@ -31,7 +31,7 @@ class TimeSeries {
 
   /// Appends a sample. Times must be non-decreasing (InvalidArgument
   /// otherwise).
-  [[nodiscard]] Status Add(Time time, double value);
+  Status Add(Time time, double value);
 
   /// Number of samples.
   size_t Size() const { return samples_.size(); }

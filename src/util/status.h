@@ -2,7 +2,8 @@
 //
 // A lightweight Status / StatusOr pair in the style of RocksDB and Abseil.
 // Fallible madnet APIs return Status (or StatusOr<T>) instead of throwing;
-// callers must inspect the result.
+// callers must inspect the result. Both classes are [[nodiscard]], so the
+// build (-Werror=unused-result) rejects a dropped error at any call site.
 
 #ifndef MADNET_UTIL_STATUS_H_
 #define MADNET_UTIL_STATUS_H_
@@ -16,7 +17,7 @@ namespace madnet {
 
 /// Result of a fallible operation: an error code plus a human-readable
 /// message. A default-constructed Status is OK.
-class Status {
+class [[nodiscard]] Status {
  public:
   /// Machine-readable category of the failure.
   enum class Code {
@@ -34,26 +35,26 @@ class Status {
   Status() : code_(Code::kOk) {}
 
   /// Named constructors, one per error category.
-  [[nodiscard]] static Status Ok() { return Status(); }
-  [[nodiscard]] static Status InvalidArgument(std::string msg) {
+  static Status Ok() { return Status(); }
+  static Status InvalidArgument(std::string msg) {
     return Status(Code::kInvalidArgument, std::move(msg));
   }
-  [[nodiscard]] static Status NotFound(std::string msg) {
+  static Status NotFound(std::string msg) {
     return Status(Code::kNotFound, std::move(msg));
   }
-  [[nodiscard]] static Status OutOfRange(std::string msg) {
+  static Status OutOfRange(std::string msg) {
     return Status(Code::kOutOfRange, std::move(msg));
   }
-  [[nodiscard]] static Status AlreadyExists(std::string msg) {
+  static Status AlreadyExists(std::string msg) {
     return Status(Code::kAlreadyExists, std::move(msg));
   }
-  [[nodiscard]] static Status FailedPrecondition(std::string msg) {
+  static Status FailedPrecondition(std::string msg) {
     return Status(Code::kFailedPrecondition, std::move(msg));
   }
-  [[nodiscard]] static Status IoError(std::string msg) {
+  static Status IoError(std::string msg) {
     return Status(Code::kIoError, std::move(msg));
   }
-  [[nodiscard]] static Status Internal(std::string msg) {
+  static Status Internal(std::string msg) {
     return Status(Code::kInternal, std::move(msg));
   }
 
@@ -100,7 +101,7 @@ class Status {
 /// Either a value of type T or an error Status. Accessing the value of an
 /// errored StatusOr is a programming error (asserts in debug builds).
 template <typename T>
-class StatusOr {
+class [[nodiscard]] StatusOr {
  public:
   /// Implicit construction from a value (success).
   StatusOr(T value) : status_(), value_(std::move(value)) {}  // NOLINT

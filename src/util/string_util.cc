@@ -46,7 +46,7 @@ bool StartsWith(std::string_view text, std::string_view prefix) {
          text.substr(0, prefix.size()) == prefix;
 }
 
-[[nodiscard]] StatusOr<double> ParseDouble(std::string_view text) {
+StatusOr<double> ParseDouble(std::string_view text) {
   if (text.empty()) return Status::InvalidArgument("empty number");
   std::string owned(text);
   errno = 0;
@@ -61,7 +61,7 @@ bool StartsWith(std::string_view text, std::string_view prefix) {
   return value;
 }
 
-[[nodiscard]] StatusOr<int64_t> ParseInt(std::string_view text) {
+StatusOr<int64_t> ParseInt(std::string_view text) {
   if (text.empty()) return Status::InvalidArgument("empty integer");
   std::string owned(text);
   errno = 0;
@@ -76,7 +76,7 @@ bool StartsWith(std::string_view text, std::string_view prefix) {
   return static_cast<int64_t>(value);
 }
 
-[[nodiscard]] StatusOr<bool> ParseBool(std::string_view text) {
+StatusOr<bool> ParseBool(std::string_view text) {
   if (text == "true" || text == "1" || text == "yes" || text == "on") {
     return true;
   }

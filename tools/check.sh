@@ -2,20 +2,10 @@
 # One-stop local gate: madnet_lint + clang-tidy (when installed) + tier-1
 # tests. Mirrors what CI runs, so a clean check.sh means a green PR.
 #
-# Usage: tools/check.sh [--changed-only] [build-dir]   (default: build)
-#
-# --changed-only passes through to madnet_lint: only files in
-# `git diff --name-only origin/main...` are reported (the whole tree is
-# still indexed for cross-file context), keeping the lint step fast as the
-# repo grows.
+# Usage: tools/check.sh [build-dir]   (default: build)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-LINT_ARGS=()
-if [[ "${1:-}" == "--changed-only" ]]; then
-  LINT_ARGS+=(--changed-only)
-  shift
-fi
 BUILD_DIR="${1:-build}"
 
 echo "== configure (${BUILD_DIR}) =="
@@ -28,7 +18,7 @@ echo "== doc links =="
 ./tools/check_doc_links.sh
 
 echo "== madnet_lint =="
-"./${BUILD_DIR}/tools/madnet_lint" --root . ${LINT_ARGS[@]+"${LINT_ARGS[@]}"}
+"./${BUILD_DIR}/tools/madnet_lint" --root .
 
 if command -v run-clang-tidy >/dev/null 2>&1 && \
    command -v clang-tidy >/dev/null 2>&1; then

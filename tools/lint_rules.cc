@@ -16,6 +16,59 @@ namespace madnet::lint {
 namespace {
 
 // ---------------------------------------------------------------------------
+// The rule table: one row per rule, X(enumerator, id, one-line summary). The
+// Rule enum and kRuleTable both expand from it, so checks name a rule by
+// enumerator (a misspelt one does not compile) and no id is listed twice.
+#define MADNET_LINT_RULES(X)                                                   \
+  X(kRand, "madnet-rand",                                                      \
+    "rand/srand, std::random_device, unseeded mt19937")                        \
+  X(kWallclock, "madnet-wallclock",                                            \
+    "time()/gettimeofday; in src/ also system_clock etc.")                     \
+  X(kStderr, "madnet-stderr",                                                  \
+    "direct stderr writes outside util/logging, tools/")                       \
+  X(kUnorderedIteration, "madnet-unordered-iteration",                         \
+    "range-for over an unordered container in src/")                           \
+  X(kRawNew, "madnet-raw-new", "raw new or delete")                            \
+  X(kHotAlloc, "madnet-hot-alloc", "heap allocation in a MADNET_HOT function") \
+  X(kHotTransitiveAlloc, "madnet-hot-transitive-alloc",                        \
+    "allocation in code a MADNET_HOT function calls")                          \
+  X(kLayering, "madnet-layering",                                              \
+    "src/ include that breaks the module layer DAG")                           \
+  X(kRngForkLabel, "madnet-rng-fork-label",                                    \
+    "Rng::Fork label that is non-literal or reused")                           \
+  X(kNolint, "madnet-nolint", "NOLINT without a justification or a known rule")
+
+enum class Rule : unsigned char {
+#define MADNET_LINT_ENUMERATOR(enumerator, id, summary) enumerator,
+  MADNET_LINT_RULES(MADNET_LINT_ENUMERATOR)
+#undef MADNET_LINT_ENUMERATOR
+};
+
+struct RuleRow {
+  const char* name;
+  const char* summary;
+};
+
+constexpr RuleRow kRuleTable[] = {
+#define MADNET_LINT_ROW(enumerator, id, summary) {id, summary},
+    MADNET_LINT_RULES(MADNET_LINT_ROW)
+#undef MADNET_LINT_ROW
+};
+
+bool IsKnownRule(const std::string& name) {
+  for (const RuleRow& row : kRuleTable) {
+    if (name == row.name) return true;
+  }
+  return false;
+}
+
+Diagnostic MakeDiagnostic(const std::string& file, int line, Rule rule,
+                          std::string message) {
+  return {file, line, kRuleTable[static_cast<size_t>(rule)].name,
+          std::move(message)};
+}
+
+// ---------------------------------------------------------------------------
 // Source preprocessing.
 
 std::vector<std::string> SplitLines(const std::string& text) {
@@ -170,34 +223,14 @@ std::string KeepOnly(const std::string& content,
   return out;
 }
 
-}  // namespace
-
-std::string StripCommentsAndStrings(const std::string& content) {
-  return KeepOnly(content, ClassifyChars(content), CharClass::kCode);
-}
-
-namespace {
-
-// The comment-only view: NOLINT directives are only honoured (and only
-// policed) inside comments, so a string literal mentioning NOLINT — e.g.
-// in this linter's own sources — is not a directive.
-std::string ExtractComments(const std::string& content) {
-  return KeepOnly(content, ClassifyChars(content), CharClass::kComment);
-}
-
 // ---------------------------------------------------------------------------
 // Suppressions.
 
 struct Suppressions {
-  // line (1-based) -> rules silenced on that line.
+  // line (1-based) -> madnet rule ids silenced on that line.
   std::map<int, std::set<std::string>> by_line;
   std::vector<Diagnostic> diagnostics;  // Malformed NOLINTs.
 };
-
-bool IsKnownRule(const std::string& rule) {
-  const auto& names = RuleNames();
-  return std::find(names.begin(), names.end(), rule) != names.end();
-}
 
 // Recognizes NOLINT(rule[,rule...]): justification  and the NEXTLINE form.
 // `comment_lines` is the comment-only view of the file.
@@ -218,9 +251,9 @@ Suppressions CollectSuppressions(const std::string& path,
     if (!has_colon || justification.find_first_not_of(" \t") ==
                           std::string::npos) {
       result.diagnostics.push_back(
-          {path, line, "madnet-nolint",
-           "NOLINT requires a justification: "
-           "// NOLINT(madnet-<rule>): <why this is safe>"});
+          MakeDiagnostic(path, line, Rule::kNolint,
+                         "NOLINT requires a justification: "
+                         "// NOLINT(madnet-<rule>): <why this is safe>"));
       continue;
     }
     const int target = next_line ? line + 1 : line;
@@ -233,8 +266,8 @@ Suppressions CollectSuppressions(const std::string& path,
       rule = rule.substr(begin, end - begin + 1);
       if (StartsWith(rule, "madnet-") && !IsKnownRule(rule)) {
         result.diagnostics.push_back(
-            {path, line, "madnet-nolint",
-             "unknown lint rule '" + rule + "' in NOLINT"});
+            MakeDiagnostic(path, line, Rule::kNolint,
+                           "unknown lint rule '" + rule + "' in NOLINT"));
         continue;
       }
       result.by_line[target].insert(rule);
@@ -260,14 +293,19 @@ struct FileScan {
   Suppressions suppressions;
 };
 
+// Lexes `content` once and derives both views from that classification.
+// NOLINT directives are only honoured (and only policed) in the
+// comment-only view, so a string literal mentioning NOLINT (e.g. in this
+// linter's own sources) is not a directive.
 FileScan ScanFile(const std::string& path, const std::string& content) {
+  const std::vector<CharClass> classes = ClassifyChars(content);
   FileScan scan;
   scan.path = path;
   scan.raw_lines = SplitLines(content);
-  scan.code_lines = SplitLines(StripCommentsAndStrings(content));
+  scan.code_lines = SplitLines(KeepOnly(content, classes, CharClass::kCode));
   scan.code_lines.resize(scan.raw_lines.size());
-  scan.suppressions =
-      CollectSuppressions(path, SplitLines(ExtractComments(content)));
+  scan.suppressions = CollectSuppressions(
+      path, SplitLines(KeepOnly(content, classes, CharClass::kComment)));
   return scan;
 }
 
@@ -278,82 +316,64 @@ bool InDirectory(const std::string& path, const std::string& dir) {
 // ---------------------------------------------------------------------------
 // Simple line-regex rules.
 
+// One regex row of a rule. A rule may own several rows (madnet-wallclock
+// bans some calls everywhere and others only in src/).
 struct LineRule {
-  const char* rule;
+  Rule rule;
   std::regex pattern;
   const char* message;
-  // Empty = applies everywhere; otherwise the path must be under one of
-  // these directory prefixes.
-  std::vector<std::string> only_under;
+  bool src_only;  // Applies only under src/.
   // Paths containing any of these substrings are exempt.
   std::vector<std::string> allowlist;
 };
 
+constexpr const char* kWallclockMessage =
+    "wall-clock time makes runs irreproducible; simulation code must use "
+    "sim::Simulator::Now() (std::chrono::steady_clock is allowed outside "
+    "src/ for benchmark timing only)";
+
 const std::vector<LineRule>& LineRules() {
   static const std::vector<LineRule> rules{
-      {"madnet-rand",
-       std::regex("\\bstd\\s*::\\s*rand\\b|\\bsrand\\s*\\("),
-       "std::rand/srand is a hidden global RNG; draw from a seeded "
-       "madnet::Rng (util/random.h) instead",
-       {},
-       {}},
-      {"madnet-wallclock",
-       std::regex("\\btime\\s*\\(\\s*(nullptr|NULL|0)\\s*\\)|"
-                  "\\bgettimeofday\\s*\\(|\\blocaltime\\s*\\(|"
-                  "\\bgmtime\\s*\\(|\\bsystem_clock\\b"),
-       "wall-clock time makes runs irreproducible; simulation code must "
-       "use sim::Simulator::Now() (std::chrono::steady_clock is allowed "
-       "outside src/ for benchmark timing only)",
-       {"src/"},
-       {}},
-      {"madnet-random-device",
-       std::regex("\\bstd\\s*::\\s*random_device\\b"),
-       "std::random_device is nondeterministic entropy; seed a "
-       "madnet::Rng explicitly so the run is reproducible",
-       {},
-       {"src/util/random"}},
-      {"madnet-unseeded-mt19937",
-       std::regex("\\bstd\\s*::\\s*mt19937(_64)?\\s+\\w+\\s*(;|\\{\\s*\\}|"
+      // util/random owns madnet::Rng, the one source of randomness.
+      {Rule::kRand,
+       std::regex("\\bstd\\s*::\\s*rand\\b|\\bsrand\\s*\\(|"
+                  "\\bstd\\s*::\\s*random_device\\b|"
+                  "\\bstd\\s*::\\s*mt19937(_64)?\\s+\\w+\\s*(;|\\{\\s*\\}|"
                   "\\(\\s*\\))|\\bstd\\s*::\\s*mt19937(_64)?\\s*(\\{\\s*\\}|"
                   "\\(\\s*\\))"),
-       "default-constructed std::mt19937 uses a fixed-but-implicit seed; "
-       "prefer madnet::Rng(seed), or pass the seed explicitly",
-       {},
+       "randomness must come from a seeded madnet::Rng (util/random.h): "
+       "std::rand/srand are hidden global state, std::random_device is "
+       "nondeterministic entropy, and a default-constructed std::mt19937 "
+       "hides its seed",
+       /*src_only=*/false,
+       {"src/util/random"}},
+      {Rule::kWallclock,
+       std::regex("\\btime\\s*\\(\\s*(nullptr|NULL|0)\\s*\\)|"
+                  "\\bgettimeofday\\s*\\("),
+       kWallclockMessage,
+       /*src_only=*/false,
        {}},
-      {"madnet-stderr",
+      {Rule::kWallclock,
+       std::regex("\\blocaltime\\s*\\(|\\bgmtime\\s*\\(|\\bsystem_clock\\b"),
+       kWallclockMessage,
+       /*src_only=*/true,
+       {}},
+      {Rule::kStderr,
        std::regex("\\bfprintf\\s*\\(\\s*stderr\\b|"
                   "\\bfputs\\s*\\([^)]*,\\s*stderr\\s*\\)"),
        "direct stderr writes bypass the locked Logger (records can shear "
        "under parallel sweeps and lose the sim-time prefix); use "
        "MADNET_LOG_ERROR/WARN from util/logging.h",
-       {},
+       /*src_only=*/false,
        {"util/logging", "tools/"}},
   };
   return rules;
 }
 
-// madnet-wallclock additionally bans time()/gettimeofday everywhere (not
-// just src/): benchmarks must use steady_clock, never the wall clock.
-const std::regex& WallclockEverywhereRe() {
-  static const std::regex re(
-      "\\btime\\s*\\(\\s*(nullptr|NULL|0)\\s*\\)|\\bgettimeofday\\s*\\(");
-  return re;
-}
-
 // ---------------------------------------------------------------------------
 // madnet-raw-new.
 
-// Files allowed to use raw new/delete (custom allocators, arenas). Matched
-// as path substrings; currently empty on purpose — widen only with care.
-const std::vector<std::string>& RawNewAllowlist() {
-  static const std::vector<std::string> allow{};
-  return allow;
-}
-
 void CheckRawNew(const FileScan& scan, std::vector<Diagnostic>* out) {
-  for (const std::string& allowed : RawNewAllowlist()) {
-    if (Contains(scan.path, allowed)) return;
-  }
   static const std::regex kNewAnyRe("\\bnew\\b");
   static const std::regex kDeleteRe("\\bdelete\\b(\\s*\\[\\s*\\])?");
   static const std::regex kDeletedFnRe("=\\s*delete\\b");
@@ -363,49 +383,19 @@ void CheckRawNew(const FileScan& scan, std::vector<Diagnostic>* out) {
     const int lineno = static_cast<int>(idx) + 1;
     if (std::regex_search(line, kNewAnyRe) &&
         !std::regex_search(line, kOperatorRe)) {
-      if (!Suppressed(scan.suppressions, lineno, "madnet-raw-new")) {
-        out->push_back({scan.path, lineno, "madnet-raw-new",
-                        "raw 'new': use std::make_unique/std::make_shared "
-                        "or a container"});
-      }
+      out->push_back(MakeDiagnostic(
+          scan.path, lineno, Rule::kRawNew,
+          "raw 'new': use std::make_unique/std::make_shared or a "
+          "container"));
     }
     if (std::regex_search(line, kDeleteRe) &&
         !std::regex_search(line, kDeletedFnRe) &&
         !std::regex_search(line, kOperatorRe)) {
-      if (!Suppressed(scan.suppressions, lineno, "madnet-raw-new")) {
-        out->push_back({scan.path, lineno, "madnet-raw-new",
-                        "raw 'delete': ownership belongs in a smart "
-                        "pointer or container"});
-      }
+      out->push_back(MakeDiagnostic(
+          scan.path, lineno, Rule::kRawNew,
+          "raw 'delete': ownership belongs in a smart pointer or "
+          "container"));
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// madnet-nodiscard-status.
-
-void CheckNodiscardStatus(const FileScan& scan, std::vector<Diagnostic>* out) {
-  // A declaration line: optional specifiers, then Status/StatusOr<...> as
-  // the return type, then an unqualified function name and '('. Qualified
-  // names (out-of-line definitions, e.g. `Status Medium::AddNode(`) do not
-  // match because '::' intervenes before '('.
-  static const std::regex kDeclRe(
-      "^\\s*((virtual|static|inline|explicit|constexpr|friend)\\s+)*"
-      "(madnet\\s*::\\s*)?(Status|StatusOr\\s*<[^;(]*>)\\s+"
-      "([A-Za-z_][A-Za-z0-9_]*)\\s*\\(");
-  for (size_t idx = 0; idx < scan.code_lines.size(); ++idx) {
-    const std::string& line = scan.code_lines[idx];
-    if (!std::regex_search(line, kDeclRe)) continue;
-    const int lineno = static_cast<int>(idx) + 1;
-    if (Contains(line, "nodiscard")) continue;
-    // The attribute is commonly on the preceding line.
-    if (idx > 0 && Contains(scan.code_lines[idx - 1], "nodiscard")) continue;
-    if (Suppressed(scan.suppressions, lineno, "madnet-nodiscard-status")) {
-      continue;
-    }
-    out->push_back({scan.path, lineno, "madnet-nodiscard-status",
-                    "Status-returning declaration must be [[nodiscard]] so "
-                    "errors cannot be silently dropped"});
   }
 }
 
@@ -465,17 +455,13 @@ void CheckUnorderedIteration(const FileScan& scan,
       }
     }
     if (offender.empty()) continue;
-    const int lineno = static_cast<int>(idx) + 1;
-    if (Suppressed(scan.suppressions, lineno, "madnet-unordered-iteration")) {
-      continue;
-    }
-    out->push_back(
-        {scan.path, lineno, "madnet-unordered-iteration",
-         "iteration over " + offender +
-             ": hash order is not deterministic across platforms or "
-             "library versions; use std::map/std::set, sort first, or "
-             "NOLINT with a justification that the fold is "
-             "order-independent"});
+    out->push_back(MakeDiagnostic(
+        scan.path, static_cast<int>(idx) + 1, Rule::kUnorderedIteration,
+        "iteration over " + offender +
+            ": hash order is not deterministic across platforms or "
+            "library versions; use std::map/std::set, sort first, or "
+            "NOLINT with a justification that the fold is "
+            "order-independent"));
   }
 }
 
@@ -507,39 +493,15 @@ bool IsReusedBufferName(const std::string& name) {
   return false;
 }
 
-// Marks every line that lies inside a MADNET_HOT function body: from the
-// `// MADNET_HOT` marker line, the body spans the first '{' on a following
-// (or the marker's own) code line through its matching '}'.
-std::vector<bool> HotRegionLines(const FileScan& scan) {
-  std::vector<bool> hot(scan.code_lines.size(), false);
-  static const std::regex kMarkerRe("//\\s*MADNET_HOT\\b");
-  size_t idx = 0;
-  while (idx < scan.raw_lines.size()) {
-    if (!std::regex_search(scan.raw_lines[idx], kMarkerRe)) {
-      ++idx;
-      continue;
+// Marks the lines of `file`'s MADNET_HOT function bodies, as the project
+// model found them: from the opening '{' through its matching '}'.
+std::vector<bool> HotLines(const ModelFile& file, size_t line_count) {
+  std::vector<bool> hot(line_count, false);
+  for (const FunctionSpan& fn : file.functions) {
+    if (!fn.hot) continue;
+    for (int line = fn.body_begin; line <= fn.body_end; ++line) {
+      hot[static_cast<size_t>(line) - 1] = true;
     }
-    // Find the opening brace, then track depth on the code-only view.
-    int depth = 0;
-    bool opened = false;
-    size_t body = idx + 1;
-    for (; body < scan.code_lines.size(); ++body) {
-      for (char c : scan.code_lines[body]) {
-        if (c == '{') {
-          ++depth;
-          opened = true;
-        } else if (c == '}') {
-          --depth;
-        }
-      }
-      if (opened) hot[body] = true;
-      if (opened && depth <= 0) break;
-      // A declaration (prototype ending in ';' before any '{') has no
-      // body; stop scanning so the marker cannot swallow the rest of the
-      // file.
-      if (!opened && Contains(scan.code_lines[body], ";")) break;
-    }
-    idx = body + 1;
   }
   return hot;
 }
@@ -577,17 +539,17 @@ bool LineHasHotAllocViolation(const std::string& line) {
   return false;
 }
 
-void CheckHotAlloc(const FileScan& scan, std::vector<Diagnostic>* out) {
-  const std::vector<bool> hot = HotRegionLines(scan);
+void CheckHotAlloc(const ModelFile& file, const FileScan& scan,
+                   std::vector<Diagnostic>* out) {
+  const std::vector<bool> hot = HotLines(file, scan.code_lines.size());
   for (size_t idx = 0; idx < scan.code_lines.size(); ++idx) {
-    if (!hot[idx]) continue;
-    const int lineno = static_cast<int>(idx) + 1;
-    if (!LineHasHotAllocViolation(scan.code_lines[idx])) continue;
-    if (Suppressed(scan.suppressions, lineno, "madnet-hot-alloc")) continue;
-    out->push_back(
-        {scan.path, lineno, "madnet-hot-alloc",
-         "allocation in a MADNET_HOT function: reuse a scratch/arena "
-         "buffer, or NOLINT with a justification if growth is amortized"});
+    if (!hot[idx] || !LineHasHotAllocViolation(scan.code_lines[idx])) {
+      continue;
+    }
+    out->push_back(MakeDiagnostic(
+        scan.path, static_cast<int>(idx) + 1, Rule::kHotAlloc,
+        "allocation in a MADNET_HOT function: reuse a scratch/arena "
+        "buffer, or NOLINT with a justification if growth is amortized"));
   }
 }
 
@@ -628,55 +590,38 @@ const char* kLayerDagText =
     "util -> {sketch,obs} -> {core,mobility,net,sim} -> "
     "{fault,stats,scenario} -> exec";
 
-// Looks up the scan of `path` (for suppression checks on diagnostics the
-// project rules attribute to arbitrary files).
-const FileScan* ScanOf(const std::vector<FileScan>& scans,
-                       const std::string& path) {
-  for (const FileScan& scan : scans) {
-    if (scan.path == path) return &scan;
-  }
-  return nullptr;
-}
-
-void CheckLayering(const ProjectModel& model,
-                   const std::vector<FileScan>& scans,
-                   std::vector<Diagnostic>* out) {
+void CheckLayering(const ProjectModel& model, std::vector<Diagnostic>* out) {
   // Edge direction checks, file by file.
   for (const ModelFile& file : model.files()) {
     if (!file.in_src) continue;
-    const FileScan* scan = ScanOf(scans, file.path);
     const int source_rank = LayerRankOf(file.module);
     if (source_rank < 0) {
-      out->push_back(
-          {file.path, 1, "madnet-layering",
-           "module 'src/" + file.module +
-               "' is not in the layer table; add it to LayerTable() in "
-               "tools/lint_rules.cc and to docs/STATIC_ANALYSIS.md"});
+      out->push_back(MakeDiagnostic(
+          file.path, 1, Rule::kLayering,
+          "module 'src/" + file.module +
+              "' is not in the layer table; add it to LayerTable() in "
+              "tools/lint_rules.cc and to docs/STATIC_ANALYSIS.md"));
       continue;
     }
     for (const IncludeSite& site : file.includes) {
       if (site.module.empty() || site.module == file.module) continue;
-      if (scan != nullptr &&
-          Suppressed(scan->suppressions, site.line, "madnet-layering")) {
-        continue;
-      }
       const int target_rank = LayerRankOf(site.module);
       if (target_rank < 0) {
-        out->push_back(
-            {file.path, site.line, "madnet-layering",
-             "include of '" + site.target + "': module '" + site.module +
-                 "' is not in the layer table; add it to LayerTable() in "
-                 "tools/lint_rules.cc"});
+        out->push_back(MakeDiagnostic(
+            file.path, site.line, Rule::kLayering,
+            "include of '" + site.target + "': module '" + site.module +
+                "' is not in the layer table; add it to LayerTable() in "
+                "tools/lint_rules.cc"));
         continue;
       }
       if (target_rank > source_rank) {
-        out->push_back(
-            {file.path, site.line, "madnet-layering",
-             "layer violation: src/" + file.module + " (layer " +
-                 std::to_string(source_rank) + ") may not include src/" +
-                 site.module + " (layer " + std::to_string(target_rank) +
-                 "); the dependency DAG is " + kLayerDagText +
-                 " (docs/STATIC_ANALYSIS.md)"});
+        out->push_back(MakeDiagnostic(
+            file.path, site.line, Rule::kLayering,
+            "layer violation: src/" + file.module + " (layer " +
+                std::to_string(source_rank) + ") may not include src/" +
+                site.module + " (layer " + std::to_string(target_rank) +
+                "); the dependency DAG is " + kLayerDagText +
+                " (docs/STATIC_ANALYSIS.md)"));
       }
     }
   }
@@ -721,15 +666,11 @@ void CheckLayering(const ProjectModel& model,
             site != model.module_edges().end() ? site->second.file : "";
         const int at_line =
             site != model.module_edges().end() ? site->second.line : 1;
-        const FileScan* scan = ScanOf(scans, at_file);
-        if (scan == nullptr ||
-            !Suppressed(scan->suppressions, at_line, "madnet-layering")) {
-          out->push_back(
-              {at_file, at_line, "madnet-layering",
-               "include cycle between src modules: " + cycle +
-                   "; break the cycle (dependency-invert or move the "
-                   "shared type down a layer)"});
-        }
+        out->push_back(MakeDiagnostic(
+            at_file, at_line, Rule::kLayering,
+            "include cycle between src modules: " + cycle +
+                "; break the cycle (dependency-invert or move the "
+                "shared type down a layer)"));
         continue;
       }
       if (color[target] == 0) {
@@ -752,30 +693,26 @@ void CheckHotTransitiveAlloc(const ProjectModel& model,
         model.files()[static_cast<size_t>(reachable.function.first)];
     const FunctionSpan& span =
         file.functions[static_cast<size_t>(reachable.function.second)];
-    const FileScan* scan = ScanOf(scans, file.path);
-    if (scan == nullptr) continue;
+    // The model holds the files in scan order.
+    const FileScan& scan = scans[static_cast<size_t>(reachable.function.first)];
     // Lines already inside a directly-marked MADNET_HOT body belong to
     // madnet-hot-alloc; this rule covers the unmarked remainder.
-    const std::vector<bool> directly_hot = HotRegionLines(*scan);
+    const std::vector<bool> directly_hot =
+        HotLines(file, scan.code_lines.size());
     for (int lineno = span.body_begin; lineno <= span.body_end; ++lineno) {
       const size_t idx = static_cast<size_t>(lineno) - 1;
-      if (idx >= scan->code_lines.size()) break;
       if (directly_hot[idx]) continue;
-      if (!LineHasHotAllocViolation(scan->code_lines[idx])) continue;
-      if (Suppressed(scan->suppressions, lineno,
-                     "madnet-hot-transitive-alloc")) {
-        continue;
-      }
+      if (!LineHasHotAllocViolation(scan.code_lines[idx])) continue;
       const std::string name =
           span.qualified.empty() ? span.name : span.qualified;
-      out->push_back(
-          {file.path, lineno, "madnet-hot-transitive-alloc",
-           "allocation in '" + name +
-               "', which is reachable from a MADNET_HOT function (" +
-               reachable.chain +
-               "): reuse a scratch/arena buffer, or NOLINT with a "
-               "justification (cold branch, amortized growth, or a "
-               "heuristic call-graph false positive)"});
+      out->push_back(MakeDiagnostic(
+          file.path, lineno, Rule::kHotTransitiveAlloc,
+          "allocation in '" + name +
+              "', which is reachable from a MADNET_HOT function (" +
+              reachable.chain +
+              "): reuse a scratch/arena buffer, or NOLINT with a "
+              "justification (cold branch, amortized growth, or a "
+              "heuristic call-graph false positive)"));
     }
   }
 }
@@ -795,7 +732,6 @@ std::string HexLabel(uint64_t value) {
 }
 
 void CheckRngForkLabel(const ProjectModel& model,
-                       const std::vector<FileScan>& scans,
                        std::vector<Diagnostic>* out) {
   struct Site {
     const ModelFile* file;
@@ -814,19 +750,14 @@ void CheckRngForkLabel(const ProjectModel& model,
     if (site.fork->literal) by_value[site.fork->value].push_back(&site);
   }
   for (const Site& site : sites) {
-    const FileScan* scan = ScanOf(scans, site.file->path);
-    if (scan != nullptr && Suppressed(scan->suppressions, site.fork->line,
-                                      "madnet-rng-fork-label")) {
-      continue;
-    }
     if (!site.fork->literal) {
-      out->push_back(
-          {site.file->path, site.fork->line, "madnet-rng-fork-label",
-           "Rng::Fork label '" + site.fork->argument +
-               "' is not a compile-time integer literal, so stream "
-               "identity cannot be audited project-wide; use a distinct "
-               "literal, or NOLINT with a justification naming the "
-               "disjoint label range a derived label draws from"});
+      out->push_back(MakeDiagnostic(
+          site.file->path, site.fork->line, Rule::kRngForkLabel,
+          "Rng::Fork label '" + site.fork->argument +
+              "' is not a compile-time integer literal, so stream "
+              "identity cannot be audited project-wide; use a distinct "
+              "literal, or NOLINT with a justification naming the "
+              "disjoint label range a derived label draws from"));
       continue;
     }
     const std::vector<const Site*>& peers = by_value[site.fork->value];
@@ -839,16 +770,15 @@ void CheckRngForkLabel(const ProjectModel& model,
           break;
         }
       }
-      out->push_back(
-          {site.file->path, site.fork->line, "madnet-rng-fork-label",
-           "duplicate Rng::Fork label " + HexLabel(site.fork->value) +
-               " (also used at " +
-               (other != nullptr
-                    ? other->file->path + ":" +
-                          std::to_string(other->fork->line)
-                    : "another site") +
-               "): identical labels fork *correlated* streams; every Fork "
-               "site needs a project-unique label"});
+      out->push_back(MakeDiagnostic(
+          site.file->path, site.fork->line, Rule::kRngForkLabel,
+          "duplicate Rng::Fork label " + HexLabel(site.fork->value) +
+              " (also used at " +
+              (other != nullptr ? other->file->path + ":" +
+                                      std::to_string(other->fork->line)
+                                : "another site") +
+              "): identical labels fork *correlated* streams; every Fork "
+              "site needs a project-unique label"));
     }
   }
 }
@@ -864,35 +794,25 @@ std::string ToString(const Diagnostic& diagnostic) {
 }
 
 const std::vector<std::string>& RuleNames() {
-  static const std::vector<std::string> names{
-      "madnet-rand",
-      "madnet-wallclock",
-      "madnet-random-device",
-      "madnet-unseeded-mt19937",
-      "madnet-stderr",
-      "madnet-unordered-iteration",
-      "madnet-raw-new",
-      "madnet-nodiscard-status",
-      "madnet-hot-alloc",
-      "madnet-hot-transitive-alloc",
-      "madnet-layering",
-      "madnet-rng-fork-label",
-      "madnet-nolint",
-  };
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
+    for (const RuleRow& row : kRuleTable) out.emplace_back(row.name);
+    return out;
+  }();
   return names;
+}
+
+std::string RuleSummary(const std::string& rule) {
+  for (const RuleRow& row : kRuleTable) {
+    if (rule == row.name) return row.summary;
+  }
+  return "";
 }
 
 void Linter::AddFile(std::string path, std::string content) {
   // Normalize Windows separators so directory scoping works uniformly.
   std::replace(path.begin(), path.end(), '\\', '/');
   files_.push_back(File{std::move(path), std::move(content)});
-}
-
-void Linter::SetActiveFiles(const std::vector<std::string>& paths) {
-  active_files_ = paths;
-  for (std::string& path : active_files_) {
-    std::replace(path.begin(), path.end(), '\\', '/');
-  }
 }
 
 std::vector<Diagnostic> Linter::Run() const {
@@ -914,63 +834,49 @@ std::vector<Diagnostic> Linter::Run() const {
   }
 
   // Pass 1b: the whole-project model (include graph, function spans, call
-  // graph, Fork sites). Always built from *every* added file so the
-  // project rules see full context even under --changed-only.
+  // graph, Fork sites).
   ProjectModel model;
   for (const FileScan& scan : scans) {
     model.AddFile(scan.path, scan.raw_lines, scan.code_lines);
   }
 
-  const auto active = [this](const std::string& path) {
-    if (active_files_.empty()) return true;
-    return std::find(active_files_.begin(), active_files_.end(), path) !=
-           active_files_.end();
-  };
-
   // Pass 2: all rules.
   std::vector<Diagnostic> diagnostics;
-  for (const FileScan& scan : scans) {
-    if (!active(scan.path)) continue;
-    for (const Diagnostic& diagnostic : scan.suppressions.diagnostics) {
-      diagnostics.push_back(diagnostic);
-    }
+  for (size_t i = 0; i < scans.size(); ++i) {
+    const FileScan& scan = scans[i];
     for (const LineRule& rule : LineRules()) {
-      bool in_scope = rule.only_under.empty();
-      for (const std::string& dir : rule.only_under) {
-        if (InDirectory(scan.path, dir)) in_scope = true;
-      }
-      bool allowed = false;
+      bool in_scope = !rule.src_only || InDirectory(scan.path, "src/");
       for (const std::string& exempt : rule.allowlist) {
-        if (Contains(scan.path, exempt)) allowed = true;
+        if (Contains(scan.path, exempt)) in_scope = false;
       }
-      if (allowed) continue;
+      if (!in_scope) continue;
       for (size_t idx = 0; idx < scan.code_lines.size(); ++idx) {
-        const std::string& line = scan.code_lines[idx];
-        const int lineno = static_cast<int>(idx) + 1;
-        const bool hit =
-            (in_scope && std::regex_search(line, rule.pattern)) ||
-            (!in_scope && std::string(rule.rule) == "madnet-wallclock" &&
-             std::regex_search(line, WallclockEverywhereRe()));
-        if (!hit) continue;
-        if (Suppressed(scan.suppressions, lineno, rule.rule)) continue;
-        diagnostics.push_back({scan.path, lineno, rule.rule, rule.message});
+        if (!std::regex_search(scan.code_lines[idx], rule.pattern)) continue;
+        diagnostics.push_back(MakeDiagnostic(
+            scan.path, static_cast<int>(idx) + 1, rule.rule, rule.message));
       }
     }
     CheckRawNew(scan, &diagnostics);
-    CheckNodiscardStatus(scan, &diagnostics);
-    CheckHotAlloc(scan, &diagnostics);
+    CheckHotAlloc(model.files()[i], scan, &diagnostics);
     CheckUnorderedIteration(scan, unordered_names, &diagnostics);
   }
+  CheckLayering(model, &diagnostics);
+  CheckHotTransitiveAlloc(model, scans, &diagnostics);
+  CheckRngForkLabel(model, &diagnostics);
 
-  // Project-model rules: run over everything, then filter to active files.
-  std::vector<Diagnostic> project_diagnostics;
-  CheckLayering(model, scans, &project_diagnostics);
-  CheckHotTransitiveAlloc(model, scans, &project_diagnostics);
-  CheckRngForkLabel(model, scans, &project_diagnostics);
-  for (Diagnostic& diagnostic : project_diagnostics) {
-    if (active(diagnostic.file)) {
-      diagnostics.push_back(std::move(diagnostic));
+  // Every rule's findings pass through the NOLINTs of the file they land
+  // in; malformed NOLINTs are reported as they are.
+  std::erase_if(diagnostics, [&scans](const Diagnostic& diagnostic) {
+    for (const FileScan& scan : scans) {
+      if (scan.path == diagnostic.file) {
+        return Suppressed(scan.suppressions, diagnostic.line, diagnostic.rule);
+      }
     }
+    return false;
+  });
+  for (const FileScan& scan : scans) {
+    diagnostics.insert(diagnostics.end(), scan.suppressions.diagnostics.begin(),
+                       scan.suppressions.diagnostics.end());
   }
 
   std::sort(diagnostics.begin(), diagnostics.end(),
@@ -980,6 +886,20 @@ std::vector<Diagnostic> Linter::Run() const {
               return a.rule < b.rule;
             });
   return diagnostics;
+}
+
+std::string StripCommentsAndStrings(const std::string& content) {
+  return KeepOnly(content, ClassifyChars(content), CharClass::kCode);
+}
+
+ProjectModel BuildProjectModel(
+    const std::vector<std::pair<std::string, std::string>>& path_content) {
+  ProjectModel model;
+  for (const auto& [path, content] : path_content) {
+    const FileScan scan = ScanFile(path, content);
+    model.AddFile(scan.path, scan.raw_lines, scan.code_lines);
+  }
+  return model;
 }
 
 std::vector<Diagnostic> LintFile(const std::string& path,

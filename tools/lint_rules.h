@@ -14,39 +14,9 @@
 // project-model rules (layering, transitive hot allocation, Fork-label
 // discipline) see the whole project.
 //
-// Rules (see docs/STATIC_ANALYSIS.md for the full policy):
-//   madnet-rand                 std::rand / srand anywhere.
-//   madnet-wallclock            time(nullptr), gettimeofday, localtime,
-//                               std::chrono::system_clock in src/.
-//   madnet-random-device        std::random_device outside src/util/random.
-//   madnet-unseeded-mt19937     default-constructed std::mt19937[_64].
-//   madnet-unordered-iteration  range-for over unordered containers
-//                               anywhere in src/.
-//   madnet-raw-new              raw new/delete outside allow-listed files.
-//   madnet-nodiscard-status     Status/StatusOr declaration without
-//                               [[nodiscard]].
-//   madnet-hot-alloc            heap allocation (new, make_shared/unique,
-//                               or container growth) inside a function
-//                               marked `// MADNET_HOT`, unless the
-//                               receiver is a reused scratch/arena/pool
-//                               buffer or an out-parameter.
-//   madnet-hot-transitive-alloc the same allocation check extended to
-//                               every src/ function *reachable* from a
-//                               MADNET_HOT function through the heuristic
-//                               call graph.
-//   madnet-layering             include edge between src/ modules that
-//                               climbs the declared layer DAG
-//                               (util -> {sketch,obs} ->
-//                               {core,mobility,net,sim} ->
-//                               {fault,stats,scenario} -> exec), targets a
-//                               module missing from the table, or closes
-//                               a module-level include cycle.
-//   madnet-rng-fork-label       Rng::Fork call whose label is not an
-//                               integer literal, or whose literal value is
-//                               reused by another Fork site in src/
-//                               (duplicate labels correlate streams).
-//   madnet-nolint               NOLINT without a justification, or naming
-//                               an unknown madnet rule.
+// The rules live in one table in lint_rules.cc; `madnet_lint --list-rules`
+// prints each id with its summary, and docs/STATIC_ANALYSIS.md explains the
+// policy behind each.
 //
 // Suppressions: `// NOLINT(madnet-<rule>): <justification>` silences the
 // named rule on that line; `// NOLINTNEXTLINE(madnet-<rule>): <...>` on the
@@ -56,9 +26,12 @@
 #define MADNET_TOOLS_LINT_RULES_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace madnet::lint {
+
+class ProjectModel;
 
 /// One rule violation at a source location.
 struct Diagnostic {
@@ -72,8 +45,11 @@ struct Diagnostic {
 /// editors and CI annotators parse).
 std::string ToString(const Diagnostic& diagnostic);
 
-/// Ids of every implemented rule.
+/// Ids of every implemented rule, in rule-table order.
 const std::vector<std::string>& RuleNames();
+
+/// The one-line summary of the rule named `rule`; empty for an unknown id.
+std::string RuleSummary(const std::string& rule);
 
 /// The cross-file rule engine. Add every file first, then Run(): the
 /// unordered-iteration rule needs the full file set to resolve container
@@ -85,14 +61,6 @@ class Linter {
   /// path-dependent rules (allowlists, directory scoping) key off it.
   void AddFile(std::string path, std::string content);
 
-  /// Restricts *reporting* to the given repo-relative paths (the
-  /// `--changed-only` mode). Every added file still feeds pass 1 — cross-
-  /// file name resolution, the include graph, and call-graph reachability
-  /// stay whole-project — but per-line rules skip unlisted files and
-  /// project-rule diagnostics landing in them are dropped. An empty list
-  /// restores full reporting.
-  void SetActiveFiles(const std::vector<std::string>& paths);
-
   /// Runs every rule over all added files. Diagnostics are sorted by
   /// (file, line, rule) so output is deterministic.
   std::vector<Diagnostic> Run() const;
@@ -103,7 +71,6 @@ class Linter {
     std::string content;
   };
   std::vector<File> files_;
-  std::vector<std::string> active_files_;  // Empty = report everything.
 };
 
 /// Convenience wrapper: lints one file in isolation (cross-file name
@@ -114,6 +81,11 @@ std::vector<Diagnostic> LintFile(const std::string& path,
 /// Blanks comments and string/character literals (including raw strings),
 /// preserving line structure. Exposed for tests.
 std::string StripCommentsAndStrings(const std::string& content);
+
+/// Builds the project model of (path, content) pairs from the same scans
+/// Linter::Run makes. Exposed for tests.
+ProjectModel BuildProjectModel(
+    const std::vector<std::pair<std::string, std::string>>& path_content);
 
 /// Renders diagnostics as a SARIF 2.1.0 log (one run, one result per
 /// diagnostic) so CI can annotate PR diffs. Deterministic: preserves the

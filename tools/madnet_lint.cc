@@ -2,26 +2,19 @@
 //
 // madnet_lint — the repo's determinism/correctness linter. Scans src/,
 // bench/, examples/, and tools/ for violations of the madnet lint rules
-// (see lint_rules.h and docs/STATIC_ANALYSIS.md) and exits nonzero if any
-// are found.
+// (`madnet_lint --list-rules` prints each rule id with a one-line summary;
+// docs/STATIC_ANALYSIS.md has the policy) and exits nonzero if any are
+// found.
 //
 // Usage:
-//   madnet_lint [--root <repo-root>] [--changed-only [--base <ref>]]
-//               [--sarif <out.sarif>] [file...]
+//   madnet_lint [--root <repo-root>] [--sarif <out.sarif>] [file...]
 //   madnet_lint --list-rules
 //
 // With no explicit files, lints every *.h / *.cc under the four standard
 // directories. Diagnostics are gcc-style "file:line: error: [rule] msg".
-//
-// --changed-only restricts *reporting* to files named by
-// `git diff --name-only <base>...` (default base origin/main, falling back
-// to main). The whole tree is still indexed — the layering, call-graph, and
-// Fork-label rules need full project context — so a changed file is still
-// checked against unchanged ones.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -57,60 +50,29 @@ bool ReadFile(const fs::path& path, std::string* out) {
   return true;
 }
 
-// Runs `git diff --name-only <base>...` in `root` and returns the listed
-// paths (repo-relative). Returns false if git or the base ref is
-// unavailable; callers then fall back to linting everything.
-bool ChangedFiles(const fs::path& root, const std::string& base,
-                  std::vector<std::string>* out) {
-  const std::string command = "git -C '" + root.string() +
-                              "' diff --name-only '" + base +
-                              "...' 2>/dev/null";
-  FILE* pipe = popen(command.c_str(), "r");
-  if (pipe == nullptr) return false;
-  std::string output;
-  char buffer[4096];
-  size_t n;
-  while ((n = fread(buffer, 1, sizeof(buffer), pipe)) > 0) {
-    output.append(buffer, n);
-  }
-  if (pclose(pipe) != 0) return false;
-  std::string line;
-  std::istringstream stream(output);
-  while (std::getline(stream, line)) {
-    if (!line.empty()) out->push_back(line);
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   fs::path root = ".";
   std::vector<fs::path> explicit_files;
-  bool changed_only = false;
-  std::string base;  // Empty = try origin/main, then main.
   std::string sarif_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--root" && i + 1 < argc) {
       root = argv[++i];
-    } else if (arg == "--changed-only") {
-      changed_only = true;
-    } else if (arg == "--base" && i + 1 < argc) {
-      base = argv[++i];
     } else if (arg == "--sarif" && i + 1 < argc) {
       sarif_path = argv[++i];
     } else if (arg == "--list-rules") {
       for (const std::string& name : madnet::lint::RuleNames()) {
-        std::printf("%s\n", name.c_str());
+        std::printf("%-28s %s\n", name.c_str(),
+                    madnet::lint::RuleSummary(name).c_str());
       }
       return 0;
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
-          "usage: madnet_lint [--root <repo-root>] [--changed-only "
-          "[--base <ref>]]\n"
-          "                   [--sarif <out.sarif>] [file...]\n"
-          "       madnet_lint --list-rules\n");
+          "usage: madnet_lint [--root <repo-root>] [--sarif <out.sarif>] "
+          "[file...]\n"
+          "       madnet_lint --list-rules   (rule ids and summaries)\n");
       return 0;
     } else {
       explicit_files.emplace_back(arg);
@@ -136,7 +98,6 @@ int main(int argc, char** argv) {
   std::sort(files.begin(), files.end());
 
   madnet::lint::Linter linter;
-  size_t scanned = 0;
   for (const fs::path& file : files) {
     std::string content;
     if (!ReadFile(file, &content)) {
@@ -145,43 +106,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     linter.AddFile(RelativePath(file, root), std::move(content));
-    ++scanned;
-  }
-
-  size_t active = scanned;
-  if (changed_only) {
-    std::vector<std::string> changed;
-    bool ok = false;
-    if (!base.empty()) {
-      ok = ChangedFiles(root, base, &changed);
-      if (!ok) {
-        std::fprintf(stderr, "madnet_lint: git diff against '%s' failed\n",
-                     base.c_str());
-        return 2;
-      }
-    } else {
-      ok = ChangedFiles(root, "origin/main", &changed) ||
-           ChangedFiles(root, "main", &changed);
-    }
-    if (ok) {
-      // Lintable paths only; everything else (docs, CMake) is noise here.
-      changed.erase(
-          std::remove_if(changed.begin(), changed.end(),
-                         [](const std::string& path) {
-                           return !HasLintableExtension(fs::path(path));
-                         }),
-          changed.end());
-      if (changed.empty()) {
-        // No changed sources: force an empty report rather than a full one.
-        changed.push_back("<none>");
-      }
-      linter.SetActiveFiles(changed);
-      active = changed.size();
-    } else {
-      std::fprintf(stderr,
-                   "madnet_lint: no origin/main or main to diff against; "
-                   "linting everything\n");
-    }
   }
 
   const std::vector<madnet::lint::Diagnostic> diagnostics = linter.Run();
@@ -199,14 +123,9 @@ int main(int argc, char** argv) {
   }
   if (!diagnostics.empty()) {
     std::printf("madnet_lint: %zu issue(s) in %zu file(s) scanned\n",
-                diagnostics.size(), scanned);
+                diagnostics.size(), files.size());
     return 1;
   }
-  if (changed_only && active < scanned) {
-    std::printf("madnet_lint: clean (%zu changed of %zu files scanned)\n",
-                active, scanned);
-  } else {
-    std::printf("madnet_lint: clean (%zu files scanned)\n", scanned);
-  }
+  std::printf("madnet_lint: clean (%zu files scanned)\n", files.size());
   return 0;
 }

@@ -31,7 +31,7 @@ using scenario::Method;
 using scenario::MethodName;
 using scenario::ScenarioConfig;
 
-[[nodiscard]] StatusOr<Method> ParseMethod(const std::string& name) {
+StatusOr<Method> ParseMethod(const std::string& name) {
   if (name == "flooding") return Method::kFlooding;
   if (name == "gossip") return Method::kGossip;
   if (name == "optimized1") return Method::kOptimized1;

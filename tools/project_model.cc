@@ -7,8 +7,6 @@
 #include <regex>
 #include <set>
 
-#include "lint_rules.h"
-
 namespace madnet::lint {
 namespace {
 
@@ -253,7 +251,6 @@ void ProjectModel::AddFile(const std::string& path,
           Frame frame;
           FunctionSpan span;
           if (paren_depth == 0 && HeaderIsFunction(header, &span)) {
-            span.header_line = static_cast<int>(li) + 1;
             span.body_begin = static_cast<int>(li) + 1;
             span.hot = pending_hot >= 0;
             pending_hot = -1;
@@ -384,35 +381,6 @@ ProjectModel::HotReachableFunctions() const {
     result.push_back(ReachableFunction{ref, path});
   }
   return result;
-}
-
-ProjectModel BuildProjectModel(
-    const std::vector<std::pair<std::string, std::string>>& path_content) {
-  ProjectModel model;
-  for (const auto& [path, content] : path_content) {
-    std::vector<std::string> raw;
-    std::vector<std::string> code;
-    std::string raw_line;
-    std::string code_line;
-    const std::string stripped = StripCommentsAndStrings(content);
-    for (size_t i = 0; i < content.size(); ++i) {
-      if (content[i] == '\n') {
-        raw.push_back(raw_line);
-        code.push_back(code_line);
-        raw_line.clear();
-        code_line.clear();
-      } else {
-        raw_line += content[i];
-        code_line += stripped[i];
-      }
-    }
-    if (!raw_line.empty()) {
-      raw.push_back(raw_line);
-      code.push_back(code_line);
-    }
-    model.AddFile(path, raw, code);
-  }
-  return model;
 }
 
 }  // namespace madnet::lint

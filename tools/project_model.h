@@ -42,7 +42,6 @@ struct IncludeSite {
 struct FunctionSpan {
   std::string name;       ///< Unqualified name, e.g. "Broadcast".
   std::string qualified;  ///< As written, e.g. "Medium::Broadcast".
-  int header_line = 0;    ///< Line holding the parameter-list '('.
   int body_begin = 0;     ///< Line of the opening '{'.
   int body_end = 0;       ///< Line of the matching '}'.
   bool hot = false;       ///< Preceded by a `// MADNET_HOT` marker.
@@ -124,11 +123,6 @@ class ProjectModel {
   // name -> definitions in src/ files, in insertion (file, fn) order.
   std::map<std::string, std::vector<FunctionRef>> functions_by_name_;
 };
-
-/// Convenience for tests: builds a model from (path, content) pairs,
-/// stripping comments/strings the same way the linter does.
-ProjectModel BuildProjectModel(
-    const std::vector<std::pair<std::string, std::string>>& path_content);
 
 }  // namespace madnet::lint
 
