@@ -319,21 +319,6 @@ std::vector<NodeId> Medium::NeighborsOf(const Vec2& center,
   return result;
 }
 
-void Medium::QueryNeighbors(const std::vector<RangeQuery>& queries,
-                            NeighborBatch* out) const {
-  out->offsets.clear();
-  out->ids.clear();
-  out->offsets.reserve(queries.size() + 1);
-  out->offsets.push_back(0);
-  stats_.batch_queries += queries.size();
-  for (const RangeQuery& query : queries) {
-    for (uint32_t index : NeighborIndicesOf(query.center, query.radius)) {
-      out->ids.push_back(ids_[index]);
-    }
-    out->offsets.push_back(static_cast<uint32_t>(out->ids.size()));
-  }
-}
-
 uint32_t Medium::AcquireFrame(const Packet& packet, NodeId from,
                               uint32_t from_index) {
   uint32_t slot;

@@ -66,10 +66,9 @@ struct MediumStats {
   // Neighbour-query instrumentation (medium.index_rebuilds and
   // medium.batch_* in the obs metrics output).
   uint64_t index_rebuilds = 0;    ///< Spatial grid builds (see RefreshIndex).
-  uint64_t batch_queries = 0;     ///< Queries answered via QueryNeighbors.
-  uint64_t batch_walk_reuse = 0;  ///< Always 0: batches no longer share
-                                  ///< bucket walks. Kept for readers of
-                                  ///< medium.batch_walk_reuse.
+  uint64_t batch_queries = 0;     ///< Always 0: nothing batches queries
+  uint64_t batch_walk_reuse = 0;  ///< any more. Both are kept for readers
+                                  ///< of medium.batch_queries/_walk_reuse.
   uint64_t batch_memo_hits = 0;   ///< Same-tick repeat queries served from
                                   ///< the neighbour memo.
   uint64_t arena_frames_peak = 0;  ///< Frame-arena in-flight high water.
@@ -122,23 +121,6 @@ class Medium {
   using BroadcastObserver =
       std::function<void(NodeId from, const Packet&, const Vec2& origin)>;
 
-  /// One range query in a QueryNeighbors batch.
-  struct RangeQuery {
-    Vec2 center;
-    double radius = 0.0;
-  };
-
-  /// Flat result set of a QueryNeighbors batch: query i's neighbours are
-  /// ids[offsets[i]] .. ids[offsets[i] + CountOf(i)), in input query
-  /// order.
-  struct NeighborBatch {
-    std::vector<uint32_t> offsets;  ///< queries.size() + 1 entries.
-    std::vector<NodeId> ids;        ///< Flat results, grouped per query.
-    size_t CountOf(size_t query) const {
-      return offsets[query + 1] - offsets[query];
-    }
-  };
-
   /// The medium schedules deliveries on `simulator` and draws jitter/loss
   /// from `rng`. Both must outlive the medium.
   Medium(const Options& options, Simulator* simulator, Rng rng);
@@ -175,12 +157,6 @@ class Medium {
   /// Allocates the result vector on every call: for external/test use
   /// only. Internal hot paths use the scratch-backed NeighborIndicesOf.
   std::vector<NodeId> NeighborsOf(const Vec2& center, double radius) const;
-
-  /// Answers each range query in turn, exactly as sequential NeighborsOf
-  /// calls at the same instant would. `out` is cleared and reused (its
-  /// capacity persists across batches).
-  void QueryNeighbors(const std::vector<RangeQuery>& queries,
-                      NeighborBatch* out) const;
 
   /// Installs (or clears, with nullptr) the per-broadcast observer.
   void SetBroadcastObserver(BroadcastObserver observer) {

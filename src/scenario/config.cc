@@ -2,43 +2,28 @@
 
 #include "scenario/config.h"
 
-#include <cmath>
-#include <cstdio>
 #include <string>
+
+#include "scenario/config_keys.h"
 
 namespace madnet::scenario {
 
 const char* MethodName(Method method) {
-  switch (method) {
-    case Method::kFlooding: return "Flooding";
-    case Method::kGossip: return "Gossiping";
-    case Method::kOptimized1: return "Optimized Gossiping-1";
-    case Method::kOptimized2: return "Optimized Gossiping-2";
-    case Method::kOptimized: return "Optimized Gossiping";
-    case Method::kResourceExchange: return "Resource Exchange";
-  }
-  return "?";
+  const EnumToken<Method>* entry = FindToken(method);
+  return entry == nullptr ? "?" : entry->name;
 }
 
 const char* MobilityName(Mobility mobility) {
-  switch (mobility) {
-    case Mobility::kRandomWaypoint: return "Random Waypoint";
-    case Mobility::kManhattanGrid: return "Manhattan Grid";
-    case Mobility::kHotspot: return "Hotspot Waypoint";
-    case Mobility::kHighway: return "Highway Strip";
-  }
-  return "?";
+  const EnumToken<Mobility>* entry = FindToken(mobility);
+  return entry == nullptr ? "?" : entry->name;
 }
 
 ScenarioConfig ScenarioConfig::PaperDefaults() { return ScenarioConfig(); }
 
 namespace {
 
-std::string Num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
+// "%g", as the value is saved.
+constexpr auto* Num = &FormatKeyValue<double>;
 
 /// "key 'peers' = 0: <requirement>" — the uniform shape of every
 /// validation diagnostic, so a bad config file tells the user which key to
@@ -56,38 +41,9 @@ Status BadKey(const char* key, double value, const std::string& requirement) {
 }  // namespace
 
 Status ScenarioConfig::Validate() const {
-  // Finiteness first: a NaN/inf compares false against every range below,
-  // so without this pass it could sail through checks written as
-  // rejections of the complement.
-  const struct { const char* key; double value; } numeric[] = {
-      {"area", area_size_m},
-      {"sim_time", sim_time_s},
-      {"issue_time", issue_time_s},
-      {"issue_x", issue_location.x},
-      {"issue_y", issue_location.y},
-      {"radius", initial_radius_m},
-      {"duration", initial_duration_s},
-      {"speed", mean_speed_mps},
-      {"speed_delta", speed_delta_mps},
-      {"pause_min", min_pause_s},
-      {"pause_max", max_pause_s},
-      {"manhattan_block", manhattan_block_m},
-      {"hotspot_p", hotspot_probability},
-      {"hotspot_sigma", hotspot_sigma_m},
-      {"round", gossip.round_time_s},
-      {"alpha", gossip.propagation.alpha},
-      {"beta", gossip.propagation.beta},
-      {"dis", gossip.dis_m},
-      {"range", medium.range_m},
-      {"max_speed", medium.max_speed_mps},
-      {"loss", medium.loss_probability},
-      {"fading", medium.fading_exponent},
-  };
-  for (const auto& field : numeric) {
-    if (!std::isfinite(field.value)) {
-      return BadKey(field.key, field.value, "must be a finite number");
-    }
-  }
+  // Finiteness of every number key first (see CheckFiniteRows).
+  Status finite = CheckFiniteRows(ScenarioConfigKeys(), *this);
+  if (!finite.ok()) return finite;
 
   if (area_size_m <= 0.0) {
     return BadKey("area", area_size_m,

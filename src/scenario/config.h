@@ -8,6 +8,7 @@
 #ifndef MADNET_SCENARIO_CONFIG_H_
 #define MADNET_SCENARIO_CONFIG_H_
 
+#include <span>
 #include <string>
 
 #include "core/interest.h"
@@ -33,6 +34,25 @@ enum class Method {
   kResourceExchange,
 };
 
+/// One value of a config enum: the token config files and madnet_run
+/// flags spell it with, and its display name for reports.
+template <typename E>
+struct EnumToken {
+  E value;
+  const char* token;
+  const char* name;
+};
+
+/// Every Method; display names as the paper's figure legends spell them.
+inline constexpr EnumToken<Method> kMethodTokens[] = {
+    {Method::kFlooding, "flooding", "Flooding"},
+    {Method::kGossip, "gossip", "Gossiping"},
+    {Method::kOptimized1, "optimized1", "Optimized Gossiping-1"},
+    {Method::kOptimized2, "optimized2", "Optimized Gossiping-2"},
+    {Method::kOptimized, "optimized", "Optimized Gossiping"},
+    {Method::kResourceExchange, "exchange", "Resource Exchange"},
+};
+
 /// Human-readable method name, as the paper's figure legends spell it.
 const char* MethodName(Method method);
 
@@ -50,8 +70,44 @@ enum class Mobility {
   kHighway,
 };
 
+/// Every Mobility model.
+inline constexpr EnumToken<Mobility> kMobilityTokens[] = {
+    {Mobility::kRandomWaypoint, "waypoint", "Random Waypoint"},
+    {Mobility::kManhattanGrid, "manhattan", "Manhattan Grid"},
+    {Mobility::kHotspot, "hotspot", "Hotspot Waypoint"},
+    {Mobility::kHighway, "highway", "Highway Strip"},
+};
+
 /// Human-readable mobility model name.
 const char* MobilityName(Mobility mobility);
+
+/// The token table of an enum, for code generic over the enum type.
+constexpr std::span<const EnumToken<Method>> TokensOf(Method) {
+  return kMethodTokens;
+}
+constexpr std::span<const EnumToken<Mobility>> TokensOf(Mobility) {
+  return kMobilityTokens;
+}
+
+/// The table row of `value`, or nullptr for a value outside the enum.
+template <typename E>
+const EnumToken<E>* FindToken(E value) {
+  for (const EnumToken<E>& entry : TokensOf(value)) {
+    if (entry.value == value) return &entry;
+  }
+  return nullptr;
+}
+
+/// The accepted tokens of an enum in table order: "waypoint|manhattan|...".
+template <typename E>
+std::string AcceptedTokens() {
+  std::string tokens;
+  for (const EnumToken<E>& entry : TokensOf(E{})) {
+    if (!tokens.empty()) tokens += '|';
+    tokens += entry.token;
+  }
+  return tokens;
+}
 
 /// Full description of one simulation run.
 struct ScenarioConfig {

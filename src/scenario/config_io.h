@@ -19,11 +19,15 @@
 // value or cross-field inconsistency is rejected with a diagnostic naming
 // the key, the offending value and the accepted range, *before* any
 // simulator state exists.
+//
+// Every key is one row of a key table (config_keys.h): ScenarioConfigKeys()
+// in config_io.cc, plus the multi-ad rows in multi_ad.cc.
 
 #ifndef MADNET_SCENARIO_CONFIG_IO_H_
 #define MADNET_SCENARIO_CONFIG_IO_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "scenario/config.h"
@@ -43,20 +47,13 @@ struct ConfigEntry {
 /// multi-ad loaders so both report identical "path:line:" diagnostics.
 StatusOr<std::vector<ConfigEntry>> ReadConfigEntries(const std::string& path);
 
-/// Applies one "key = value" assignment to `config`. Unknown keys and
-/// malformed values return InvalidArgument naming the key and the
-/// offending token. Keys match madnet_run's flag names (method, mobility,
-/// peers, area, issue_x, issue_y, radius, duration, sim_time, issue_time,
-/// speed, speed_delta, max_speed, pause_min, pause_max, manhattan_block,
-/// hotspot_p, hotspot_sigma, hotspot_extra, round, alpha, beta, dis,
-/// cache, range, loss, fading, collisions, csma, ranking, issuer_offline,
-/// tiles, seed) plus the fault plan (churn_rate, churn_up, churn_down,
-/// churn_crash, churn_start, loss_extra, loss_episode, loss_period,
-/// loss_start, outage_x0/y0/x1/y1, outage_start, outage_end — see
-/// docs/FAULTS.md). 'area' recenters issue_location; set issue_x/issue_y
-/// *after* area to place the issuer off-centre. 'speed'/'speed_delta'
-/// raise medium.max_speed_mps as needed so a fast scenario round-trips
-/// without an explicit 'max_speed'.
+/// Applies one "key = value" assignment to `config` through its row of
+/// ScenarioConfigKeys(). Unknown keys and malformed values return
+/// InvalidArgument naming the key and the offending token. 'area'
+/// recenters issue_location (set issue_x/issue_y *after* area to place
+/// the issuer off-centre); 'speed'/'speed_delta' raise
+/// medium.max_speed_mps as needed so a fast scenario round-trips without
+/// an explicit 'max_speed'.
 Status ApplyConfigKey(const std::string& key, const std::string& value,
                       ScenarioConfig* config);
 
@@ -65,10 +62,14 @@ Status ApplyConfigKey(const std::string& key, const std::string& value,
 /// configuration ever leaves this function.
 Status LoadConfigFile(const std::string& path, ScenarioConfig* config);
 
-/// Serializes the settable keys of a config in the same format. Every key
-/// written here re-parses to an identical config (round-trip contract,
-/// covered by scenario_config_io_test).
+/// Serializes every row of ScenarioConfigKeys() in the same format. Every
+/// key written here re-parses to an identical config (round-trip
+/// contract, covered by scenario_config_io_test).
 std::string SaveConfigText(const ScenarioConfig& config);
+
+/// The value SaveConfigText writes for `key` ("optimized", "300", "0.5",
+/// "false"); empty for an unknown key.
+std::string ConfigKeyValue(const ScenarioConfig& config, std::string_view key);
 
 }  // namespace madnet::scenario
 

@@ -3,26 +3,39 @@
 #include "scenario/multi_ad.h"
 
 #include "scenario/config_io.h"
+#include "scenario/config_keys.h"
 #include "scenario/scenario.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
 #include <utility>
-
-#include "util/string_util.h"
 
 namespace madnet::scenario {
 
 namespace {
 
-std::string Num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
+// "%g", as the value is saved.
+constexpr auto* Num = &FormatKeyValue<double>;
+
+#define FIELD(member) [](MultiAdConfig& c) -> auto& { return c.member; }
+
+/// The multi-ad rows of the key table, in SaveMultiAdConfigText order.
+std::span<const ConfigKey<MultiAdConfig>> MultiAdKeys() {
+  static constexpr ConfigKey<MultiAdConfig> kKeys[] = {
+      {"ads", FIELD(num_ads)},
+      {"first_issue", FIELD(first_issue_s)},
+      {"issue_spacing", FIELD(issue_spacing_s)},
+      {"ad_radius", FIELD(ad_radius_m)},
+      {"ad_duration", FIELD(ad_duration_s)},
+      {"border_margin", FIELD(border_margin_m)},
+      {"stalls", FIELD(num_stalls)},
+      {"zipf", FIELD(zipf_s)},
+  };
+  return kKeys;
 }
+
+#undef FIELD
 
 // The read-apply-validate loop behind both loaders. Every key goes
 // through ApplyMultiAdConfigKey, which hands single-ad keys on to
@@ -55,6 +68,8 @@ Status LoadScenarioFile(const std::string& path, bool force_multi_ad,
 }  // namespace
 
 Status MultiAdConfig::Validate() const {
+  Status finite = CheckFiniteRows(MultiAdKeys(), *this);
+  if (!finite.ok()) return finite;
   Status base_status = base.Validate();
   if (!base_status.ok()) return base_status;
   if (num_ads < 1) {
@@ -192,64 +207,20 @@ MultiAdResult RunMultiAdScenario(const MultiAdConfig& config) {
 }
 
 bool IsMultiAdKey(const std::string& key) {
-  return key == "ads" || key == "first_issue" || key == "issue_spacing" ||
-         key == "ad_radius" || key == "ad_duration" ||
-         key == "border_margin" || key == "stalls" || key == "zipf";
+  return FindConfigKey(MultiAdKeys(), key) != nullptr;
 }
 
 Status ApplyMultiAdConfigKey(const std::string& key, const std::string& value,
                              MultiAdConfig* config) {
-  auto as_double = [&](double* field) -> Status {
-    auto parsed = ParseDouble(value);
-    if (!parsed.ok()) {
-      return Status::InvalidArgument("key '" + key + "': " +
-                                     parsed.status().message());
-    }
-    *field = *parsed;
-    return Status::Ok();
-  };
-  auto as_count = [&](int* field) -> Status {
-    auto parsed = ParseInt(value);
-    if (!parsed.ok()) {
-      return Status::InvalidArgument("key '" + key + "': " +
-                                     parsed.status().message());
-    }
-    if (*parsed < 0) {
-      return Status::InvalidArgument("key '" + key + "' = " + value +
-                                     ": must be a non-negative integer");
-    }
-    *field = static_cast<int>(*parsed);
-    return Status::Ok();
-  };
-  if (key == "ads") return as_count(&config->num_ads);
-  if (key == "first_issue") return as_double(&config->first_issue_s);
-  if (key == "issue_spacing") return as_double(&config->issue_spacing_s);
-  if (key == "ad_radius") return as_double(&config->ad_radius_m);
-  if (key == "ad_duration") return as_double(&config->ad_duration_s);
-  if (key == "border_margin") return as_double(&config->border_margin_m);
-  if (key == "stalls") return as_count(&config->num_stalls);
-  if (key == "zipf") return as_double(&config->zipf_s);
-  return ApplyConfigKey(key, value, &config->base);
+  const ConfigKey<MultiAdConfig>* row = FindConfigKey(MultiAdKeys(), key);
+  if (row == nullptr) return ApplyConfigKey(key, value, &config->base);
+  return ApplyConfigRow(*row, value, config);
 }
 
 std::string SaveMultiAdConfigText(const MultiAdConfig& config) {
-  std::ostringstream out;
-  char buf[96];
-  auto number = [&](const char* key, double v) {
-    std::snprintf(buf, sizeof(buf), "%s = %g\n", key, v);
-    out << buf;
-  };
-  out << SaveConfigText(config.base);
-  out << "# multi-ad keys\n";
-  out << "ads = " << config.num_ads << '\n';
-  number("first_issue", config.first_issue_s);
-  number("issue_spacing", config.issue_spacing_s);
-  number("ad_radius", config.ad_radius_m);
-  number("ad_duration", config.ad_duration_s);
-  number("border_margin", config.border_margin_m);
-  out << "stalls = " << config.num_stalls << '\n';
-  number("zipf", config.zipf_s);
-  return out.str();
+  std::string text = SaveConfigText(config.base) + "# multi-ad keys\n";
+  AppendConfigRows(MultiAdKeys(), config, &text);
+  return text;
 }
 
 Status LoadMultiAdConfigFile(const std::string& path, MultiAdConfig* config) {

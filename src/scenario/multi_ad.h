@@ -70,12 +70,12 @@ MultiAdResult RunMultiAdScenario(const MultiAdConfig& config);
 
 // --- Multi-ad config files -------------------------------------------------
 //
-// A config file is multi-ad iff it uses at least one of the keys below;
-// every single-ad key applies to the embedded `base`. See
-// docs/scenario_schema.md ("Multi-ad keys").
+// A config file is multi-ad iff it uses at least one multi-ad key (the
+// rows of the multi-ad key table in multi_ad.cc); every single-ad key
+// applies to the embedded `base`. See docs/scenario_schema.md ("Multi-ad
+// keys").
 
-/// True iff `key` is one of the multi-ad keys (ads, first_issue,
-/// issue_spacing, ad_radius, ad_duration, border_margin, stalls, zipf).
+/// True iff `key` is a row of the multi-ad key table.
 bool IsMultiAdKey(const std::string& key);
 
 /// Applies one assignment: multi-ad keys to `config`, everything else to

@@ -217,6 +217,25 @@ TEST_F(MediumTest, NeighborsOfExactFilter) {
   EXPECT_EQ(neighbors, (std::vector<NodeId>{0, 1, 2}));
 }
 
+TEST_F(MediumTest, RepeatQueryAtSameInstantSeesSetOnline) {
+  // The same-instant neighbour memo is keyed on the mutation epoch, not
+  // just the clock: a repeat query after a SetOnline toggle, with time
+  // standing still, must reflect the toggle.
+  Build({{0.0, 0.0}, {100.0, 0.0}, {200.0, 0.0}});
+  auto neighbors = [&] {
+    auto ids = medium_->NeighborsOf({0.0, 0.0}, 250.0);
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  EXPECT_EQ(neighbors(), (std::vector<NodeId>{0, 1, 2}));
+  EXPECT_EQ(neighbors(), (std::vector<NodeId>{0, 1, 2}));
+  EXPECT_EQ(medium_->stats().batch_memo_hits, 1u);  // The repeat hit.
+  ASSERT_TRUE(medium_->SetOnline(1, false).ok());
+  EXPECT_EQ(neighbors(), (std::vector<NodeId>{0, 2}));
+  ASSERT_TRUE(medium_->SetOnline(1, true).ok());
+  EXPECT_EQ(neighbors(), (std::vector<NodeId>{0, 1, 2}));
+}
+
 TEST_F(MediumTest, SentByTracksPerNodeTransmissions) {
   Build({{0.0, 0.0}, {10.0, 0.0}});
   ASSERT_TRUE(medium_->Broadcast(0, MakePacket(1)).ok());

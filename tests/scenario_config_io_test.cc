@@ -307,6 +307,45 @@ TEST_F(ConfigIoTest, NegativeCacheRejectedBeforeSizeTWrap) {
       << status.message();
 }
 
+TEST_F(ConfigIoTest, NonFiniteFaultPlanValuesRejected) {
+  // Regression: strtod accepts "nan" and "inf", and the fault-plan
+  // numbers used to skip the finiteness pass.
+  for (const char* key :
+       {"churn_rate", "churn_up", "churn_down", "churn_start", "loss_extra",
+        "loss_episode", "loss_period", "loss_start", "outage_x0",
+        "outage_y0", "outage_x1", "outage_y1", "outage_start",
+        "outage_end"}) {
+    for (const char* value : {"nan", "inf", "-inf"}) {
+      SCOPED_TRACE(std::string(key) + " = " + value);
+      WriteFile(std::string(key) + " = " + value + "\n");
+      ScenarioConfig config;
+      Status status = LoadConfigFile(path_, &config);
+      ASSERT_FALSE(status.ok());
+      EXPECT_EQ(status.message(), path_ + ": key '" + key + "' = " + value +
+                                      ": must be a finite number");
+    }
+  }
+}
+
+TEST_F(ConfigIoTest, CountsThatDoNotFitTheirFieldAreRejected) {
+  // Regression: counts were read as int64 and narrowed, so 'peers =
+  // 4294967297' loaded as 1 peer.
+  for (const char* key : {"peers", "hotspot_extra", "tiles"}) {
+    SCOPED_TRACE(key);
+    WriteFile(std::string(key) + " = 4294967297\n");
+    ScenarioConfig config;
+    Status status = LoadConfigFile(path_, &config);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.message(), path_ + ":1: key '" + key +
+                                    "' = 4294967297: must be at most "
+                                    "2147483647");
+  }
+  // The 64-bit counts still take every non-negative int64.
+  ScenarioConfig config;
+  ASSERT_TRUE(ApplyConfigKey("seed", "9223372036854775807", &config).ok());
+  EXPECT_EQ(config.seed, 9223372036854775807u);
+}
+
 TEST_F(ConfigIoTest, ZeroPeersRejectedNamingBothKeys) {
   // Regression: peers = 0 used to run with an empty delivery audience.
   WriteFile("peers = 0\n");

@@ -230,6 +230,10 @@ TEST(ScenarioCorpusTest, NegativeFixturesFailWithExactDiagnostics) {
        "flooding|gossip|optimized1|optimized2|optimized|exchange)"},
       {"bad_missing_equals.cfg",
        ":1: expected 'key = value', got 'peers 100'"},
+      {"bad_nonfinite_multi_ad.cfg",
+       ": key 'first_issue' = nan: must be a finite number"},
+      {"bad_narrowed_peers.cfg",
+       ":1: key 'peers' = 4294967297: must be at most 2147483647"},
   };
   for (const NegativeFixture& fixture : fixtures) {
     const std::string path =

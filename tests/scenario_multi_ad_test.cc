@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/manifest.h"
+
 #ifndef MADNET_SCENARIO_DIR
 #error "build must define MADNET_SCENARIO_DIR (see tests/CMakeLists.txt)"
 #endif
@@ -303,6 +305,21 @@ TEST(MultiAdGoldenTest, OneLocationPerAdAcrossMethods) {
   }
 }
 
+TEST(MultiAdGoldenTest, SavedConfigTextBytes) {
+  // SaveMultiAdConfigText is what a traced multi-ad run's header hashes,
+  // so its bytes are pinned here: the default config, and a corpus file
+  // that moves base, fault-plan and multi-ad keys off their defaults.
+  EXPECT_EQ(obs::HashHex(SaveMultiAdConfigText(MultiAdConfig{})),
+            "4a85a07313023159");
+  MultiAdConfig config;
+  bool is_multi_ad = false;
+  const Status loaded = LoadScenarioFileAuto(
+      std::string(MADNET_SCENARIO_DIR) + "/marketplace_zipf_faulted.cfg",
+      &config, &is_multi_ad);
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  EXPECT_EQ(obs::HashHex(SaveMultiAdConfigText(config)), "a58da1cdeab0761c");
+}
+
 class MultiAdIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -387,6 +404,34 @@ TEST_F(MultiAdIoTest, BadMultiAdValueNamesKeyAndLine) {
       << status.message();
   EXPECT_NE(status.message().find("ad_radius"), std::string::npos)
       << status.message();
+}
+
+TEST_F(MultiAdIoTest, NonFiniteMultiAdValuesRejected) {
+  // Regression: strtod accepts "nan" and "inf", and the multi-ad numbers
+  // used to reach the run unchecked (a NaN first_issue schedules an
+  // issue at time NaN).
+  for (const char* key : {"first_issue", "issue_spacing", "ad_radius",
+                          "ad_duration", "border_margin", "zipf"}) {
+    for (const char* value : {"nan", "inf"}) {
+      SCOPED_TRACE(std::string(key) + " = " + value);
+      WriteFile("ads = 3\n" + std::string(key) + " = " + value + "\n");
+      MultiAdConfig config;
+      const Status status = LoadMultiAdConfigFile(path_, &config);
+      ASSERT_FALSE(status.ok());
+      EXPECT_EQ(status.message(), path_ + ": key '" + key + "' = " + value +
+                                      ": must be a finite number");
+    }
+  }
+}
+
+TEST_F(MultiAdIoTest, AdCountThatDoesNotFitIsRejected) {
+  // Regression: 'ads = 4294967298' used to narrow to 2 ads.
+  WriteFile("ads = 4294967298\n");
+  MultiAdConfig config;
+  const Status status = LoadMultiAdConfigFile(path_, &config);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.message(),
+            path_ + ":1: key 'ads' = 4294967298: must be at most 2147483647");
 }
 
 TEST_F(MultiAdIoTest, MultiAdFileWithFaultPlanLoads) {

@@ -21,13 +21,13 @@
 #include "core/opportunistic_gossip.h"
 #include "obs/run_context.h"
 #include "obs/trace_reader.h"
+#include "scenario/config_io.h"
 #include "scenario/scenario.h"
 #include "util/flags.h"
 
 namespace madnet {
 namespace {
 
-using scenario::Method;
 using scenario::MethodName;
 using scenario::Scenario;
 using scenario::ScenarioConfig;
@@ -93,7 +93,7 @@ void PrintTxGrid(const std::vector<uint64_t>& tx_cells, const char* title) {
 int Run(int argc, char** argv) {
   FlagSet flags;
   flags.Define("method", "optimized",
-               "flooding|gossip|optimized1|optimized2|optimized");
+               scenario::AcceptedTokens<scenario::Method>());
   flags.Define("peers", "400", "number of mobile peers");
   flags.Define("at", "400", "holder-map sampling time, seconds");
   flags.Define("seed", "1", "random seed");
@@ -129,19 +129,23 @@ int Run(int argc, char** argv) {
     return 0;
   }
 
+  // The scenario flags go through the config-key table and Validate,
+  // like a config file.
   ScenarioConfig config;
-  const std::string method = flags.GetString("method");
-  if (method == "flooding") config.method = Method::kFlooding;
-  else if (method == "gossip") config.method = Method::kGossip;
-  else if (method == "optimized1") config.method = Method::kOptimized1;
-  else if (method == "optimized2") config.method = Method::kOptimized2;
-  else if (method == "optimized") config.method = Method::kOptimized;
-  else {
-    std::fprintf(stderr, "unknown method '%s'\n", method.c_str());
+  for (const char* key : {"method", "peers", "seed"}) {
+    Status applied =
+        scenario::ApplyConfigKey(key, flags.GetString(key), &config);
+    if (!applied.ok()) {
+      std::fprintf(stderr, "--%s: %s\n", key, applied.ToString().c_str());
+      return 2;
+    }
+  }
+  Status valid = config.Validate();
+  if (!valid.ok()) {
+    std::fprintf(stderr, "invalid configuration: %s\n",
+                 valid.ToString().c_str());
     return 2;
   }
-  config.num_peers = static_cast<int>(*flags.GetInt("peers"));
-  config.seed = static_cast<uint64_t>(*flags.GetInt("seed"));
   const double sample_at = *flags.GetDouble("at");
 
   // Live mode: record only kTraceTx and replay the run's own stream.

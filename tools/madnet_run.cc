@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "mobility/trace_io.h"
 #include "scenario/config_io.h"
@@ -27,47 +28,41 @@ namespace {
 
 using exec::Aggregate;
 using exec::RunReplicated;
-using scenario::Method;
 using scenario::MethodName;
 using scenario::ScenarioConfig;
 
-StatusOr<Method> ParseMethod(const std::string& name) {
-  if (name == "flooding") return Method::kFlooding;
-  if (name == "gossip") return Method::kGossip;
-  if (name == "optimized1") return Method::kOptimized1;
-  if (name == "optimized2") return Method::kOptimized2;
-  if (name == "optimized") return Method::kOptimized;
-  if (name == "exchange") return Method::kResourceExchange;
-  return Status::InvalidArgument(
-      "unknown method '" + name +
-      "' (use flooding|gossip|optimized1|optimized2|optimized|exchange)");
-}
-
 int Run(int argc, char** argv) {
+  // Scenario keys that double as flags, with their help text. Each flag's
+  // default is the key's value in ScenarioConfig{}, and a set flag goes
+  // through ApplyConfigKey exactly like a config-file line.
+  const std::pair<const char*, std::string> key_flags[] = {
+      {"method", scenario::AcceptedTokens<scenario::Method>()},
+      {"mobility", scenario::AcceptedTokens<scenario::Mobility>()},
+      {"peers", "number of mobile peers"},
+      {"area", "square area side, metres"},
+      {"radius", "initial advertising radius R, metres"},
+      {"duration", "initial advertising duration D, seconds"},
+      {"sim_time", "simulated seconds"},
+      {"issue_time", "ad issue time, seconds"},
+      {"speed", "mean peer speed, m/s"},
+      {"speed_delta", "speed spread (uniform mean +- delta)"},
+      {"round", "gossiping round time, seconds"},
+      {"alpha", "probability drop parameter, (0,1)"},
+      {"beta", "radius decay parameter, (0,1)"},
+      {"dis", "Optimization-1 annulus width DIS, metres"},
+      {"cache", "ad cache capacity k"},
+      {"range", "transmission range, metres"},
+      {"loss", "per-receiver random loss probability"},
+      {"collisions", "enable the collision model"},
+      {"ranking", "enable FM popularity ranking"},
+      {"issuer_offline", "gossip issuer goes offline after seeding the ad"},
+      {"seed", "base random seed"},
+  };
   FlagSet flags;
-  flags.Define("method", "optimized",
-               "flooding|gossip|optimized1|optimized2|optimized|exchange");
-  flags.Define("peers", "300", "number of mobile peers");
-  flags.Define("mobility", "waypoint", "waypoint|manhattan|hotspot");
-  flags.Define("area", "5000", "square area side, metres");
-  flags.Define("radius", "1000", "initial advertising radius R, metres");
-  flags.Define("duration", "800", "initial advertising duration D, seconds");
-  flags.Define("sim_time", "2000", "simulated seconds");
-  flags.Define("issue_time", "60", "ad issue time, seconds");
-  flags.Define("speed", "10", "mean peer speed, m/s");
-  flags.Define("speed_delta", "5", "speed spread (uniform mean +- delta)");
-  flags.Define("round", "5", "gossiping round time, seconds");
-  flags.Define("alpha", "0.5", "probability drop parameter, (0,1)");
-  flags.Define("beta", "0.5", "radius decay parameter, (0,1)");
-  flags.Define("dis", "250", "Optimization-1 annulus width DIS, metres");
-  flags.Define("cache", "10", "ad cache capacity k");
-  flags.Define("range", "250", "transmission range, metres");
-  flags.Define("loss", "0", "per-receiver random loss probability");
-  flags.Define("collisions", "false", "enable the collision model");
-  flags.Define("issuer_offline", "false",
-               "gossip issuer goes offline after seeding the ad");
-  flags.Define("ranking", "false", "enable FM popularity ranking");
-  flags.Define("seed", "1", "base random seed");
+  const ScenarioConfig defaults;
+  for (const auto& [key, help] : key_flags) {
+    flags.Define(key, scenario::ConfigKeyValue(defaults, key), help);
+  }
   flags.Define("reps", "3", "replications (seeds seed..seed+reps-1)");
   flags.Define("jobs", "1",
                "worker threads (<= 0 = hardware concurrency), one "
@@ -120,12 +115,6 @@ int Run(int argc, char** argv) {
     return 0;
   }
 
-  auto method = ParseMethod(flags.GetString("method"));
-  if (!method.ok()) {
-    std::fprintf(stderr, "%s\n", method.status().ToString().c_str());
-    return 2;
-  }
-
   ScenarioConfig config;
   const std::string config_path = flags.GetString("config");
   if (!config_path.empty()) {
@@ -135,28 +124,14 @@ int Run(int argc, char** argv) {
       return 2;
     }
   }
-  // Explicit flags override the file (defaults only apply when unset).
-  if (config_path.empty() || flags.IsSet("method")) config.method = *method;
-  if (config_path.empty() || flags.IsSet("mobility")) {
-    Status applied = scenario::ApplyConfigKey(
-        "mobility", flags.GetString("mobility"), &config);
-    if (!applied.ok()) {
-      std::fprintf(stderr, "--mobility: %s\n", applied.ToString().c_str());
-      return 2;
-    }
-  }
-  // Apply flags through the same key machinery the file uses; with a
-  // config file present, only explicitly-set flags override it.
-  for (const char* key : {"peers", "area", "radius", "duration", "sim_time",
-                          "issue_time", "speed", "speed_delta", "round",
-                          "alpha", "beta", "dis", "cache", "range", "loss",
-                          "collisions", "ranking", "issuer_offline", "seed"}) {
-    if (!config_path.empty() && !flags.IsSet(key)) continue;
+  // Explicit flags override the file; unset flags keep its values (or
+  // the defaults, which their help shows).
+  for (const auto& [key, help] : key_flags) {
+    if (!flags.IsSet(key)) continue;
     Status applied =
         scenario::ApplyConfigKey(key, flags.GetString(key), &config);
     if (!applied.ok()) {
-      std::fprintf(stderr, "--%s: %s\n", key,
-                   applied.ToString().c_str());
+      std::fprintf(stderr, "--%s: %s\n", key, applied.ToString().c_str());
       return 2;
     }
   }
