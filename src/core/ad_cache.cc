@@ -2,6 +2,7 @@
 
 #include "core/ad_cache.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace madnet::core {
@@ -10,78 +11,57 @@ AdCache::AdCache(size_t capacity) : capacity_(capacity) {
   assert(capacity >= 1);
 }
 
-void AdCache::IndexRemove(uint64_t key) {
-  for (size_t i = 0; i < index_keys_.size(); ++i) {
-    if (index_keys_[i] == key) {
-      index_keys_[i] = index_keys_.back();
-      index_keys_.pop_back();
-      index_values_[i] = index_values_.back();
-      index_values_.pop_back();
-      return;
-    }
-  }
-}
-
-uint64_t AdCache::LowestProbabilityKey() const {
-  assert(!entries_.empty());
-  uint64_t worst_key = 0;
-  double worst_probability = 2.0;  // Above any real probability.
-  bool first = true;
-  for (const auto& [key, entry] : entries_) {
-    if (first || entry.probability < worst_probability ||
-        (entry.probability == worst_probability && key > worst_key)) {
-      worst_key = key;
-      worst_probability = entry.probability;
-      first = false;
-    }
-  }
-  return worst_key;
-}
-
 CacheEntry* AdCache::Insert(CacheEntry entry, sim::EventId* evicted_timer) {
   assert(evicted_timer != nullptr);
   *evicted_timer = sim::kInvalidEventId;
   const uint64_t key = entry.ad.id.Key();
-  assert(entries_.find(key) == entries_.end() &&
-         "Insert of a key already cached");
+  assert(Find(key) == nullptr && "Insert of a key already cached");
   if (Full()) {
     // Algorithm 1: drop the least-probability entry, counting the incoming
-    // one as a candidate victim.
-    const uint64_t victim = LowestProbabilityKey();
-    const auto victim_it = entries_.find(victim);
-    if (victim_it->second.probability >= entry.probability) {
+    // one as a candidate victim. Keys ascend, so `<=` hands a tie between
+    // cached entries to the larger key (deterministic).
+    size_t victim = 0;
+    for (size_t i = 1; i < entries_.size(); ++i) {
+      if (entries_[i].probability <= entries_[victim].probability) victim = i;
+    }
+    if (entries_[victim].probability >= entry.probability) {
       return nullptr;  // The newcomer loses; nothing changes.
     }
-    *evicted_timer = victim_it->second.timer;
-    IndexRemove(victim);
-    entries_.erase(victim_it);
+    *evicted_timer = Erase(keys_[victim]);
   }
-  auto [it, inserted] = entries_.emplace(key, std::move(entry));
-  assert(inserted);
-  (void)inserted;
-  index_keys_.push_back(key);
-  index_values_.push_back(&it->second);
-  return &it->second;
+  const size_t index =
+      std::lower_bound(keys_.begin(), keys_.end(), key) - keys_.begin();
+  keys_.insert(keys_.begin() + index, key);
+  return &*entries_.insert(entries_.begin() + index, std::move(entry));
 }
 
 sim::EventId AdCache::Erase(uint64_t key) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return sim::kInvalidEventId;
-  const sim::EventId timer = it->second.timer;
-  IndexRemove(key);
-  entries_.erase(it);
+  const CacheEntry* entry = Find(key);
+  if (entry == nullptr) return sim::kInvalidEventId;
+  const sim::EventId timer = entry->timer;
+  const size_t index = entry - entries_.data();
+  keys_.erase(keys_.begin() + index);
+  entries_.erase(entries_.begin() + index);
   return timer;
 }
 
 void AdCache::ForEach(const std::function<void(uint64_t, CacheEntry&)>& fn) {
-  for (auto& [key, entry] : entries_) fn(key, entry);
+  for (size_t i = 0; i < keys_.size(); ++i) fn(keys_[i], entries_[i]);
 }
 
-std::vector<uint64_t> AdCache::Keys() const {
-  std::vector<uint64_t> keys;
-  keys.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) keys.push_back(key);
-  return keys;
+void AdCache::RemoveIf(
+    const std::function<bool(uint64_t, CacheEntry&)>& remove) {
+  size_t kept = 0;
+  for (size_t i = 0; i < keys_.size(); ++i) {
+    if (remove(keys_[i], entries_[i])) continue;
+    if (kept != i) {
+      keys_[kept] = keys_[i];
+      entries_[kept] = std::move(entries_[i]);
+    }
+    ++kept;
+  }
+  keys_.resize(kept);
+  entries_.erase(entries_.begin() + kept, entries_.end());
 }
 
 }  // namespace madnet::core

@@ -5,13 +5,17 @@
 // cache retains only the top-k; the lowest-probability entry is dropped on
 // overflow. Each entry also carries the per-advertisement gossip scheduling
 // state used by Optimization 2 (independent time handler per entry).
+//
+// Entries live in two parallel vectors in ascending key order: the keys,
+// which Find scans, and the entries. Most receipts are duplicates whose only
+// work is a Find, so this beats tree nodes; the price is that Insert and
+// Erase shift the entries behind them.
 
 #ifndef MADNET_CORE_AD_CACHE_H_
 #define MADNET_CORE_AD_CACHE_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "core/advertisement.h"
@@ -27,23 +31,18 @@ struct CacheEntry {
   sim::EventId timer = sim::kInvalidEventId;  ///< Pending per-entry event.
 };
 
-/// A bounded map AdKey -> CacheEntry with probability-ordered eviction.
+/// A bounded AdKey -> CacheEntry table with probability-ordered eviction.
 class AdCache {
  public:
   /// Creates a cache holding at most `capacity` advertisements (k >= 1).
   explicit AdCache(size_t capacity);
 
   /// Looks up an entry; nullptr if absent. The pointer stays valid until
-  /// the entry is erased or evicted.
+  /// the next Insert, Erase or RemoveIf on this cache.
   // MADNET_HOT
   CacheEntry* Find(uint64_t key) {
-    // Linear scan of the flat key index: the cache is top-k bounded (k is
-    // ~10 in the paper), so scanning a dense key array beats walking the
-    // map. The map stays the owner — its key-sorted iteration order is
-    // part of the determinism contract (ForEach/Keys feed RNG draws) —
-    // while the side index only accelerates point lookups.
-    for (size_t i = 0; i < index_keys_.size(); ++i) {
-      if (index_keys_[i] == key) return index_values_[i];
+    for (size_t i = 0; i < keys_.size(); ++i) {
+      if (keys_[i] == key) return &entries_[i];
     }
     return nullptr;
   }
@@ -65,37 +64,27 @@ class AdCache {
   /// can cancel it), or sim::kInvalidEventId if the key was absent.
   sim::EventId Erase(uint64_t key);
 
-  /// Applies `fn` to every entry (typically to refresh probabilities or
-  /// collect expired ads). Mutation of entries is allowed; erasure is not.
+  /// Applies `fn` to every entry in ascending key order, which feeds RNG
+  /// draws and so is part of the determinism contract. Mutation of entries
+  /// is allowed; erasure is not.
   void ForEach(const std::function<void(uint64_t, CacheEntry&)>& fn);
+
+  /// ForEach that drops the entries for which `remove` returns true (the
+  /// caller cancels their timers).
+  void RemoveIf(const std::function<bool(uint64_t, CacheEntry&)>& remove);
 
   /// Keys of all entries, in ascending key order. Safe to erase while
   /// iterating the returned snapshot.
-  std::vector<uint64_t> Keys() const;
+  std::vector<uint64_t> Keys() const { return keys_; }
 
-  size_t Size() const { return entries_.size(); }
+  size_t Size() const { return keys_.size(); }
   size_t Capacity() const { return capacity_; }
-  bool Full() const { return entries_.size() >= capacity_; }
+  bool Full() const { return keys_.size() >= capacity_; }
 
  private:
-  /// Key of the entry with the lowest probability (ties: larger key, for
-  /// determinism). Requires a non-empty cache.
-  uint64_t LowestProbabilityKey() const;
-
-  /// Removes `key` from the flat Find index (no-op if absent).
-  void IndexRemove(uint64_t key);
-
   size_t capacity_;
-  // Ordered on purpose: ForEach/Keys iterate this map and their visit order
-  // feeds RNG draws (opportunistic_gossip), so iteration must be identical
-  // across platforms and standard-library versions — std::map's key order
-  // is; a hash map's bucket order is not (rule madnet-unordered-iteration).
-  std::map<uint64_t, CacheEntry> entries_;
-  // Flat mirror of entries_ for Find: parallel key/pointer arrays, order
-  // irrelevant (only entries_ defines iteration order). Map node pointers
-  // are stable until erase, so the cached pointers never dangle.
-  std::vector<uint64_t> index_keys_;
-  std::vector<CacheEntry*> index_values_;
+  std::vector<uint64_t> keys_;        // Ascending.
+  std::vector<CacheEntry> entries_;   // entries_[i] belongs to keys_[i].
 };
 
 }  // namespace madnet::core

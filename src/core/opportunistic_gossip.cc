@@ -43,7 +43,7 @@ StatusOr<AdId> OpportunisticGossip::Issue(const AdContent& content,
   Advertisement ad = MakeAdvertisement(content, radius_m, duration_s,
                                        options_.sketch_options);
   const AdId id = ad.id;
-  seen_hop_.emplace(id.Key(), 0);  // The issuer's own copy is hop 0.
+  seen_hop_.push_back({id.Key(), 0});  // The issuer's own copy is hop 0.
   net::Packet packet = MakeGossipPacket(ad);
   packet.hop = RebroadcastHop(id.Key());
   InsertAd(std::move(ad), 1.0);
@@ -54,14 +54,13 @@ StatusOr<AdId> OpportunisticGossip::Issue(const AdContent& content,
 }
 
 void OpportunisticGossip::OnCrash() {
-  for (uint64_t key : cache_.Keys()) {
-    const sim::EventId timer = cache_.Erase(key);
-    if (timer != sim::kInvalidEventId) context_.simulator->Cancel(timer);
-  }
-  if (round_event_ != sim::kInvalidEventId) {
-    context_.simulator->Cancel(round_event_);
-    round_event_ = sim::kInvalidEventId;
-  }
+  // Simulator::Cancel is a no-op on sim::kInvalidEventId.
+  cache_.RemoveIf([this](uint64_t, CacheEntry& entry) {
+    context_.simulator->Cancel(entry.timer);
+    return true;
+  });
+  context_.simulator->Cancel(round_event_);
+  round_event_ = sim::kInvalidEventId;
 }
 
 void OpportunisticGossip::OnRejoin() {
@@ -91,15 +90,14 @@ double OpportunisticGossip::ProbabilityFor(const Advertisement& ad) const {
 
 void OpportunisticGossip::RefreshCache() {
   const Time now = Now();
-  for (uint64_t key : cache_.Keys()) {
-    CacheEntry* entry = cache_.Find(key);
-    if (entry->ad.ExpiredAt(now)) {
-      const sim::EventId timer = cache_.Erase(key);
-      if (timer != sim::kInvalidEventId) context_.simulator->Cancel(timer);
-      continue;
+  cache_.RemoveIf([this, now](uint64_t, CacheEntry& entry) {
+    if (entry.ad.ExpiredAt(now)) {
+      context_.simulator->Cancel(entry.timer);
+      return true;
     }
-    entry->probability = ProbabilityFor(entry->ad);
-  }
+    entry.probability = ProbabilityFor(entry.ad);
+    return false;
+  });
 }
 
 void OpportunisticGossip::GossipRound() {
@@ -138,9 +136,7 @@ void OpportunisticGossip::ArmRound() {
 }
 
 void OpportunisticGossip::ScheduleEntry(uint64_t key, CacheEntry* entry) {
-  if (entry->timer != sim::kInvalidEventId) {
-    context_.simulator->Cancel(entry->timer);
-  }
+  context_.simulator->Cancel(entry->timer);  // No-op if none is pending.
   entry->timer = context_.simulator->ScheduleAt(
       entry->next_gossip_time, [this, key]() { EntryTimerFired(key); });
 }
@@ -171,10 +167,12 @@ void OpportunisticGossip::EntryTimerFired(uint64_t key) {
 }
 
 uint32_t OpportunisticGossip::RebroadcastHop(uint64_t key) const {
-  const auto it = seen_hop_.find(key);
+  for (const SeenAd& seen : seen_hop_) {
+    if (seen.key == key) return seen.hop + 1;
+  }
   // Every cached ad was either issued or received, so the key is always
   // present; the fallback keeps a (hypothetical) miss at hop 1.
-  return it != seen_hop_.end() ? it->second + 1 : 1;
+  return 1;
 }
 
 CacheEntry* OpportunisticGossip::InsertAd(Advertisement ad,
@@ -192,9 +190,7 @@ CacheEntry* OpportunisticGossip::InsertAd(Advertisement ad,
 
   sim::EventId evicted_timer = sim::kInvalidEventId;
   CacheEntry* inserted = cache_.Insert(std::move(entry), &evicted_timer);
-  if (evicted_timer != sim::kInvalidEventId) {
-    context_.simulator->Cancel(evicted_timer);
-  }
+  context_.simulator->Cancel(evicted_timer);
   if (inserted != nullptr) {
     if (options_.postpone) {
       ScheduleEntry(inserted->ad.id.Key(), inserted);
@@ -212,8 +208,11 @@ void OpportunisticGossip::OnReceive(const net::Packet& packet,
   if (message == nullptr) return;  // Not a gossip frame.
 
   const uint64_t key = message->ad.id.Key();
-  const bool first_sight = seen_hop_.try_emplace(key, packet.hop).second;
+  const bool first_sight =
+      std::none_of(seen_hop_.begin(), seen_hop_.end(),
+                   [key](const SeenAd& seen) { return seen.key == key; });
   if (first_sight) {
+    seen_hop_.push_back({key, packet.hop});
     RecordReceipt(key);
     TraceDeliver(key, packet.hop, from);
     // Display filter (UI-level, Section I): show the ad if the user has no
@@ -256,8 +255,10 @@ void OpportunisticGossip::OnReceive(const net::Packet& packet,
     return;
   }
 
+  // Stale frame still in flight: drop it before copying the content and
+  // sketches.
+  if (message->ad.ExpiredAt(Now())) return;
   Advertisement ad = message->ad;
-  if (ad.ExpiredAt(Now())) return;  // Stale frame still in flight.
   if (options_.ranking && first_sight) {
     // Algorithm 5: count this user's interest and enlarge R/D if the rank
     // rose. Guarded by first_sight so an evicted-then-re-received ad is

@@ -27,7 +27,7 @@
 #ifndef MADNET_CORE_OPPORTUNISTIC_GOSSIP_H_
 #define MADNET_CORE_OPPORTUNISTIC_GOSSIP_H_
 
-#include <unordered_map>
+#include <vector>
 
 #include "core/ad_cache.h"
 #include "core/interest.h"
@@ -179,11 +179,15 @@ class OpportunisticGossip : public Protocol {
   sim::EventId round_event_ = sim::kInvalidEventId;
   uint64_t postpone_count_ = 0;
   uint64_t displayed_count_ = 0;
-  /// Ad keys ever seen, mapped to the hop count at first receipt (0 for
-  /// ads this peer issued). Receipt metrics, the deliver trace, and the
-  /// ranking step fire once per ad even if it was evicted and
-  /// re-received; the hop value also stamps every rebroadcast.
-  std::unordered_map<uint64_t, uint32_t> seen_hop_;
+  /// Ads ever seen with their first-receipt hop (0 for ads this peer
+  /// issued), scanned linearly: a peer sees few distinct ads. Receipt
+  /// metrics, the deliver trace, and the ranking step fire once per ad even
+  /// if it was evicted and re-received; the hop also stamps rebroadcasts.
+  struct SeenAd {
+    uint64_t key;
+    uint32_t hop;
+  };
+  std::vector<SeenAd> seen_hop_;
 };
 
 }  // namespace madnet::core

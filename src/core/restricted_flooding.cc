@@ -2,16 +2,26 @@
 
 #include "core/restricted_flooding.h"
 
-#include "util/random.h"
-
 namespace madnet::core {
 
 namespace {
-/// Dedup key for (advertisement, flood round).
-uint64_t RelayKey(uint64_t ad_key, uint32_t round) {
-  return Mix64(ad_key ^ (static_cast<uint64_t>(round) * 0x9E3779B97F4A7C15ULL));
+/// Marks `round` in the relayed-round bitmap; false if it already was.
+bool MarkRelayed(std::vector<uint64_t>* rounds, uint32_t round) {
+  const size_t word = round / 64;
+  if (word >= rounds->size()) rounds->resize(word + 1, 0);
+  const uint64_t bit = uint64_t{1} << (round % 64);
+  if (((*rounds)[word] & bit) != 0) return false;
+  (*rounds)[word] |= bit;
+  return true;
 }
 }  // namespace
+
+RestrictedFlooding::AdRecord* RestrictedFlooding::FindRecord(uint64_t key) {
+  for (AdRecord& record : records_) {
+    if (record.key == key) return &record;
+  }
+  return nullptr;
+}
 
 RestrictedFlooding::RestrictedFlooding(ProtocolContext context,
                                        const Options& options)
@@ -22,7 +32,7 @@ StatusOr<AdId> RestrictedFlooding::Issue(const AdContent& content,
   Advertisement ad = MakeAdvertisement(content, radius_m, duration_s, {});
   const AdId id = ad.id;
   const uint64_t key = id.Key();
-  first_hop_.emplace(key, 0);  // The issuer's own copy is hop 0.
+  records_.push_back({key, 0, {}});  // The issuer's own copy is hop 0.
   IssuingState& state = issuing_[key];
   state.ad = std::move(ad);
   // First broadcast immediately, then every round until expiry. The issuer
@@ -49,7 +59,7 @@ bool RestrictedFlooding::IssuerRound(uint64_t key) {
   }
   ++state.round;
   // The issuer implicitly "relays" its own frame this round.
-  relayed_.insert(RelayKey(key, state.round));
+  MarkRelayed(&FindRecord(key)->relayed_rounds, state.round);
   net::Packet packet = MakeFloodPacket(state.ad, state.round, radius_limit);
   packet.hop = 1;  // Issuer frames deliver direct neighbours at hop 1.
   Broadcast(packet);
@@ -62,16 +72,16 @@ void RestrictedFlooding::OnReceive(const net::Packet& packet,
   if (message == nullptr) return;  // Not a flooding frame.
 
   const uint64_t ad_key = message->ad.id.Key();
-  const auto [hop_it, first_sight] = first_hop_.try_emplace(ad_key, packet.hop);
-  if (first_sight) {
+  AdRecord* record = FindRecord(ad_key);
+  if (record == nullptr) {
     // Only the first receipt can be the earliest one the log keeps; the
     // issuer's own copy (hop 0 from Issue) is never logged.
+    record = &records_.emplace_back(AdRecord{ad_key, packet.hop, {}});
     RecordReceipt(ad_key);
     TraceDeliver(ad_key, packet.hop, from);
   }
 
-  const uint64_t relay_key = RelayKey(ad_key, message->round);
-  if (!relayed_.insert(relay_key).second) return;  // Already relayed.
+  if (!MarkRelayed(&record->relayed_rounds, message->round)) return;
 
   // Relay only while inside the issuer-declared radius limit.
   const double distance = Distance(Position(), message->ad.issue_location);
@@ -84,7 +94,7 @@ void RestrictedFlooding::OnReceive(const net::Packet& packet,
   // so every deliver record satisfies hop == parent's hop + 1 even when
   // a later round reaches us over a shorter path.
   net::Packet copy = packet;
-  copy.hop = hop_it->second + 1;
+  copy.hop = record->first_hop + 1;
   context_.simulator->Schedule(jitter,
                                [this, copy]() { Broadcast(copy); });
 }

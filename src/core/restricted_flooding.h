@@ -10,7 +10,7 @@
 #define MADNET_CORE_RESTRICTED_FLOODING_H_
 
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "core/propagation.h"
 #include "core/protocol.h"
@@ -49,16 +49,25 @@ class RestrictedFlooding : public Protocol {
     sim::PeriodicHandle timer;
   };
 
+  /// Per-ad receive state, scanned linearly (a node sees few distinct ads):
+  /// the first-receipt hop (0 for ads this node issued), which drives the
+  /// deliver trace and the hop of relayed frames, and the flood rounds
+  /// already relayed as a bitmap (round r is bit r % 64 of word r / 64).
+  struct AdRecord {
+    uint64_t key;
+    uint32_t first_hop;
+    std::vector<uint64_t> relayed_rounds;
+  };
+
   /// One issuer broadcast cycle for one ad; returns false once expired.
   bool IssuerRound(uint64_t key);
 
+  /// The record of `key`, or nullptr if this node never saw the ad.
+  AdRecord* FindRecord(uint64_t key);
+
   Options options_;
   std::unordered_map<uint64_t, IssuingState> issuing_;
-  // Relay state: (ad key, round) pairs already forwarded.
-  std::unordered_set<uint64_t> relayed_;
-  // Hop count at first receipt per ad key (0 for ads this node issued);
-  // drives the deliver trace and the hop stamped on relayed frames.
-  std::unordered_map<uint64_t, uint32_t> first_hop_;
+  std::vector<AdRecord> records_;  // In first-sight order.
 };
 
 }  // namespace madnet::core

@@ -206,6 +206,34 @@ TEST(FloodingTest, RelaysOncePerRound) {
   EXPECT_EQ(bed.medium_->stats().messages_sent, 6u);
 }
 
+TEST(FloodingTest, RelaysEachRoundOnceAcrossBitmapWords) {
+  // Node 0 has no protocol and injects hand-made flood frames; node 1
+  // relays. Each (ad, round) pair goes out once, across the relayed-round
+  // bitmap's word boundaries, and an older round that arrives after newer
+  // ones is still deduplicated.
+  ProtocolTestBed bed;
+  const NodeId injector = bed.AddStationary({0.0, 0.0});
+  const NodeId relay = bed.AddStationary({100.0, 0.0});
+  bed.floods_.push_back(std::make_unique<RestrictedFlooding>(
+      bed.ContextFor(relay), RestrictedFlooding::Options{}));
+  bed.floods_.back()->Start();
+  Advertisement ad;
+  ad.id = AdId{77, 1};
+  const std::vector<uint32_t> rounds = {63, 64, 65, 128, 63,  64,
+                                        65, 128, 2,  1,   128, 1};
+  for (size_t i = 0; i < rounds.size(); ++i) {
+    const net::Packet packet = MakeFloodPacket(ad, rounds[i], 1000.0);
+    bed.sim_.ScheduleAt(static_cast<double>(i), [&bed, injector, packet]() {
+      (void)bed.medium_->Broadcast(injector, packet);
+    });
+  }
+  bed.sim_.RunUntil(100.0);
+  // Six distinct rounds {1, 2, 63, 64, 65, 128}: one relay each on top of
+  // the injected frames.
+  EXPECT_EQ(bed.medium_->stats().messages_sent, rounds.size() + 6);
+  EXPECT_GE(bed.log_.FirstReceipt(ad.id.Key(), relay), 0.0);
+}
+
 // ---------------------------------------------------------------- Gossip
 
 TEST(GossipTest, IssueSeedsNeighbours) {

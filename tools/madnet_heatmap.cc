@@ -16,6 +16,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/opportunistic_gossip.h"
@@ -108,6 +109,16 @@ int Run(int argc, char** argv) {
                parsed.ok() ? stdout : stderr);
     return parsed.ok() ? 0 : 2;
   }
+  const StatusOr<double> sample_at = flags.GetDouble("at");
+  const StatusOr<double> area = flags.GetDouble("area");
+  for (const auto& [name, value] : {std::pair{"at", &sample_at},
+                                    std::pair{"area", &area}}) {
+    if (!value->ok()) {
+      std::fprintf(stderr, "--%s: %s\n", name,
+                   value->status().ToString().c_str());
+      return 2;
+    }
+  }
 
   std::vector<uint64_t> tx_cells(kGrid * kGrid, 0);
 
@@ -119,12 +130,11 @@ int Run(int argc, char** argv) {
       std::fprintf(stderr, "error: cannot open %s\n", trace_in.c_str());
       return 2;
     }
-    if (int failed = AccumulateTxCells(in, trace_in.c_str(),
-                                       *flags.GetDouble("area"), &tx_cells)) {
+    if (int failed =
+            AccumulateTxCells(in, trace_in.c_str(), *area, &tx_cells)) {
       return failed;
     }
-    std::printf("replay of %s — area %.0f m\n", trace_in.c_str(),
-                *flags.GetDouble("area"));
+    std::printf("replay of %s — area %.0f m\n", trace_in.c_str(), *area);
     PrintTxGrid(tx_cells, "transmission density (trace file)");
     return 0;
   }
@@ -146,7 +156,6 @@ int Run(int argc, char** argv) {
                  valid.ToString().c_str());
     return 2;
   }
-  const double sample_at = *flags.GetDouble("at");
 
   // Live mode: record only kTraceTx and replay the run's own stream.
   obs::TraceOptions trace_options;
@@ -156,7 +165,7 @@ int Run(int argc, char** argv) {
 
   std::vector<uint64_t> holder_cells(kGrid * kGrid, 0);
   const double cell = config.area_size_m / kGrid;
-  scenario.simulator()->ScheduleAt(sample_at, [&]() {
+  scenario.simulator()->ScheduleAt(*sample_at, [&]() {
     const uint64_t key = scenario.issued_ad_key();
     for (net::NodeId id = 1;
          id <= static_cast<net::NodeId>(config.num_peers); ++id) {
@@ -191,7 +200,7 @@ int Run(int argc, char** argv) {
   uint64_t holder_peak = 0;
   for (uint64_t v : holder_cells) holder_peak = std::max(holder_peak, v);
   char title[96];
-  std::snprintf(title, sizeof(title), "ad holders at t=%.0f s", sample_at);
+  std::snprintf(title, sizeof(title), "ad holders at t=%.0f s", *sample_at);
   PrintGrid(holder_cells, holder_peak, title);
   return 0;
 }

@@ -92,6 +92,23 @@ int Run(int argc, char** argv) {
     std::fputs(flags.Usage("madnet_run").c_str(), stdout);
     return 0;
   }
+  // The run-shape flags are checked up front, so a malformed value never
+  // reaches RunReplicated (which would start threads from it).
+  const StatusOr<int64_t> reps = flags.GetInt("reps");
+  const StatusOr<int64_t> jobs = flags.GetInt("jobs");
+  for (const auto& [name, value] : {std::pair{"reps", &reps},
+                                    std::pair{"jobs", &jobs}}) {
+    if (!value->ok()) {
+      std::fprintf(stderr, "--%s: %s\n", name,
+                   value->status().ToString().c_str());
+      return 2;
+    }
+  }
+  if (*reps < 1) {
+    std::fprintf(stderr, "--reps: must be >= 1, got %lld\n",
+                 static_cast<long long>(*reps));
+    return 2;
+  }
 
   if (*flags.GetBool("validate-only") || *flags.GetBool("validate_only")) {
     // Contract check only: the file is validated exactly as the corpus CI
@@ -171,9 +188,8 @@ int Run(int argc, char** argv) {
     return 0;
   }
 
-  const int reps = static_cast<int>(*flags.GetInt("reps"));
-  Aggregate aggregate =
-      RunReplicated(config, reps, static_cast<int>(*flags.GetInt("jobs")));
+  Aggregate aggregate = RunReplicated(config, static_cast<int>(*reps),
+                                      static_cast<int>(*jobs));
 
   if (*flags.GetBool("json")) {
     JsonWriter json;
@@ -183,7 +199,7 @@ int Run(int argc, char** argv) {
     json.Key("peers");
     json.Value(config.num_peers);
     json.Key("replications");
-    json.Value(reps);
+    json.Value(*reps);
     json.Key("seed");
     json.Value(static_cast<uint64_t>(config.seed));
     auto emit = [&](const char* name, const stats::Summary& s) {
@@ -212,7 +228,8 @@ int Run(int argc, char** argv) {
   }
 
   std::printf("%s — %d peers, %d replication(s), seed %llu\n",
-              MethodName(config.method), config.num_peers, reps,
+              MethodName(config.method), config.num_peers,
+              static_cast<int>(*reps),
               static_cast<unsigned long long>(config.seed));
   Table table({"metric", "mean", "sd", "min", "max"});
   auto add = [&](const char* name, const stats::Summary& s, int digits) {
