@@ -5,40 +5,20 @@
 // output so the series can be re-plotted outside the binary, and the
 // parallel sweep engine that fans grid points out over a thread pool.
 //
-// Environment knobs:
-//   MADNET_BENCH_REPS  — replications per data point (default 3).
-//   MADNET_BENCH_FAST  — if set (non-empty), shrink sweeps for quick runs.
-//   MADNET_BENCH_CSV   — directory for CSV output (default "."; set to an
-//                        empty string to disable CSV files).
-//   MADNET_JOBS        — worker threads for sweeps (default 1; 0 or "auto"
-//                        means one per hardware thread). The --jobs=N
-//                        command-line flag overrides it.
-//
-// Observability knobs (see docs/OBSERVABILITY.md; flags override env):
-//   MADNET_TRACE / --trace=FILE             — JSONL trace output path.
-//   MADNET_TRACE_CATEGORIES /
-//     --trace-categories=CSV                — event,tx,rx,suppress,sketch,fault,
-//                                             all (default), none.
-//   MADNET_TRACE_SAMPLE / --trace-sample=N  — keep every Nth record per
-//                                             category (default 1).
-//   MADNET_METRICS_OUT / --metrics-out=FILE — manifest + merged metrics
-//                                             JSON output path.
-//   MADNET_FLIGHT_RECORDER /
-//     --flight-recorder                     — keep a bounded in-memory ring
-//                                             of recent trace records per
-//                                             replication, dumped to a
-//                                             postmortem file on DCHECK
-//                                             failure ($MADNET_POSTMORTEM
-//                                             or ./madnet_postmortem.jsonl).
+// Every bench binary reads the flags and MADNET_* variables of
+// BenchFlags() below, plus its own rows; `<binary> --help` lists them with
+// their variables, defaults and ranges. A flag beats its variable.
 
 #ifndef MADNET_BENCH_BENCH_UTIL_H_
 #define MADNET_BENCH_BENCH_UTIL_H_
 
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,13 +27,52 @@
 #include "obs/session.h"
 #include "obs/trace.h"
 #include "util/csv.h"
+#include "util/flags.h"
 #include "util/logging.h"
 #include "util/table.h"
 
 namespace madnet::bench {
 
-/// Replication / scaling knobs read from the environment (and optionally
-/// the command line).
+/// The rows every bench binary reads (util/flags.h).
+inline std::vector<Flag> BenchFlags() {
+  return {
+      {"reps", "MADNET_BENCH_REPS", FlagKind::kInt, "3",
+       "replications per data point", 1, INT_MAX},
+      {"fast", "MADNET_BENCH_FAST", FlagKind::kBool, "false",
+       "shrink sweeps for quick runs"},
+      {"", "MADNET_BENCH_CSV", FlagKind::kString, ".",
+       "directory for CSV output; empty disables CSV files"},
+      {"jobs", "MADNET_JOBS", FlagKind::kInt, "1",
+       "worker threads for sweeps (0 or auto = one per hardware thread)",
+       0, static_cast<double>(exec::MaxJobs()), "auto"},
+      {"trace", "MADNET_TRACE", FlagKind::kString, "",
+       "JSONL trace output path (docs/OBSERVABILITY.md)"},
+      {.name = "trace-categories",
+       .env = "MADNET_TRACE_CATEGORIES",
+       .default_value = "all",
+       .help = "comma-separated trace categories, or all / none",
+       .check = [](const std::string&, const std::string& value) {
+         return obs::ParseTraceCategories(value).status();
+       }},
+      {"trace-sample", "MADNET_TRACE_SAMPLE", FlagKind::kInt, "1",
+       "keep every Nth record per category", 1, UINT32_MAX},
+      {"metrics-out", "MADNET_METRICS_OUT", FlagKind::kString, "",
+       "manifest + merged metrics JSON output path"},
+      {"flight-recorder", "MADNET_FLIGHT_RECORDER", FlagKind::kBool, "false",
+       "keep a bounded ring of recent trace records per replication, "
+       "dumped to $MADNET_POSTMORTEM (default ./madnet_postmortem.jsonl) "
+       "on a DCHECK failure"},
+  };
+}
+
+/// Wall-clock seconds since `start`.
+inline double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+/// The bench knobs, read once from BenchFlags() and the binary's own rows.
 struct BenchEnv {
   int reps = 3;
   bool fast = false;
@@ -61,158 +80,63 @@ struct BenchEnv {
   /// Sweep concurrency, already resolved: >= 1. Grid points (or
   /// replications) are distributed over this many workers.
   int jobs = 1;
-
-  /// Observability outputs; empty paths mean "off" (see ObsGuard).
-  std::string trace_path;
-  std::string metrics_path;
-  uint32_t trace_categories = obs::kTraceAll;
-  uint32_t trace_sample = 1;
-  bool flight_recorder = false;
-
-  /// True when any observability output was requested. A flight recorder
-  /// alone counts: it produces no artifact on a clean run, but needs the
-  /// session installed so every replication carries a postmortem ring.
-  bool ObsRequested() const {
-    return !trace_path.empty() || !metrics_path.empty() || flight_recorder;
-  }
-
-  static BenchEnv FromEnvironment() {
-    BenchEnv env;
-    if (const char* reps = std::getenv("MADNET_BENCH_REPS")) {
-      env.reps = std::max(1, std::atoi(reps));
-    }
-    if (const char* fast = std::getenv("MADNET_BENCH_FAST")) {
-      env.fast = fast[0] != '\0';
-    }
-    if (const char* dir = std::getenv("MADNET_BENCH_CSV")) {
-      env.csv_dir = dir;
-    }
-    if (const char* jobs = std::getenv("MADNET_JOBS")) {
-      env.jobs = ParseJobs(jobs);
-    }
-    if (const char* trace = std::getenv("MADNET_TRACE")) {
-      env.trace_path = trace;
-    }
-    if (const char* cats = std::getenv("MADNET_TRACE_CATEGORIES")) {
-      env.trace_categories = ParseCategories(cats);
-    }
-    if (const char* sample = std::getenv("MADNET_TRACE_SAMPLE")) {
-      env.trace_sample =
-          static_cast<uint32_t>(std::max(1, std::atoi(sample)));
-    }
-    if (const char* metrics = std::getenv("MADNET_METRICS_OUT")) {
-      env.metrics_path = metrics;
-    }
-    if (const char* recorder = std::getenv("MADNET_FLIGHT_RECORDER")) {
-      env.flight_recorder = recorder[0] != '\0';
-    }
-    return env;
-  }
-
-  /// FromEnvironment() plus command-line overrides: --jobs=N / --jobs N
-  /// (N = 0 or "auto" → hardware concurrency), --fast, --reps=N.
-  static BenchEnv FromEnvironment(int argc, char** argv) {
-    BenchEnv env = FromEnvironment();
-    for (int i = 1; i < argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strncmp(arg, "--jobs=", 7) == 0) {
-        env.jobs = ParseJobs(arg + 7);
-      } else if (std::strcmp(arg, "--jobs") == 0 && i + 1 < argc) {
-        env.jobs = ParseJobs(argv[++i]);
-      } else if (std::strncmp(arg, "--reps=", 7) == 0) {
-        env.reps = std::max(1, std::atoi(arg + 7));
-      } else if (std::strcmp(arg, "--fast") == 0) {
-        env.fast = true;
-      } else if (std::strncmp(arg, "--trace=", 8) == 0) {
-        env.trace_path = arg + 8;
-      } else if (std::strncmp(arg, "--trace-categories=", 19) == 0) {
-        env.trace_categories = ParseCategories(arg + 19);
-      } else if (std::strncmp(arg, "--trace-sample=", 15) == 0) {
-        env.trace_sample =
-            static_cast<uint32_t>(std::max(1, std::atoi(arg + 15)));
-      } else if (std::strncmp(arg, "--metrics-out=", 14) == 0) {
-        env.metrics_path = arg + 14;
-      } else if (std::strcmp(arg, "--flight-recorder") == 0) {
-        env.flight_recorder = true;
-      }
-    }
-    return env;
-  }
-
- private:
-  static int ParseJobs(const char* text) {
-    if (std::strcmp(text, "auto") == 0) return exec::ResolveJobs(0);
-    char* end = nullptr;
-    const long value = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || value < 0) {
-      MADNET_LOG_ERROR("--jobs wants a count or \"auto\", got \"%s\"", text);
-      std::exit(2);
-    }
-    return exec::ResolveJobs(static_cast<int>(value));
-  }
-
-  static uint32_t ParseCategories(const char* text) {
-    auto parsed = obs::ParseTraceCategories(text);
-    if (!parsed.ok()) {
-      MADNET_LOG_ERROR("--trace-categories: %s",
-                       parsed.status().ToString().c_str());
-      std::exit(2);
-    }
-    return *parsed;
-  }
+  /// The parsed table: the observability rows and the binary's own.
+  FlagSet flags;
 };
 
-/// Installs the process-wide obs::Session for the bench's lifetime when
-/// the environment asked for observability output, and flushes/writes the
-/// artifacts (trace JSONL, metrics JSON, manifest) on destruction. With no
-/// --trace / --metrics-out this is a complete no-op: no session exists and
-/// scenario hot paths keep their single null test.
+/// A bench binary's main(): parses BenchFlags() plus the `own` rows (a bad
+/// flag or variable exits 2 before any work; --help prints every row),
+/// runs `run(env)` and writes the observability artifacts asked for. With
+/// no --trace, --metrics-out or --flight-recorder no obs::Session exists,
+/// so scenario hot paths keep their single null test. A flight recorder
+/// alone counts: it writes nothing on a clean run, but every replication
+/// needs the session to carry a postmortem ring.
 ///
 ///   int main(int argc, char** argv) {
-///     BenchEnv env = BenchEnv::FromEnvironment(argc, argv);
-///     ObsGuard obs(env);
-///     Run(env);
+///     return madnet::bench::Main(argc, argv, madnet::Run);
 ///   }
-class ObsGuard {
- public:
-  explicit ObsGuard(const BenchEnv& env)
-      : env_(env), start_(std::chrono::steady_clock::now()) {
-    if (!env.ObsRequested()) return;
-    obs::SessionOptions options;
-    options.trace.categories = env.trace_categories;
-    options.trace.sample_period = env.trace_sample;
-    options.trace.flight_recorder = env.flight_recorder;
-    options.trace_path = env.trace_path;
-    options.metrics_path = env.metrics_path;
+template <typename Run>
+int Main(int argc, char** argv, Run&& run, std::span<const Flag> own = {}) {
+  std::vector<Flag> rows = BenchFlags();
+  rows.insert(rows.end(), own.begin(), own.end());
+  BenchEnv env;
+  env.flags = ParseFlagsOrExit(rows, argc, argv,
+                               std::string(argv[0]) + " [--flag=value ...]");
+  env.reps = static_cast<int>(env.flags.Int("reps"));
+  env.fast = env.flags.Bool("fast");
+  env.csv_dir = env.flags.String("MADNET_BENCH_CSV");
+  env.jobs = exec::ResolveJobs(static_cast<int>(env.flags.Int("jobs")));
+  const auto start = std::chrono::steady_clock::now();
+  obs::SessionOptions options;
+  options.trace_path = env.flags.String("trace");
+  options.metrics_path = env.flags.String("metrics-out");
+  options.trace.flight_recorder = env.flags.Bool("flight-recorder");
+  options.trace.sample_period =
+      static_cast<uint32_t>(env.flags.Int("trace-sample"));
+  options.trace.categories =
+      obs::ParseTraceCategories(env.flags.String("trace-categories"))
+          .value();
+  if (!options.trace_path.empty() || !options.metrics_path.empty() ||
+      options.trace.flight_recorder) {
     obs::Session::Configure(options);
   }
-
-  ObsGuard(const ObsGuard&) = delete;
-  ObsGuard& operator=(const ObsGuard&) = delete;
-
-  ~ObsGuard() {
-    obs::Session* session = obs::Session::Get();
-    if (session == nullptr) return;
-    obs::Manifest manifest;
-    manifest.replications = env_.reps;
-    manifest.jobs = env_.jobs;
-    manifest.wall_s = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - start_)
-                          .count();
-    const Status status = session->Flush(manifest);
-    obs::Session::Shutdown();
-    if (!status.ok()) {
-      // A bench whose requested artifacts are missing must not look green.
-      MADNET_LOG_ERROR("observability flush failed: %s",
-                       status.ToString().c_str());
-      std::exit(EXIT_FAILURE);
-    }
+  run(env);
+  obs::Session* session = obs::Session::Get();
+  if (session == nullptr) return 0;
+  obs::Manifest manifest;
+  manifest.replications = env.reps;
+  manifest.jobs = env.jobs;
+  manifest.wall_s = SecondsSince(start);
+  const Status status = session->Flush(manifest);
+  obs::Session::Shutdown();
+  if (!status.ok()) {
+    // A bench whose requested artifacts are missing must not look green.
+    MADNET_LOG_ERROR("observability flush failed: %s",
+                     status.ToString().c_str());
+    return EXIT_FAILURE;
   }
-
- private:
-  BenchEnv env_;
-  std::chrono::steady_clock::time_point start_;
-};
+  return 0;
+}
 
 /// Runs fn(i) for every grid point i in [0, n), fanned out over env.jobs
 /// workers (inline when env.jobs == 1). A RunReplicated(config, reps) call

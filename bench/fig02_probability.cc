@@ -43,8 +43,5 @@ void Run(const bench::BenchEnv& env) {
 }  // namespace madnet
 
 int main(int argc, char** argv) {
-  const auto env = madnet::bench::BenchEnv::FromEnvironment(argc, argv);
-  madnet::bench::ObsGuard obs(env);
-  madnet::Run(env);
-  return 0;
+  return madnet::bench::Main(argc, argv, madnet::Run);
 }

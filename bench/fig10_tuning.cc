@@ -15,7 +15,6 @@
 //
 // Pass --sweep=alpha|round|dis|beta to run one sweep; default runs all.
 
-#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -121,12 +120,19 @@ void Run(const std::string& which, const bench::BenchEnv& env) {
 }  // namespace madnet
 
 int main(int argc, char** argv) {
-  std::string which;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--sweep=", 8) == 0) which = argv[i] + 8;
-  }
-  const auto env = madnet::bench::BenchEnv::FromEnvironment(argc, argv);
-  madnet::bench::ObsGuard obs(env);
-  madnet::Run(which, env);
-  return 0;
+  const madnet::Flag sweep[] = {
+      {.name = "sweep",
+       .help = "run one sweep only: alpha, round, dis or beta (default: all)",
+       .check = [](const std::string&, const std::string& value) {
+         for (const char* name : {"", "alpha", "round", "dis", "beta"}) {
+           if (value == name) return madnet::Status::Ok();
+         }
+         return madnet::Status::InvalidArgument("unknown sweep '" + value +
+                                                "'");
+       }},
+  };
+  return madnet::bench::Main(
+      argc, argv,
+      [](const auto& env) { madnet::Run(env.flags.String("sweep"), env); },
+      sweep);
 }

@@ -142,10 +142,9 @@ void PopularVsNiche(const bench::BenchEnv& env) {
 }  // namespace madnet
 
 int main(int argc, char** argv) {
-  const auto env = madnet::bench::BenchEnv::FromEnvironment(argc, argv);
-  madnet::bench::ObsGuard obs(env);
-  madnet::RankAccuracy(env);
-  madnet::EnlargementGrowth(env);
-  madnet::PopularVsNiche(env);
-  return 0;
+  return madnet::bench::Main(argc, argv, [](const auto& env) {
+    madnet::RankAccuracy(env);
+    madnet::EnlargementGrowth(env);
+    madnet::PopularVsNiche(env);
+  });
 }

@@ -38,12 +38,6 @@ using scenario::Method;
 using exec::RunReplicated;
 using scenario::ScenarioConfig;
 
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 /// One sweep point: the fault knob's value and the replicated aggregate.
 struct Point {
   double knob = 0.0;
@@ -172,10 +166,10 @@ void Run(const bench::BenchEnv& env) {
   auto start = std::chrono::steady_clock::now();
   const std::vector<Point> churn =
       Sweep(sweep_env, base, churn_grid, ApplyChurn);
-  const double churn_wall_s = SecondsSince(start);
+  const double churn_wall_s = bench::SecondsSince(start);
   start = std::chrono::steady_clock::now();
   const std::vector<Point> loss = Sweep(sweep_env, base, loss_grid, ApplyLoss);
-  const double loss_wall_s = SecondsSince(start);
+  const double loss_wall_s = bench::SecondsSince(start);
 
   PrintSweep("Crash-churn sweep (120s up / 240s down, caches wiped)",
              "churn_rate", churn);
@@ -227,8 +221,5 @@ void Run(const bench::BenchEnv& env) {
 }  // namespace madnet
 
 int main(int argc, char** argv) {
-  const auto env = madnet::bench::BenchEnv::FromEnvironment(argc, argv);
-  madnet::bench::ObsGuard obs(env);
-  madnet::Run(env);
-  return 0;
+  return madnet::bench::Main(argc, argv, madnet::Run);
 }

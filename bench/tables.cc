@@ -97,8 +97,5 @@ void Run() {
 }  // namespace madnet
 
 int main(int argc, char** argv) {
-  const auto env = madnet::bench::BenchEnv::FromEnvironment(argc, argv);
-  madnet::bench::ObsGuard obs(env);
-  madnet::Run();
-  return 0;
+  return madnet::bench::Main(argc, argv, [](const auto&) { madnet::Run(); });
 }

@@ -27,7 +27,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -58,12 +57,6 @@ using scenario::RunResult;
 using scenario::RunScenario;
 using scenario::ScenarioConfig;
 
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 struct SweepResult {
   double wall_s = 0.0;
   std::vector<Aggregate> aggregates;  // One per grid point, grid order.
@@ -80,7 +73,7 @@ SweepResult RunSweep(const std::vector<Method>& methods,
     config.num_peers = sizes[point % sizes.size()];
     sweep.aggregates[point] = RunReplicated(config, reps);
   });
-  sweep.wall_s = SecondsSince(start);
+  sweep.wall_s = bench::SecondsSince(start);
   return sweep;
 }
 
@@ -118,7 +111,7 @@ MetroPoint RunMetroPoint(const ScenarioConfig& config) {
   scenario::Scenario scenario(config);
   const auto start = std::chrono::steady_clock::now();
   point.result = scenario.Run();
-  point.wall_s = SecondsSince(start);
+  point.wall_s = bench::SecondsSince(start);
   return point;
 }
 
@@ -140,7 +133,7 @@ void Run(const bench::BenchEnv& env, bool metro) {
   for (int i = 0; i < single_runs; ++i) {
     auto start = std::chrono::steady_clock::now();
     RunResult result = RunScenario(reference);
-    const double wall_s = SecondsSince(start);
+    const double wall_s = bench::SecondsSince(start);
     if (i == 0 || wall_s < single_wall_s) {
       single_wall_s = wall_s;
       single = std::move(result);
@@ -296,84 +289,56 @@ void Run(const bench::BenchEnv& env, bool metro) {
   manifest.WriteJson(&json);
   json.Key("single_run");
   json.BeginObject();
-  json.Key("peers");
-  json.Value(reference.num_peers);
-  json.Key("runs");
-  json.Value(single_runs);
-  json.Key("wall_s");
-  json.Value(single_wall_s);
-  json.Key("events");
-  json.Value(static_cast<uint64_t>(single.events_executed));
-  json.Key("events_per_sec");
-  json.Value(events_per_sec);
-  json.Key("broadcasts");
-  json.Value(static_cast<uint64_t>(single.Messages()));
-  json.Key("broadcasts_per_sec");
-  json.Value(broadcasts_per_sec);
+  json.Field("peers", reference.num_peers);
+  json.Field("runs", single_runs);
+  json.Field("wall_s", single_wall_s);
+  json.Field("events", static_cast<uint64_t>(single.events_executed));
+  json.Field("events_per_sec", events_per_sec);
+  json.Field("broadcasts", static_cast<uint64_t>(single.Messages()));
+  json.Field("broadcasts_per_sec", broadcasts_per_sec);
   json.EndObject();
   json.Key("quality");
   json.BeginObject();
-  json.Key("peers");
-  json.Value(reference.num_peers);
-  json.Key("deliveries");
-  json.Value(quality.deliveries);
-  json.Key("rx_frames");
-  json.Value(quality.rx_frames);
-  json.Key("delivery_latency_p50_s");
-  json.Value(quality.latency_p50);
-  json.Key("delivery_latency_p99_s");
-  json.Value(quality.latency_p99);
-  json.Key("delivery_latency_mean_s");
-  json.Value(quality.latency_mean);
-  json.Key("redundancy_ratio");
-  json.Value(quality.redundancy_ratio);
-  json.Key("max_hop");
-  json.Value(static_cast<uint64_t>(quality_max_hop));
+  json.Field("peers", reference.num_peers);
+  json.Field("deliveries", quality.deliveries);
+  json.Field("rx_frames", quality.rx_frames);
+  json.Field("delivery_latency_p50_s", quality.latency_p50);
+  json.Field("delivery_latency_p99_s", quality.latency_p99);
+  json.Field("delivery_latency_mean_s", quality.latency_mean);
+  json.Field("redundancy_ratio", quality.redundancy_ratio);
+  json.Field("max_hop", static_cast<uint64_t>(quality_max_hop));
   json.EndObject();
   json.Key("sweep");
   json.BeginObject();
-  json.Key("grid_points");
-  json.Value(static_cast<uint64_t>(serial.aggregates.size()));
-  json.Key("reps");
-  json.Value(env.reps);
-  json.Key("serial_wall_s");
-  json.Value(serial.wall_s);
-  json.Key("parallel_wall_s");
-  json.Value(parallel.wall_s);
-  json.Key("jobs");
-  json.Value(parallel_jobs);
-  json.Key("hardware_threads");
-  json.Value(hardware_threads);
+  json.Field("grid_points", static_cast<uint64_t>(serial.aggregates.size()));
+  json.Field("reps", env.reps);
+  json.Field("serial_wall_s", serial.wall_s);
+  json.Field("parallel_wall_s", parallel.wall_s);
+  json.Field("jobs", parallel_jobs);
+  json.Field("hardware_threads", hardware_threads);
   json.Key("speedup");
   if (speedup_meaningful) {
     json.Value(speedup);
   } else {
     json.Null();
-    json.Key("speedup_note");
-    json.Value("hardware_threads < jobs: wall-clock ratio reflects "
+    json.Field("speedup_note",
+               "hardware_threads < jobs: wall-clock ratio reflects "
                "oversubscription, not engine scaling");
   }
-  json.Key("deterministic");
-  json.Value(true);
+  json.Field("deterministic", true);
   json.EndObject();
   if (metro_point.has_value()) {
     json.Key("metro");
     json.BeginObject();
-    json.Key("peers");
-    json.Value(metro_config.num_peers);
-    json.Key("area_size_m");
-    json.Value(metro_config.area_size_m);
-    json.Key("sim_time_s");
-    json.Value(metro_config.sim_time_s);
-    json.Key("wall_s");
-    json.Value(metro_point->wall_s);
-    json.Key("events");
-    json.Value(static_cast<uint64_t>(metro_point->result.events_executed));
-    json.Key("events_per_sec");
-    json.Value(static_cast<double>(metro_point->result.events_executed) /
-               metro_point->wall_s);
-    json.Key("index_rebuilds");
-    json.Value(metro_point->result.net.index_rebuilds);
+    json.Field("peers", metro_config.num_peers);
+    json.Field("area_size_m", metro_config.area_size_m);
+    json.Field("sim_time_s", metro_config.sim_time_s);
+    json.Field("wall_s", metro_point->wall_s);
+    const uint64_t events = metro_point->result.events_executed;
+    json.Field("events", events);
+    json.Field("events_per_sec",
+               static_cast<double>(events) / metro_point->wall_s);
+    json.Field("index_rebuilds", metro_point->result.net.index_rebuilds);
     json.EndObject();
   }
   json.EndObject();
@@ -393,12 +358,12 @@ void Run(const bench::BenchEnv& env, bool metro) {
 }  // namespace madnet
 
 int main(int argc, char** argv) {
-  const auto env = madnet::bench::BenchEnv::FromEnvironment(argc, argv);
-  bool metro = std::getenv("MADNET_BENCH_METRO") != nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--metro") == 0) metro = true;
-  }
-  madnet::bench::ObsGuard obs(env);
-  madnet::Run(env, metro);
-  return 0;
+  const madnet::Flag metro[] = {
+      {"metro", "MADNET_BENCH_METRO", madnet::FlagKind::kBool, "false",
+       "also run the 100k-peer metro-scale workload"},
+  };
+  return madnet::bench::Main(
+      argc, argv,
+      [](const auto& env) { madnet::Run(env, env.flags.Bool("metro")); },
+      metro);
 }

@@ -5,19 +5,26 @@
 //
 //   $ ./quickstart [num_peers]
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 
 #include "scenario/scenario.h"
+#include "util/flags.h"
 #include "util/logging.h"
 
 int main(int argc, char** argv) {
   using namespace madnet::scenario;
 
+  const madnet::Flag rows[] = {{"num_peers", "", madnet::FlagKind::kInt,
+                                "300", "number of mobile peers", 1, INT_MAX,
+                                "", nullptr, /*positional=*/true}};
+  const madnet::FlagSet flags = madnet::ParseFlagsOrExit(
+      rows, argc, argv, "quickstart [num_peers]");
+
   ScenarioConfig config;              // Table II defaults: 5000 m x 5000 m,
   config.method = Method::kOptimized; // R=1000 m, D=800 s, alpha=beta=0.5,
   config.num_peers =                  // round=5 s, DIS=R/4, speed 10±5 m/s.
-      argc > 1 ? std::atoi(argv[1]) : 300;
+      static_cast<int>(flags.Int("num_peers"));
   config.seed = 7;
 
   madnet::Status valid = config.Validate();

@@ -3,19 +3,20 @@
 #include "core/ad_cache.h"
 
 #include <algorithm>
-#include <cassert>
+
+#include "util/logging.h"
 
 namespace madnet::core {
 
 AdCache::AdCache(size_t capacity) : capacity_(capacity) {
-  assert(capacity >= 1);
+  MADNET_DCHECK(capacity >= 1);
 }
 
 CacheEntry* AdCache::Insert(CacheEntry entry, sim::EventId* evicted_timer) {
-  assert(evicted_timer != nullptr);
+  MADNET_DCHECK(evicted_timer != nullptr);
   *evicted_timer = sim::kInvalidEventId;
   const uint64_t key = entry.ad.id.Key();
-  assert(Find(key) == nullptr && "Insert of a key already cached");
+  MADNET_DCHECK(Find(key) == nullptr && "Insert of a key already cached");
   if (Full()) {
     // Algorithm 1: drop the least-probability entry, counting the incoming
     // one as a candidate victim. Keys ascend, so `<=` hands a tie between

@@ -3,8 +3,9 @@
 #include "core/interest.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+
+#include "util/logging.h"
 
 namespace madnet::core {
 
@@ -25,10 +26,11 @@ bool InterestProfile::Matches(const AdContent& content) const {
 
 InterestGenerator::InterestGenerator(const Options& options)
     : options_(options) {
-  assert(!options.universe.empty());
-  assert(options.min_interests >= 0 &&
-         options.max_interests >= options.min_interests);
-  assert(options.max_interests <= static_cast<int>(options.universe.size()));
+  MADNET_DCHECK(!options.universe.empty());
+  MADNET_DCHECK(options.min_interests >= 0 &&
+                options.max_interests >= options.min_interests);
+  MADNET_DCHECK(options.max_interests <=
+                static_cast<int>(options.universe.size()));
   double total = 0.0;
   cumulative_.reserve(options.universe.size());
   for (size_t i = 0; i < options.universe.size(); ++i) {

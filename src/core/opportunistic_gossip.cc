@@ -3,9 +3,9 @@
 #include "core/opportunistic_gossip.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "util/geometry.h"
+#include "util/logging.h"
 
 namespace madnet::core {
 
@@ -16,8 +16,8 @@ OpportunisticGossip::OpportunisticGossip(ProtocolContext context,
       options_(options),
       interests_(std::move(interests)),
       cache_(options.cache_capacity) {
-  assert(options.propagation.Valid());
-  assert(options.round_time_s > 0.0);
+  MADNET_DCHECK(options.propagation.Valid());
+  MADNET_DCHECK(options.round_time_s > 0.0);
 }
 
 void OpportunisticGossip::Start() {

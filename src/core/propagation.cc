@@ -3,14 +3,15 @@
 #include "core/propagation.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+
+#include "util/logging.h"
 
 namespace madnet::core {
 
 double RadiusAtAge(double r_m, double d_s, double age_s,
                    const PropagationParams& params) {
-  assert(params.Valid());
+  MADNET_DCHECK(params.Valid());
   if (age_s > d_s) return 0.0;
   if (age_s < 0.0) age_s = 0.0;
   const double exponent = (d_s - age_s) / params.time_unit_s + 1.0;
@@ -19,7 +20,7 @@ double RadiusAtAge(double r_m, double d_s, double age_s,
 
 double ForwardingProbability(double distance_m, double radius_m,
                              const PropagationParams& params) {
-  assert(params.Valid());
+  MADNET_DCHECK(params.Valid());
   if (radius_m <= 0.0) return 0.0;
   if (distance_m < 0.0) distance_m = 0.0;
   if (distance_m <= radius_m) {
@@ -34,7 +35,7 @@ double ForwardingProbability(double distance_m, double radius_m,
 double AnnulusForwardingProbability(double distance_m, double radius_m,
                                     double dis_m,
                                     const PropagationParams& params) {
-  assert(params.Valid());
+  MADNET_DCHECK(params.Valid());
   if (radius_m <= 0.0) return 0.0;
   if (dis_m >= radius_m) {
     return ForwardingProbability(distance_m, radius_m, params);

@@ -2,22 +2,22 @@
 
 #include "core/protocol.h"
 
-#include <cassert>
+#include "util/logging.h"
+
 
 namespace madnet::core {
 
 Protocol::Protocol(ProtocolContext context) : context_(std::move(context)) {
-  assert(context_.simulator != nullptr);
-  assert(context_.medium != nullptr);
-  assert(context_.self != net::kInvalidNodeId);
+  MADNET_DCHECK(context_.simulator != nullptr);
+  MADNET_DCHECK(context_.medium != nullptr);
+  MADNET_DCHECK(context_.self != net::kInvalidNodeId);
 }
 
 void Protocol::Start() {
   Status status = context_.medium->SetReceiver(
       context_.self, [this](const net::Packet& packet, net::NodeId from,
                             net::NodeId /*to*/) { OnReceive(packet, from); });
-  assert(status.ok() && "node must be registered with the medium first");
-  (void)status;
+  MADNET_DCHECK(status.ok() && "node must be registered with the medium first");
 }
 
 StatusOr<AdId> Protocol::Issue(const AdContent& /*content*/,

@@ -2,8 +2,9 @@
 
 #include "core/ranking.h"
 
-#include <cassert>
 #include <cmath>
+
+#include "util/logging.h"
 
 namespace madnet::core {
 
@@ -18,7 +19,7 @@ double EnlargementIncrement(double increment_base, double rank) {
 
 bool RankAndEnlarge(Advertisement* ad, const InterestProfile& interests,
                     uint64_t user_id, const RankingOptions& options) {
-  assert(ad != nullptr);
+  MADNET_DCHECK(ad != nullptr);
   if (!interests.Matches(ad->content)) return false;
 
   const double rank_before = EstimatedRank(*ad);
@@ -39,7 +40,7 @@ bool RankAndEnlarge(Advertisement* ad, const InterestProfile& interests,
 
 double ExpiryBound(double d0_s, double round_time_s,
                    double duration_increment_s) {
-  assert(round_time_s > 0.0);
+  MADNET_DCHECK(round_time_s > 0.0);
   double accumulated = d0_s;
   // With the log2(j+1) divisor the growth of `accumulated` is o(k), so the
   // line k * round_time always catches up; iterate until it does.

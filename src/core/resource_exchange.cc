@@ -3,16 +3,17 @@
 #include "core/resource_exchange.h"
 
 #include <algorithm>
-#include <cassert>
+
+#include "util/logging.h"
 
 namespace madnet::core {
 
 ResourceExchange::ResourceExchange(ProtocolContext context,
                                    const Options& options)
     : Protocol(std::move(context)), options_(options) {
-  assert(options.beacon_interval_s > 0.0);
-  assert(options.memory_capacity >= 1);
-  assert(options.age_weight >= 0.0 && options.distance_weight >= 0.0);
+  MADNET_DCHECK(options.beacon_interval_s > 0.0);
+  MADNET_DCHECK(options.memory_capacity >= 1);
+  MADNET_DCHECK(options.age_weight >= 0.0 && options.distance_weight >= 0.0);
 }
 
 void ResourceExchange::Start() {

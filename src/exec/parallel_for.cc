@@ -140,4 +140,6 @@ int ResolveJobs(int jobs) {
   return jobs >= 1 ? jobs : ThreadPool::HardwareConcurrency();
 }
 
+int MaxJobs() { return 4 * ThreadPool::HardwareConcurrency(); }
+
 }  // namespace madnet::exec

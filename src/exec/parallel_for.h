@@ -42,6 +42,9 @@ void ParallelFor(int jobs, size_t n, const std::function<void(size_t)>& fn);
 /// thread".
 int ResolveJobs(int jobs);
 
+/// The largest jobs knob the binaries accept: 4 x the hardware threads.
+int MaxJobs();
+
 }  // namespace madnet::exec
 
 #endif  // MADNET_EXEC_PARALLEL_FOR_H_

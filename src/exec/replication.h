@@ -46,7 +46,7 @@ struct Aggregate {
 /// order regardless of completion order, making every Aggregate field
 /// bit-identical to the serial path.
 ///
-/// When an obs::Session is installed (see bench_util's ObsGuard), every
+/// When an obs::Session is installed (see bench_util's Main), every
 /// replication additionally records into its own obs::RunContext — trace
 /// records, metrics, and a "replication" wall-clock phase — and the
 /// contexts are handed to the session keyed by the replication's config

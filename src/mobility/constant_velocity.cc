@@ -2,16 +2,17 @@
 
 #include "mobility/constant_velocity.h"
 
-#include <cassert>
 #include <cmath>
 #include <limits>
+
+#include "util/logging.h"
 
 namespace madnet::mobility {
 
 ConstantVelocity::ConstantVelocity(const Rect& area, const Vec2& position,
                                    const Vec2& velocity)
     : area_(area), start_position_(position), velocity_(velocity) {
-  assert(area.Contains(position) && "start position outside the area");
+  MADNET_DCHECK(area.Contains(position) && "start position outside the area");
 }
 
 Leg ConstantVelocity::NextLeg(const Leg* previous) {

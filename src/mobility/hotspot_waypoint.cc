@@ -3,24 +3,26 @@
 #include "mobility/hotspot_waypoint.h"
 
 #include <algorithm>
-#include <cassert>
+
+#include "util/logging.h"
 
 namespace madnet::mobility {
 
 HotspotWaypoint::HotspotWaypoint(const Options& options, Rng rng)
     : options_(options), rng_(rng) {
-  assert(options.min_speed_mps > 0.0 &&
-         options.max_speed_mps >= options.min_speed_mps);
-  assert(options.min_pause_s >= 0.0 &&
-         options.max_pause_s >= options.min_pause_s);
-  assert(options.hotspot_probability >= 0.0 &&
-         options.hotspot_probability <= 1.0);
-  assert((options.hotspot_probability == 0.0 || !options.hotspots.empty()) &&
-         "hotspot_probability > 0 requires hotspots");
+  MADNET_DCHECK(options.min_speed_mps > 0.0 &&
+                options.max_speed_mps >= options.min_speed_mps);
+  MADNET_DCHECK(options.min_pause_s >= 0.0 &&
+                options.max_pause_s >= options.min_pause_s);
+  MADNET_DCHECK(options.hotspot_probability >= 0.0 &&
+                options.hotspot_probability <= 1.0);
+  MADNET_DCHECK(
+      (options.hotspot_probability == 0.0 || !options.hotspots.empty()) &&
+      "hotspot_probability > 0 requires hotspots");
   double total = 0.0;
   for (const Hotspot& hotspot : options.hotspots) {
-    assert(hotspot.weight > 0.0 && hotspot.sigma_m >= 0.0);
-    assert(options.area.Contains(hotspot.center));
+    MADNET_DCHECK(hotspot.weight > 0.0 && hotspot.sigma_m >= 0.0);
+    MADNET_DCHECK(options.area.Contains(hotspot.center));
     total += hotspot.weight;
     cumulative_weights_.push_back(total);
   }

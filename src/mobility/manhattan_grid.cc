@@ -2,27 +2,29 @@
 
 #include "mobility/manhattan_grid.h"
 
-#include <cassert>
 #include <cmath>
+
+#include "util/logging.h"
 
 namespace madnet::mobility {
 
 ManhattanGrid::ManhattanGrid(const Options& options, Rng rng)
     : options_(options), rng_(rng) {
-  assert(options.block_size_m > 0.0);
-  assert(options.min_speed_mps > 0.0 &&
-         options.max_speed_mps >= options.min_speed_mps);
-  assert(options.p_straight >= 0.0 && options.p_turn_left >= 0.0 &&
-         options.p_turn_right >= 0.0 &&
-         options.p_straight + options.p_turn_left + options.p_turn_right <=
-             1.0 + 1e-9);
+  MADNET_DCHECK(options.block_size_m > 0.0);
+  MADNET_DCHECK(options.min_speed_mps > 0.0 &&
+                options.max_speed_mps >= options.min_speed_mps);
+  MADNET_DCHECK(options.p_straight >= 0.0 && options.p_turn_left >= 0.0 &&
+                options.p_turn_right >= 0.0 &&
+                options.p_straight + options.p_turn_left +
+                        options.p_turn_right <=
+                    1.0 + 1e-9);
   cols_ = static_cast<int>(
               std::floor(options.area.Width() / options.block_size_m)) +
           1;
   rows_ = static_cast<int>(
               std::floor(options.area.Height() / options.block_size_m)) +
           1;
-  assert(cols_ >= 2 && rows_ >= 2 && "area too small for the grid");
+  MADNET_DCHECK(cols_ >= 2 && rows_ >= 2 && "area too small for the grid");
 }
 
 Vec2 ManhattanGrid::HeadingVector(Heading h) const {
@@ -78,7 +80,7 @@ ManhattanGrid::Heading ManhattanGrid::ChooseHeading(const Vec2& at,
   for (Heading h : {straight, left, right, back}) {
     if (feasible(h)) return h;
   }
-  assert(false && "grid node has no feasible direction");
+  MADNET_DCHECK(false && "grid node has no feasible direction");
   return back;
 }
 

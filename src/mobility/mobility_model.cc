@@ -3,7 +3,8 @@
 #include "mobility/mobility_model.h"
 
 #include <algorithm>
-#include <cassert>
+
+#include "util/logging.h"
 
 namespace madnet::mobility {
 
@@ -27,14 +28,13 @@ void MobilityModel::EnsureHorizon(Time horizon) {
     const Leg* previous = legs_.empty() ? nullptr : &legs_.back();
     Leg next = NextLeg(previous);
     if (previous != nullptr) {
-      assert(next.start == previous->end && "legs must abut in time");
-      assert(next.from == previous->to && "legs must abut in space");
+      MADNET_DCHECK(next.start == previous->end && "legs must abut in time");
+      MADNET_DCHECK(next.from == previous->to && "legs must abut in space");
     }
-    assert(next.end >= next.start && "leg must not run backwards");
+    MADNET_DCHECK(next.end >= next.start && "leg must not run backwards");
     zero_streak = next.Duration() > 0.0 ? 0 : zero_streak + 1;
-    assert(zero_streak < kMaxZeroDurationLegs &&
-           "mobility model failed to make progress");
-    (void)zero_streak;
+    MADNET_DCHECK(zero_streak < kMaxZeroDurationLegs &&
+                  "mobility model failed to make progress");
     // The trajectory extends by whole legs (seconds of virtual time each),
     // so per-query cost is O(1) amortized; hot callers hit the cursor cache.
     // NOLINTNEXTLINE(madnet-hot-transitive-alloc): amortized growth.
@@ -43,7 +43,7 @@ void MobilityModel::EnsureHorizon(Time horizon) {
 }
 
 size_t MobilityModel::LegIndexAt(Time t) {
-  assert(t >= 0.0 && "mobility queries require non-negative time");
+  MADNET_DCHECK(t >= 0.0 && "mobility queries require non-negative time");
   // Fast path first: if the cached cursor leg contains `t`, the trajectory
   // already covers `t` and EnsureHorizon would be a no-op, so checking the
   // cursor before extending is a pure reorder.
@@ -56,7 +56,7 @@ size_t MobilityModel::LegIndexAt(Time t) {
   auto it = std::lower_bound(
       legs_.begin(), legs_.end(), t,
       [](const Leg& leg, Time value) { return leg.end < value; });
-  assert(it != legs_.end());
+  MADNET_DCHECK(it != legs_.end());
   cursor_ = static_cast<size_t>(it - legs_.begin());
   return cursor_;
 }

@@ -2,17 +2,18 @@
 
 #include "mobility/random_waypoint.h"
 
-#include <cassert>
+#include "util/logging.h"
+
 
 namespace madnet::mobility {
 
 RandomWaypoint::RandomWaypoint(const Options& options, Rng rng)
     : options_(options), rng_(rng) {
-  assert(options.min_speed_mps > 0.0 &&
-         options.max_speed_mps >= options.min_speed_mps);
-  assert(options.min_pause_s >= 0.0 &&
-         options.max_pause_s >= options.min_pause_s);
-  assert(options.area.Width() > 0.0 && options.area.Height() > 0.0);
+  MADNET_DCHECK(options.min_speed_mps > 0.0 &&
+                options.max_speed_mps >= options.min_speed_mps);
+  MADNET_DCHECK(options.min_pause_s >= 0.0 &&
+                options.max_pause_s >= options.min_pause_s);
+  MADNET_DCHECK(options.area.Width() > 0.0 && options.area.Height() > 0.0);
 }
 
 Leg RandomWaypoint::NextLeg(const Leg* previous) {

@@ -386,10 +386,6 @@ Status Medium::Broadcast(NodeId from, const Packet& packet) {
   if (trace_ != nullptr && trace_->Enabled(obs::kTraceTx)) {
     trace_->Tx(now, from, origin.x, origin.y, packet.size_bytes, tx_seq);
   }
-  if (tiles_ != nullptr) {
-    // Queue depth counts this frame too (it is in flight from now on).
-    tiles_->RecordBroadcast(origin.x, origin.y, live_frames_ + 1);
-  }
   // All deliveries of this broadcast share one arena frame (acquired at
   // the first receiver), which lists the receivers, and one queue run: n
   // deliveries cost one calendar entry and one callback capturing
@@ -489,9 +485,6 @@ void Medium::CsmaTransmit(uint32_t slot) {
     trace_->Tx(now, from, origin.x, origin.y, frame.packet.size_bytes,
                frame.tx_seq);
   }
-  if (tiles_ != nullptr) {
-    tiles_->RecordBroadcast(origin.x, origin.y, live_frames_);
-  }
 
   when_scratch_.clear();
   for (uint32_t to : NeighborIndicesOf(origin, options_.range_m)) {
@@ -553,10 +546,6 @@ void Medium::CsmaCompleteRx(uint32_t slot, uint32_t to) {
   if (trace_ != nullptr && trace_->Enabled(obs::kTraceRx)) {
     trace_->Rx(now, frame.from, ids_[to], frame.packet.size_bytes,
                frame.packet.ad_key, frame.tx_seq);
-  }
-  if (tiles_ != nullptr) {
-    const Vec2 at = CachedPositionAt(to, now);
-    tiles_->RecordDelivery(at.x, at.y);
   }
   if (handlers_[to]) {
     delivering_tx_seq_ = frame.tx_seq;
@@ -635,10 +624,6 @@ void Medium::DeliverTo(uint32_t to_index, NodeId from, const Vec2& origin,
   if (trace_ != nullptr && trace_->Enabled(obs::kTraceRx)) {
     trace_->Rx(now, from, ids_[to_index], packet.size_bytes, packet.ad_key,
                tx_seq);
-  }
-  if (tiles_ != nullptr) {
-    const Vec2 at = CachedPositionAt(to_index, now);
-    tiles_->RecordDelivery(at.x, at.y);
   }
   if (handlers_[to_index]) {
     delivering_tx_seq_ = tx_seq;

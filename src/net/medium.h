@@ -37,7 +37,6 @@
 
 #include "mobility/mobility_model.h"
 #include "net/packet.h"
-#include "obs/tile_load.h"
 #include "obs/trace.h"
 #include "net/spatial_index.h"
 #include "sim/simulator.h"
@@ -167,12 +166,6 @@ class Medium {
   /// kTraceTx record per on-air frame and one kTraceRx record per
   /// successful delivery. Must outlive the medium or be cleared first.
   void SetTrace(obs::Trace* trace) { trace_ = trace; }
-
-  /// Installs (or clears, with nullptr) the spatial load map recording
-  /// per-tile broadcast/delivery counts and queue depth. Must outlive the
-  /// medium or be cleared first. Purely observational: attaching one never
-  /// changes delivery order or RNG draws.
-  void SetTileLoad(obs::TileLoadMap* tiles) { tiles_ = tiles; }
 
   /// Transmit sequence number (1-based, per medium, assigned in broadcast
   /// order) of the frame currently being delivered to a receive handler;
@@ -377,7 +370,6 @@ class Medium {
   std::vector<Rect> jam_zones_;  // Active jammer rectangles (usually 0-1).
   BroadcastObserver observer_;
   obs::Trace* trace_ = nullptr;
-  obs::TileLoadMap* tiles_ = nullptr;
 
   // Frame arena (see Frame).
   std::deque<Frame> frame_pool_;

@@ -40,22 +40,6 @@ Status FixedHistogram::MergeFrom(const FixedHistogram& other) {
   return Status::Ok();
 }
 
-Status FixedHistogram::MergeBucketCounts(const uint64_t* counts,
-                                         size_t n_buckets, double sum) {
-  if (counts_.empty() || n_buckets != counts_.size()) {
-    return Status::InvalidArgument(
-        "FixedHistogram::MergeBucketCounts: bucket count mismatch");
-  }
-  uint64_t total = 0;
-  for (size_t i = 0; i < n_buckets; ++i) {
-    counts_[i] += counts[i];
-    total += counts[i];
-  }
-  count_ += total;
-  sum_ += sum;
-  return Status::Ok();
-}
-
 double FixedHistogram::Quantile(double q) const {
   if (count_ == 0 || counts_.empty()) return 0.0;
   q = std::clamp(q, 0.0, 1.0);

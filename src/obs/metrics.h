@@ -46,15 +46,6 @@ class FixedHistogram {
   /// derived from it).
   Status MergeFrom(const FixedHistogram& other);
 
-  /// Folds `n_buckets` pre-bucketed counts (plus the sum of the raw
-  /// observations behind them) into this histogram — for hot producers
-  /// that accumulate into a plain array and book once at the end of a run
-  /// (e.g. the simulator's dispatch-gap telemetry). `n_buckets` must equal
-  /// counts().size(), i.e. bounds().size() + 1 including the overflow
-  /// bucket; a mismatch returns InvalidArgument and changes nothing.
-  Status MergeBucketCounts(const uint64_t* counts, size_t n_buckets,
-                           double sum);
-
   /// Estimates the q-quantile (q in [0, 1]) from the bucket counts by
   /// linear interpolation inside the bucket holding the target rank, with
   /// the first bound as each bucket's implicit lower edge floor at 0 (or

@@ -39,7 +39,7 @@ struct SessionOptions {
 class Session {
  public:
   /// Installs the session. Call at most once per process (asserted);
-  /// benches do this from ObsGuard before any scenario runs.
+  /// benches do this from bench::Main before any scenario runs.
   static void Configure(const SessionOptions& options);
 
   /// The installed session, or nullptr when observability is off — the

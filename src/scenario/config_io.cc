@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "scenario/config_keys.h"
+#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace madnet::scenario {
@@ -171,11 +172,28 @@ std::string SaveConfigText(const ScenarioConfig& config) {
   return text;
 }
 
-std::string ConfigKeyValue(const ScenarioConfig& config,
-                           std::string_view key) {
-  const ConfigKey<ScenarioConfig>* row =
-      FindConfigKey(ScenarioConfigKeys(), key);
-  return row == nullptr ? "" : FormatConfigRow(*row, config);
+std::vector<Flag> ConfigKeyFlags(
+    std::span<const std::pair<const char*, std::string>> keys,
+    const ScenarioConfig& defaults) {
+  std::vector<Flag> flags;
+  for (const auto& [key, help] : keys) {
+    const ConfigKey<ScenarioConfig>* row =
+        FindConfigKey(ScenarioConfigKeys(), key);
+    MADNET_DCHECK(row != nullptr);
+    Flag flag;
+    flag.name = key;
+    if (std::holds_alternative<bool& (*)(ScenarioConfig&)>(row->field)) {
+      flag.kind = FlagKind::kBool;
+    }
+    flag.default_value = FormatConfigRow(*row, defaults);
+    flag.help = help;
+    flag.check = [](const std::string& name, const std::string& value) {
+      ScenarioConfig scratch;
+      return ApplyConfigKey(name, value, &scratch);
+    };
+    flags.push_back(std::move(flag));
+  }
+  return flags;
 }
 
 }  // namespace madnet::scenario

@@ -26,11 +26,13 @@
 #ifndef MADNET_SCENARIO_CONFIG_IO_H_
 #define MADNET_SCENARIO_CONFIG_IO_H_
 
+#include <span>
 #include <string>
-#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "scenario/config.h"
+#include "util/flags.h"
 
 namespace madnet::scenario {
 
@@ -67,9 +69,13 @@ Status LoadConfigFile(const std::string& path, ScenarioConfig* config);
 /// contract, covered by scenario_config_io_test).
 std::string SaveConfigText(const ScenarioConfig& config);
 
-/// The value SaveConfigText writes for `key` ("optimized", "300", "0.5",
-/// "false"); empty for an unknown key.
-std::string ConfigKeyValue(const ScenarioConfig& config, std::string_view key);
+/// Command-line flag rows for single-ad keys, one per {key, help}: the
+/// default is the value SaveConfigText writes for the key in `defaults`, a
+/// bool key is a bool flag, and every value is checked by ApplyConfigKey
+/// as it is parsed, so the key table alone owns kinds and ranges.
+std::vector<Flag> ConfigKeyFlags(
+    std::span<const std::pair<const char*, std::string>> keys,
+    const ScenarioConfig& defaults);
 
 }  // namespace madnet::scenario
 

@@ -5,9 +5,9 @@
 #include "scenario/config_io.h"
 #include "scenario/config_keys.h"
 #include "scenario/scenario.h"
+#include "util/logging.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <utility>
 
@@ -149,8 +149,7 @@ double MultiAdResult::MeanDeliveryTime() const {
 Scenario::Plan Scenario::MultiAdPlan(const MultiAdConfig& config,
                                      bool observed) {
   Status valid = config.Validate();
-  assert(valid.ok() && "invalid MultiAdConfig");
-  (void)valid;
+  MADNET_DCHECK(valid.ok() && "invalid MultiAdConfig");
   MultiAdConfig folded = config;
   folded.base = FoldMethod(config.base);
   Plan plan{folded.base, {}, kMultiAdStreams, {}};

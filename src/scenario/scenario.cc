@@ -3,7 +3,6 @@
 #include "scenario/scenario.h"
 
 #include <algorithm>
-#include <cassert>
 #include <iterator>
 #include <utility>
 #include <vector>
@@ -118,8 +117,7 @@ ScenarioConfig Scenario::FoldMethod(const ScenarioConfig& config) {
 Scenario::Plan Scenario::SingleAdPlan(const ScenarioConfig& config,
                                       bool observed) {
   Status valid = config.Validate();
-  assert(valid.ok() && "invalid ScenarioConfig");
-  (void)valid;
+  MADNET_DCHECK(valid.ok() && "invalid ScenarioConfig");
   Plan plan{FoldMethod(config), {}, kSingleAdStreams, {}};
   plan.issues.push_back(Issue{config.issue_location, config.issue_time_s,
                               config.initial_radius_m,
@@ -155,16 +153,6 @@ Scenario::Scenario(Plan plan, obs::RunContext* obs)
     obs_->trace.BeginRun(config_.seed, obs::HashHex(plan.config_text));
     simulator_.SetTrace(&obs_->trace);
     medium_->SetTrace(&obs_->trace);
-    // Spatial load telemetry: one tile per radio range, so each tile is
-    // one interference neighbourhood and the tile-load report reads as a
-    // congestion map. Summarized by CaptureMetrics.
-    tiles_ = std::make_unique<obs::TileLoadMap>(config_.medium.range_m,
-                                                config_.area_size_m);
-    medium_->SetTileLoad(tiles_.get());
-    // Inter-event virtual-time gaps: a spike at 0 means event storms, a
-    // heavy right tail means the calendar queue idles between bursts.
-    // The simulator buckets them inline; CaptureMetrics books the counts.
-    simulator_.EnableDispatchGapTelemetry();
   }
 
   const int issuers = num_issuers();
@@ -192,8 +180,7 @@ Scenario::Scenario(Plan plan, obs::RunContext* obs)
 
   for (net::NodeId id = 0; id < static_cast<net::NodeId>(node_count); ++id) {
     Status added = medium_->AddNode(id, mobilities_[id].get());
-    assert(added.ok());
-    (void)added;
+    MADNET_DCHECK(added.ok());
   }
   for (net::NodeId id = 0; id < static_cast<net::NodeId>(node_count); ++id) {
     // Per-node protocol streams fork label 0x20000 + id. They are distinct
@@ -268,7 +255,7 @@ std::unique_ptr<core::Protocol> Scenario::MakeProtocol(net::NodeId id,
 }
 
 RunResult Scenario::Run() {
-  assert(!ran_ && "Scenario::Run may only be called once");
+  MADNET_DCHECK(!ran_ && "Scenario::Run may only be called once");
   ran_ = true;
 
   // Issuer i puts out its ad at the ad's issue time.
@@ -278,7 +265,7 @@ RunResult Scenario::Run() {
       const net::NodeId issuer = static_cast<net::NodeId>(i);
       auto issued = protocols_[issuer]->Issue(issue.content, issue.radius_m,
                                               issue.duration_s);
-      assert(issued.ok());
+      MADNET_DCHECK(issued.ok());
       ads_[i].key = issued->Key();
       if (config_.method != Method::kFlooding && config_.issuer_goes_offline) {
         simulator_.Schedule(kIssuerOfflineDelay, [this, issuer]() {
@@ -380,20 +367,6 @@ void Scenario::CaptureMetrics(const RunResult& result) {
   metrics.SetGauge("scenario.final_rank", result.final_rank);
   metrics.SetGauge("scenario.final_radius_m", result.final_radius_m);
   metrics.SetGauge("scenario.final_duration_s", result.final_duration_s);
-  if (simulator_.dispatch_gap_telemetry_enabled()) {
-    // The simulator bucketed the gaps inline (hot path); fold its counts
-    // into a registry histogram with matching bounds here, once per run.
-    obs::FixedHistogram* gaps = metrics.Histogram(
-        "sim.dispatch_gap_s",
-        std::vector<double>(std::begin(sim::Simulator::kDispatchGapBounds),
-                            std::end(sim::Simulator::kDispatchGapBounds)));
-    const Status booked = gaps->MergeBucketCounts(
-        simulator_.dispatch_gap_counts(), sim::Simulator::kDispatchGapBuckets,
-        simulator_.dispatch_gap_sum());
-    MADNET_DCHECK(booked.ok());
-    (void)booked;
-  }
-  if (tiles_ != nullptr) tiles_->Summarize(&metrics);
 }
 
 mobility::TraceSet Scenario::RecordTraces(sim::Time horizon) {

@@ -19,7 +19,6 @@
 #include "net/medium.h"
 #include "obs/flight_recorder.h"
 #include "obs/run_context.h"
-#include "obs/tile_load.h"
 #include "scenario/config.h"
 #include "sim/simulator.h"
 #include "stats/delivery.h"
@@ -197,10 +196,6 @@ class Scenario {
   /// Expands config_.fault into simulator events; null when the plan is
   /// disabled (the run is then byte-identical to a pre-fault-layer one).
   std::unique_ptr<fault::FaultInjector> injector_;
-  /// Per-tile broadcast/delivery/queue-depth counters (observed runs only;
-  /// tile edge = the radio range, so a tile is one interference
-  /// neighbourhood). Summarized into obs_->metrics by CaptureMetrics.
-  std::unique_ptr<obs::TileLoadMap> tiles_;
   /// Postmortem ring auto-attached for observed fault runs when the
   /// session did not install one (see ctor); detached in the dtor.
   std::unique_ptr<obs::FlightRecorder> recorder_;

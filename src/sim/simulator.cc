@@ -2,7 +2,8 @@
 
 #include "sim/simulator.h"
 
-#include <cassert>
+#include "util/logging.h"
+
 
 namespace madnet::sim {
 
@@ -42,7 +43,7 @@ EventId Simulator::ScheduleRunAt(std::span<Time> when,
 
 PeriodicHandle Simulator::SchedulePeriodic(Time initial_delay, Time period,
                                            std::function<bool()> callback) {
-  assert(period > 0.0 && "periodic events require a positive period");
+  MADNET_DCHECK(period > 0.0 && "periodic events require a positive period");
   PeriodicHandle handle;
   handle.state_ = std::make_shared<PeriodicHandle::State>();
   handle.state_->simulator = this;
@@ -70,20 +71,10 @@ void Simulator::FirePeriodic(std::shared_ptr<PeriodicHandle::State> state,
   });
 }
 
-void Simulator::RecordDispatchGap(double gap) {
-  size_t bucket = 0;
-  while (bucket + 1 < kDispatchGapBuckets && kDispatchGapBounds[bucket] < gap) {
-    ++bucket;
-  }
-  ++dispatch_gap_counts_[bucket];
-  dispatch_gap_sum_ += gap;
-}
-
 bool Simulator::Step() {
   if (queue_.Empty()) return false;
   auto [when, firing] = queue_.Pop();
-  assert(when >= now_ && "event queue went backwards in time");
-  if (record_dispatch_gaps_) RecordDispatchGap(when - now_);
+  MADNET_DCHECK(when >= now_ && "event queue went backwards in time");
   now_ = when;
   ++executed_;
   if (trace_ != nullptr && trace_->Enabled(obs::kTraceEvent)) {
@@ -110,8 +101,6 @@ void Simulator::Reset() {
   queue_.Clear();
   now_ = 0.0;
   executed_ = 0;
-  for (size_t i = 0; i < kDispatchGapBuckets; ++i) dispatch_gap_counts_[i] = 0;
-  dispatch_gap_sum_ = 0.0;
 }
 
 }  // namespace madnet::sim

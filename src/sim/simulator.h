@@ -104,30 +104,6 @@ class Simulator {
   /// simulator or be cleared before it dies.
   void SetTrace(obs::Trace* trace) { trace_ = trace; }
 
-  /// Bucket upper edges for the dispatch-gap telemetry (one overflow
-  /// bucket sits above the last edge; see kDispatchGapBuckets).
-  static constexpr double kDispatchGapBounds[8] = {1e-6, 1e-5, 1e-4, 1e-3,
-                                                   1e-2,  0.1,  1.0, 10.0};
-  static constexpr size_t kDispatchGapBuckets = 9;
-
-  /// Enables recording the virtual inter-event dispatch gap (seconds
-  /// between consecutive executed events) into a fixed bucket array. A
-  /// dense cluster of zero/near-zero gaps marks an event storm; long gaps
-  /// mark idle phases. Purely observational; the counts accumulate inline
-  /// (plain stores on the simulator's own cache lines — cheap enough for
-  /// the hot loop) and are booked into a metrics histogram by the owner at
-  /// the end of the run (FixedHistogram::MergeBucketCounts).
-  void EnableDispatchGapTelemetry() { record_dispatch_gaps_ = true; }
-  bool dispatch_gap_telemetry_enabled() const {
-    return record_dispatch_gaps_;
-  }
-  /// kDispatchGapBuckets accumulated counts (bucket i holds gaps <=
-  /// kDispatchGapBounds[i]; the last bucket is overflow).
-  const uint64_t* dispatch_gap_counts() const {
-    return dispatch_gap_counts_;
-  }
-  double dispatch_gap_sum() const { return dispatch_gap_sum_; }
-
   /// Stable pointer to the virtual clock, for read-only observers that
   /// must not depend on sim (e.g. util::ScopedLogClock). Valid for the
   /// simulator's lifetime.
@@ -138,16 +114,10 @@ class Simulator {
   void FirePeriodic(std::shared_ptr<PeriodicHandle::State> state, Time period,
                     std::shared_ptr<std::function<bool()>> callback);
 
-  /// Buckets one inter-event dispatch gap.
-  void RecordDispatchGap(double gap);
-
   EventQueue queue_;
   Time now_ = 0.0;
   uint64_t executed_ = 0;
   obs::Trace* trace_ = nullptr;
-  bool record_dispatch_gaps_ = false;
-  uint64_t dispatch_gap_counts_[kDispatchGapBuckets] = {};
-  double dispatch_gap_sum_ = 0.0;
 };
 
 }  // namespace madnet::sim

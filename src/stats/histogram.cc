@@ -3,14 +3,15 @@
 #include "stats/histogram.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
+
+#include "util/logging.h"
 
 namespace madnet::stats {
 
 Histogram::Histogram(double lo, double hi, int num_bins)
     : lo_(lo), hi_(hi), width_((hi - lo) / num_bins), bins_(num_bins, 0) {
-  assert(hi > lo && num_bins >= 1);
+  MADNET_DCHECK(hi > lo && num_bins >= 1);
 }
 
 void Histogram::Add(double value) {
@@ -27,7 +28,7 @@ void Histogram::Add(double value) {
 }
 
 uint64_t Histogram::BinCount(int i) const {
-  assert(i >= 0 && i < num_bins());
+  MADNET_DCHECK(i >= 0 && i < num_bins());
   return bins_[i];
 }
 

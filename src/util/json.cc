@@ -2,9 +2,10 @@
 
 #include "util/json.h"
 
-#include <cassert>
 #include <cmath>
 #include <cstdio>
+
+#include "util/logging.h"
 
 namespace madnet {
 
@@ -24,8 +25,8 @@ void JsonWriter::BeginObject() {
 }
 
 void JsonWriter::EndObject() {
-  assert(!stack_.empty() && stack_.back() == Frame::kObject);
-  assert(!after_key_ && "object ended after a dangling key");
+  MADNET_DCHECK(!stack_.empty() && stack_.back() == Frame::kObject);
+  MADNET_DCHECK(!after_key_ && "object ended after a dangling key");
   stack_.pop_back();
   out_ += '}';
   needs_comma_ = true;
@@ -39,15 +40,15 @@ void JsonWriter::BeginArray() {
 }
 
 void JsonWriter::EndArray() {
-  assert(!stack_.empty() && stack_.back() == Frame::kArray);
+  MADNET_DCHECK(!stack_.empty() && stack_.back() == Frame::kArray);
   stack_.pop_back();
   out_ += ']';
   needs_comma_ = true;
 }
 
 void JsonWriter::Key(const std::string& name) {
-  assert(!stack_.empty() && stack_.back() == Frame::kObject);
-  assert(!after_key_ && "two keys in a row");
+  MADNET_DCHECK(!stack_.empty() && stack_.back() == Frame::kObject);
+  MADNET_DCHECK(!after_key_ && "two keys in a row");
   if (needs_comma_) out_ += ',';
   out_ += '"';
   out_ += Escape(name);
@@ -103,7 +104,7 @@ void JsonWriter::Null() {
 }
 
 std::string JsonWriter::TakeString() {
-  assert(stack_.empty() && "unbalanced JSON nesting");
+  MADNET_DCHECK(stack_.empty() && "unbalanced JSON nesting");
   std::string result = std::move(out_);
   out_.clear();
   needs_comma_ = false;

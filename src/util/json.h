@@ -23,8 +23,9 @@ namespace madnet {
 ///   json.EndObject();
 ///   std::string doc = json.TakeString();
 ///
-/// Commas and quoting are handled automatically. Misnesting is a
-/// programming error (asserted in debug builds).
+/// Field("rate", 98.5) is Key("rate") then Value(98.5). Commas and quoting
+/// are handled automatically. Misnesting is a programming error
+/// (MADNET_DCHECK).
 class JsonWriter {
  public:
   void BeginObject();
@@ -44,6 +45,13 @@ class JsonWriter {
   void Value(int number) { Value(static_cast<int64_t>(number)); }
   void Value(bool boolean);
   void Null();
+
+  /// Key(name) then Value(value).
+  template <typename T>
+  void Field(const std::string& name, const T& value) {
+    Key(name);
+    Value(value);
+  }
 
   /// The finished document. The writer must be back at nesting level 0.
   std::string TakeString();

@@ -8,10 +8,11 @@
 #ifndef MADNET_UTIL_STATUS_H_
 #define MADNET_UTIL_STATUS_H_
 
-#include <cassert>
 #include <optional>
 #include <string>
 #include <utility>
+
+#include "util/logging.h"
 
 namespace madnet {
 
@@ -108,7 +109,7 @@ class [[nodiscard]] StatusOr {
 
   /// Implicit construction from a non-OK status (failure).
   StatusOr(Status status) : status_(std::move(status)) {  // NOLINT
-    assert(!status_.ok() && "StatusOr(Status) requires a non-OK status");
+    MADNET_DCHECK(!status_.ok() && "StatusOr(Status) requires a non-OK status");
   }
 
   /// True iff a value is present.
@@ -119,15 +120,15 @@ class [[nodiscard]] StatusOr {
 
   /// The contained value. Requires ok().
   const T& value() const& {
-    assert(ok());
+    MADNET_DCHECK(ok());
     return *value_;
   }
   T& value() & {
-    assert(ok());
+    MADNET_DCHECK(ok());
     return *value_;
   }
   T&& value() && {
-    assert(ok());
+    MADNET_DCHECK(ok());
     return std::move(*value_);
   }
 

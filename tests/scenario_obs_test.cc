@@ -360,26 +360,6 @@ TEST(ScenarioObsTest, ObservedMarketplaceRunTracesEveryAd) {
   EXPECT_EQ(context.phases().at("event_loop").count, 1u);
 }
 
-TEST(ScenarioObsTest, TileLoadAndDispatchGapMetricsAreBooked) {
-  const ScenarioConfig config = SmallConfig();
-  obs::TraceOptions trace_options;
-  trace_options.categories = obs::kTraceTx;
-  obs::RunContext context{trace_options};
-  const RunResult result = RunScenario(config, &context);
-  ASSERT_GT(result.net.deliveries, 0u);
-  // Spatial load: every broadcast and delivery landed in some tile.
-  EXPECT_GE(context.metrics.gauges().at("medium.tile.count"), 1.0);
-  EXPECT_GE(context.metrics.gauges().at("medium.tile.broadcasts_max"), 1.0);
-  const auto& histograms = context.metrics.histograms();
-  ASSERT_EQ(histograms.count("medium.tile.broadcasts"), 1u);
-  EXPECT_GT(histograms.at("medium.tile.broadcasts").count(), 0u);
-  ASSERT_EQ(histograms.count("medium.tile.queue_depth"), 1u);
-  // Dispatch-gap telemetry: one observation per executed event.
-  ASSERT_EQ(histograms.count("sim.dispatch_gap_s"), 1u);
-  EXPECT_EQ(histograms.at("sim.dispatch_gap_s").count(),
-            result.events_executed);
-}
-
 TEST(ScenarioObsTest, FlightRecorderCapturesARunWithoutChangingIt) {
   const ScenarioConfig config = SmallConfig();
   const RunResult plain = RunScenario(config);

@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "exec/replication.h"
+#include "obs/run_context.h"
+#include "obs/trace_reader.h"
 #include "scenario/scenario.h"
 
 namespace madnet::scenario {
@@ -114,25 +119,44 @@ TEST(ScenarioTest, AllMethodsDeliverInDenseNetwork) {
   }
 }
 
-TEST(ScenarioTest, ZeroPeersRunsCleanly) {
-  ScenarioConfig config = FastConfig(Method::kGossip, 0);
-  RunResult result = RunScenario(config);
-  EXPECT_EQ(result.report.peers_passed, 0u);
-  EXPECT_DOUBLE_EQ(result.DeliveryRatePercent(), 0.0);
+// Frames the issuer (node 0) put on air in one traced run of `config`.
+uint64_t IssuerFrames(const ScenarioConfig& config, RunResult* result) {
+  obs::TraceOptions trace_options;
+  trace_options.categories = obs::kTraceTx;
+  obs::RunContext context{trace_options};
+  *result = RunScenario(config, &context);
+  std::istringstream lines(context.trace.text());
+  std::string line;
+  obs::TraceEvent event;
+  uint64_t frames = 0;
+  while (std::getline(lines, line)) {
+    EXPECT_TRUE(obs::ParseTraceLine(line, &event).ok()) << line;
+    if (event.cat == "tx" && event.node == 0) ++frames;
+  }
+  return frames;
+}
+
+TEST(ScenarioTest, OnePeerRunsCleanly) {
+  // The smallest valid network (0 peers is rejected by Validate).
+  ScenarioConfig config = FastConfig(Method::kGossip, 1);
+  RunResult result;
+  const uint64_t issuer_frames = IssuerFrames(config, &result);
+  EXPECT_LE(result.report.peers_passed, 1u);
+  EXPECT_LE(result.report.peers_delivered, result.report.peers_passed);
   // The issuer stays online (default) and keeps gossiping its own cached
   // ad once per round until expiry: roughly D / round_time frames.
-  EXPECT_GT(result.Messages(), 10u);
-  EXPECT_LT(result.Messages(), 100u);
+  EXPECT_GT(issuer_frames, 10u);
+  EXPECT_LT(issuer_frames, 100u);
 }
 
 TEST(ScenarioTest, FloodingKeepsIssuerTransmitting) {
   // With flooding the issuer stays online the whole period: its frames keep
   // flowing each round (compare against a gossip run where the issuer goes
   // offline after 1 s and contributes a single frame).
-  ScenarioConfig config = FastConfig(Method::kFlooding, 0);
-  RunResult result = RunScenario(config);
+  ScenarioConfig config = FastConfig(Method::kFlooding, 1);
+  RunResult result;
   // One frame per 5 s round over the 300 s life: ~60 frames.
-  EXPECT_GT(result.Messages(), 50u);
+  EXPECT_GT(IssuerFrames(config, &result), 50u);
 }
 
 TEST(ScenarioTest, FloodingReportIgnoresDuplicateReceipts) {

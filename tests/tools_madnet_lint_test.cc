@@ -679,6 +679,51 @@ TEST(MadnetLintTest, FlagsModuleMissingFromLayerTable) {
             std::string::npos);
 }
 
+TEST(MadnetLintTest, DocsLayerDiagramMatchesTheLayerTable) {
+#ifndef MADNET_REPO_ROOT
+  GTEST_SKIP() << "MADNET_REPO_ROOT not defined";
+#else
+  // The fenced diagram under "### Layering": each "layer N" line opens a
+  // layer whose modules are the lowercase words up to the next one.
+  std::ifstream in(std::string(MADNET_REPO_ROOT) +
+                   "/docs/STATIC_ANALYSIS.md");
+  ASSERT_TRUE(in) << "cannot read docs/STATIC_ANALYSIS.md";
+  std::vector<std::vector<std::string>> drawn;
+  std::string line;
+  bool in_section = false;
+  int fences = 0;
+  while (std::getline(in, line) && fences < 2) {
+    if (line == "### Layering") in_section = true;
+    if (!in_section) continue;
+    if (line.rfind("```", 0) == 0) {
+      ++fences;
+      continue;
+    }
+    if (fences != 1) continue;
+    std::istringstream words(line);
+    std::string word;
+    while (words >> word) {
+      if (word == "layer") {
+        drawn.emplace_back();
+        words >> word;  // The layer number.
+        ASSERT_EQ(word, std::to_string(drawn.size() - 1)) << line;
+      } else if (!drawn.empty() &&
+                 std::all_of(word.begin(), word.end(),
+                             [](char c) { return c >= 'a' && c <= 'z'; })) {
+        drawn.back().push_back(word);
+      }
+    }
+  }
+  auto sorted = [](std::vector<std::vector<std::string>> layers) {
+    for (std::vector<std::string>& modules : layers) {
+      std::sort(modules.begin(), modules.end());
+    }
+    return layers;
+  };
+  EXPECT_EQ(sorted(drawn), sorted(LayerModules()));
+#endif
+}
+
 TEST(MadnetLintTest, NolintSuppressesLayeringOnTheIncludeLine) {
   const auto diags = RunLinter({
       {"src/core/protocol.h",

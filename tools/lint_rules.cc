@@ -556,39 +556,30 @@ void CheckHotAlloc(const ModelFile& file, const FileScan& scan,
 // ---------------------------------------------------------------------------
 // madnet-layering.
 
-// The declared architecture, lowest layer first. A src/<module> file may
-// include its own module and any module of a *strictly lower* layer.
-// Same-layer includes are tolerated (the sets below are peers by design)
-// but the module include graph must stay acyclic — the cycle check fails
-// the build the moment e.g. core -> net gains a net -> core back edge.
-// Keep this table in sync with docs/STATIC_ANALYSIS.md ("Layering") and
-// docs/architecture.md.
-struct Layer {
-  const char* module;
-  int rank;
-};
-
-const std::vector<Layer>& LayerTable() {
-  static const std::vector<Layer> table{
-      {"util", 0},
-      {"sketch", 1}, {"obs", 1},
-      {"core", 2},   {"mobility", 2}, {"net", 2}, {"sim", 2},
-      {"fault", 3},  {"stats", 3},    {"scenario", 3},
-      {"exec", 4},
-  };
-  return table;
-}
-
+// A module's layer in LayerModules() (the table, defined below), or -1.
 int LayerRankOf(const std::string& module) {
-  for (const Layer& layer : LayerTable()) {
-    if (module == layer.module) return layer.rank;
+  const std::vector<std::vector<std::string>>& layers = LayerModules();
+  for (size_t rank = 0; rank < layers.size(); ++rank) {
+    for (const std::string& peer : layers[rank]) {
+      if (module == peer) return static_cast<int>(rank);
+    }
   }
   return -1;
 }
 
-const char* kLayerDagText =
-    "util -> {sketch,obs} -> {core,mobility,net,sim} -> "
-    "{fault,stats,scenario} -> exec";
+// "util -> {sketch,obs} -> ... -> exec", from the table.
+std::string LayerDagText() {
+  std::string text;
+  for (const std::vector<std::string>& layer : LayerModules()) {
+    std::string peers;
+    for (const std::string& module : layer) {
+      peers += (peers.empty() ? "" : ",") + module;
+    }
+    text += (text.empty() ? "" : " -> ") +
+            (layer.size() == 1 ? peers : "{" + peers + "}");
+  }
+  return text;
+}
 
 void CheckLayering(const ProjectModel& model, std::vector<Diagnostic>* out) {
   // Edge direction checks, file by file.
@@ -599,8 +590,9 @@ void CheckLayering(const ProjectModel& model, std::vector<Diagnostic>* out) {
       out->push_back(MakeDiagnostic(
           file.path, 1, Rule::kLayering,
           "module 'src/" + file.module +
-              "' is not in the layer table; add it to LayerTable() in "
-              "tools/lint_rules.cc and to docs/STATIC_ANALYSIS.md"));
+              "' is not in the layer table; add it to LayerModules() in "
+              "tools/lint_rules.cc and to the diagram in "
+              "docs/STATIC_ANALYSIS.md"));
       continue;
     }
     for (const IncludeSite& site : file.includes) {
@@ -610,7 +602,7 @@ void CheckLayering(const ProjectModel& model, std::vector<Diagnostic>* out) {
         out->push_back(MakeDiagnostic(
             file.path, site.line, Rule::kLayering,
             "include of '" + site.target + "': module '" + site.module +
-                "' is not in the layer table; add it to LayerTable() in "
+                "' is not in the layer table; add it to LayerModules() in "
                 "tools/lint_rules.cc"));
         continue;
       }
@@ -620,7 +612,7 @@ void CheckLayering(const ProjectModel& model, std::vector<Diagnostic>* out) {
             "layer violation: src/" + file.module + " (layer " +
                 std::to_string(source_rank) + ") may not include src/" +
                 site.module + " (layer " + std::to_string(target_rank) +
-                "); the dependency DAG is " + kLayerDagText +
+                "); the dependency DAG is " + LayerDagText() +
                 " (docs/STATIC_ANALYSIS.md)"));
       }
     }
@@ -791,6 +783,24 @@ void CheckRngForkLabel(const ProjectModel& model,
 std::string ToString(const Diagnostic& diagnostic) {
   return diagnostic.file + ":" + std::to_string(diagnostic.line) +
          ": error: [" + diagnostic.rule + "] " + diagnostic.message;
+}
+
+// The declared architecture, lowest layer first. A src/<module> file may
+// include its own module and any module of a *strictly lower* layer.
+// Same-layer includes are tolerated (the peers of a layer are designed
+// together) but the module include graph must stay acyclic — the cycle
+// check fails the build the moment e.g. core -> net gains a net -> core
+// back edge. tools_madnet_lint_test checks that the diagram in
+// docs/STATIC_ANALYSIS.md ("Layering") lists the same modules per layer.
+const std::vector<std::vector<std::string>>& LayerModules() {
+  static const std::vector<std::vector<std::string>> layers{
+      {"util"},
+      {"sketch", "obs"},
+      {"core", "mobility", "net", "sim"},
+      {"fault", "stats", "scenario"},
+      {"exec"},
+  };
+  return layers;
 }
 
 const std::vector<std::string>& RuleNames() {

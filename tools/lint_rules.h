@@ -51,6 +51,10 @@ const std::vector<std::string>& RuleNames();
 /// The one-line summary of the rule named `rule`; empty for an unknown id.
 std::string RuleSummary(const std::string& rule);
 
+/// madnet-layering's module table: the src/ modules of each layer, lowest
+/// layer first.
+const std::vector<std::vector<std::string>>& LayerModules();
+
 /// The cross-file rule engine. Add every file first, then Run(): the
 /// unordered-iteration rule needs the full file set to resolve container
 /// names declared in headers but iterated in sources, and the project-model

@@ -12,6 +12,7 @@
 //   madnet_heatmap --method=optimized --peers=400 --at=400
 //   madnet_heatmap --trace-in=trace.jsonl            # tx density only
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -35,10 +36,10 @@ using scenario::ScenarioConfig;
 
 constexpr int kGrid = 40;  // Cells per axis (terminal-friendly).
 
-/// Renders a grid of counts as ASCII shades.
-void PrintGrid(const std::vector<uint64_t>& cells, uint64_t peak,
-               const char* title) {
+/// Renders a grid of counts as ASCII shades, scaled to its peak cell.
+void PrintGrid(const std::vector<uint64_t>& cells, const char* title) {
   static const char kShades[] = " .:-=+*#%@";
+  const uint64_t peak = *std::max_element(cells.begin(), cells.end());
   std::printf("\n%s (peak cell = %llu)\n", title,
               static_cast<unsigned long long>(peak));
   for (int y = kGrid - 1; y >= 0; --y) {
@@ -85,45 +86,35 @@ int AccumulateTxCells(std::istream& in, const char* source,
   return 0;
 }
 
-void PrintTxGrid(const std::vector<uint64_t>& tx_cells, const char* title) {
-  uint64_t tx_peak = 0;
-  for (uint64_t v : tx_cells) tx_peak = std::max(tx_peak, v);
-  PrintGrid(tx_cells, tx_peak, title);
-}
+// The scenario flags are config keys: ApplyConfigKey checks them as they
+// are parsed, and Validate checks the config they build.
+const std::pair<const char*, std::string> kHeatmapConfigKeys[] = {
+    {"method", scenario::AcceptedTokens<scenario::Method>()},
+    {"peers", "number of mobile peers"},
+    {"seed", "random seed"},
+};
 
 int Run(int argc, char** argv) {
-  FlagSet flags;
-  flags.Define("method", "optimized",
-               scenario::AcceptedTokens<scenario::Method>());
-  flags.Define("peers", "400", "number of mobile peers");
-  flags.Define("at", "400", "holder-map sampling time, seconds");
-  flags.Define("seed", "1", "random seed");
-  flags.Define("trace-in", "",
-               "replay tx density from an existing --trace file instead of "
-               "running a scenario (holder map unavailable)");
-  flags.Define("area", "5000", "area edge for --trace-in scaling, metres");
-  flags.Define("help", "false", "print this help");
-  Status parsed = flags.Parse(argc, argv);
-  if (!parsed.ok() || *flags.GetBool("help")) {
-    std::fputs(flags.Usage("madnet_heatmap").c_str(),
-               parsed.ok() ? stdout : stderr);
-    return parsed.ok() ? 0 : 2;
-  }
-  const StatusOr<double> sample_at = flags.GetDouble("at");
-  const StatusOr<double> area = flags.GetDouble("area");
-  for (const auto& [name, value] : {std::pair{"at", &sample_at},
-                                    std::pair{"area", &area}}) {
-    if (!value->ok()) {
-      std::fprintf(stderr, "--%s: %s\n", name,
-                   value->status().ToString().c_str());
-      return 2;
-    }
-  }
+  ScenarioConfig defaults;
+  defaults.num_peers = 400;
+  std::vector<Flag> rows =
+      scenario::ConfigKeyFlags(kHeatmapConfigKeys, defaults);
+  rows.push_back({"at", "", FlagKind::kDouble, "400",
+                  "holder-map sampling time, seconds", 0});
+  rows.push_back({"trace-in", "", FlagKind::kString, "",
+                  "replay tx density from an existing --trace file instead "
+                  "of running a scenario (holder map unavailable)"});
+  rows.push_back({"area", "", FlagKind::kDouble, "5000",
+                  "area edge for --trace-in scaling, metres", 1});
+  const FlagSet flags = ParseFlagsOrExit(rows, argc, argv,
+                                         "madnet_heatmap [--flag=value ...]");
+  const double sample_at = flags.Double("at");
+  const double area = flags.Double("area");
 
   std::vector<uint64_t> tx_cells(kGrid * kGrid, 0);
 
   // Replay mode: the trace file is the single source of positions.
-  const std::string trace_in = flags.GetString("trace-in");
+  const std::string trace_in = flags.String("trace-in");
   if (!trace_in.empty()) {
     std::ifstream in(trace_in, std::ios::binary);
     if (!in) {
@@ -131,20 +122,20 @@ int Run(int argc, char** argv) {
       return 2;
     }
     if (int failed =
-            AccumulateTxCells(in, trace_in.c_str(), *area, &tx_cells)) {
+            AccumulateTxCells(in, trace_in.c_str(), area, &tx_cells)) {
       return failed;
     }
-    std::printf("replay of %s — area %.0f m\n", trace_in.c_str(), *area);
-    PrintTxGrid(tx_cells, "transmission density (trace file)");
+    std::printf("replay of %s — area %.0f m\n", trace_in.c_str(), area);
+    PrintGrid(tx_cells, "transmission density (trace file)");
     return 0;
   }
 
   // The scenario flags go through the config-key table and Validate,
   // like a config file.
   ScenarioConfig config;
-  for (const char* key : {"method", "peers", "seed"}) {
+  for (const auto& [key, help] : kHeatmapConfigKeys) {
     Status applied =
-        scenario::ApplyConfigKey(key, flags.GetString(key), &config);
+        scenario::ApplyConfigKey(key, flags.String(key), &config);
     if (!applied.ok()) {
       std::fprintf(stderr, "--%s: %s\n", key, applied.ToString().c_str());
       return 2;
@@ -165,7 +156,7 @@ int Run(int argc, char** argv) {
 
   std::vector<uint64_t> holder_cells(kGrid * kGrid, 0);
   const double cell = config.area_size_m / kGrid;
-  scenario.simulator()->ScheduleAt(*sample_at, [&]() {
+  scenario.simulator()->ScheduleAt(sample_at, [&]() {
     const uint64_t key = scenario.issued_ad_key();
     for (net::NodeId id = 1;
          id <= static_cast<net::NodeId>(config.num_peers); ++id) {
@@ -196,12 +187,10 @@ int Run(int argc, char** argv) {
               MethodName(config.method), config.num_peers,
               static_cast<unsigned long long>(config.seed),
               config.area_size_m, config.initial_radius_m);
-  PrintTxGrid(tx_cells, "transmission density (whole run)");
-  uint64_t holder_peak = 0;
-  for (uint64_t v : holder_cells) holder_peak = std::max(holder_peak, v);
+  PrintGrid(tx_cells, "transmission density (whole run)");
   char title[96];
-  std::snprintf(title, sizeof(title), "ad holders at t=%.0f s", *sample_at);
-  PrintGrid(holder_cells, holder_peak, title);
+  std::snprintf(title, sizeof(title), "ad holders at t=%.0f s", sample_at);
+  PrintGrid(holder_cells, title);
   return 0;
 }
 

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "lint_rules.h"
+#include "util/flags.h"
 
 namespace fs = std::filesystem;
 
@@ -53,31 +54,28 @@ bool ReadFile(const fs::path& path, std::string* out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  fs::path root = ".";
-  std::vector<fs::path> explicit_files;
-  std::string sarif_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--root" && i + 1 < argc) {
-      root = argv[++i];
-    } else if (arg == "--sarif" && i + 1 < argc) {
-      sarif_path = argv[++i];
-    } else if (arg == "--list-rules") {
-      for (const std::string& name : madnet::lint::RuleNames()) {
-        std::printf("%-28s %s\n", name.c_str(),
-                    madnet::lint::RuleSummary(name).c_str());
-      }
-      return 0;
-    } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: madnet_lint [--root <repo-root>] [--sarif <out.sarif>] "
-          "[file...]\n"
-          "       madnet_lint --list-rules   (rule ids and summaries)\n");
-      return 0;
-    } else {
-      explicit_files.emplace_back(arg);
+  const madnet::Flag rows[] = {
+      {"root", "", madnet::FlagKind::kString, ".",
+       "repo root; the four standard directories are read under it"},
+      {"sarif", "", madnet::FlagKind::kString, "",
+       "also write the diagnostics to this SARIF file"},
+      {"list-rules", "", madnet::FlagKind::kBool, "false",
+       "print each rule id with its summary and exit"},
+  };
+  const madnet::FlagSet flags = madnet::ParseFlagsOrExit(
+      rows, argc, argv,
+      "madnet_lint [--root <repo-root>] [--sarif <out.sarif>] [file...]");
+  if (flags.Bool("list-rules")) {
+    for (const std::string& name : madnet::lint::RuleNames()) {
+      std::printf("%-28s %s\n", name.c_str(),
+                  madnet::lint::RuleSummary(name).c_str());
     }
+    return 0;
   }
+  const fs::path root = flags.String("root");
+  const std::string& sarif_path = flags.String("sarif");
+  std::vector<fs::path> explicit_files(flags.positional().begin(),
+                                       flags.positional().end());
 
   std::vector<fs::path> files;
   if (!explicit_files.empty()) {

@@ -63,23 +63,17 @@ int Run(const std::string& path, bool tree) {
 }  // namespace madnet
 
 int main(int argc, char** argv) {
-  madnet::FlagSet flags;
-  flags.Define("tree", "false", "dump dissemination-tree edges as text");
-  flags.Define("help", "false", "show this help");
-
-  madnet::Status parsed = flags.Parse(argc, argv);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "error: %s\n%s", parsed.ToString().c_str(),
-                 flags.Usage("madnet_tracequery [flags] TRACE.jsonl").c_str());
+  const madnet::Flag rows[] = {
+      {"tree", "", madnet::FlagKind::kBool, "false",
+       "dump dissemination-tree edges as text"},
+  };
+  constexpr const char* kUsage =
+      "madnet_tracequery [--flag=value ...] TRACE.jsonl";
+  const madnet::FlagSet flags =
+      madnet::ParseFlagsOrExit(rows, argc, argv, kUsage);
+  if (flags.positional().size() != 1) {
+    std::fputs(madnet::FlagUsage(rows, kUsage).c_str(), stderr);
     return 2;
   }
-  const auto help = flags.GetBool("help");
-  const bool want_help = help.ok() && *help;
-  if (want_help || flags.positional().size() != 1) {
-    std::fprintf(stderr, "%s",
-                 flags.Usage("madnet_tracequery [flags] TRACE.jsonl").c_str());
-    return want_help ? 0 : 2;
-  }
-  const auto tree = flags.GetBool("tree");
-  return madnet::Run(flags.positional()[0], tree.ok() && *tree);
+  return madnet::Run(flags.positional()[0], flags.Bool("tree"));
 }

@@ -158,24 +158,17 @@ int Run(const std::string& path, bool validate) {
 }  // namespace madnet
 
 int main(int argc, char** argv) {
-  madnet::FlagSet flags;
-  flags.Define("validate", "false",
-               "exit non-zero unless the file is a well-formed trace");
-  flags.Define("help", "false", "show this help");
-
-  madnet::Status parsed = flags.Parse(argc, argv);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "error: %s\n%s", parsed.ToString().c_str(),
-                 flags.Usage("madnet_tracestat [flags] TRACE.jsonl").c_str());
+  const madnet::Flag rows[] = {
+      {"validate", "", madnet::FlagKind::kBool, "false",
+       "exit non-zero unless the file is a well-formed trace"},
+  };
+  constexpr const char* kUsage =
+      "madnet_tracestat [--flag=value ...] TRACE.jsonl";
+  const madnet::FlagSet flags =
+      madnet::ParseFlagsOrExit(rows, argc, argv, kUsage);
+  if (flags.positional().size() != 1) {
+    std::fputs(madnet::FlagUsage(rows, kUsage).c_str(), stderr);
     return 2;
   }
-  const auto help = flags.GetBool("help");
-  const bool want_help = help.ok() && *help;
-  if (want_help || flags.positional().size() != 1) {
-    std::fprintf(stderr, "%s",
-                 flags.Usage("madnet_tracestat [flags] TRACE.jsonl").c_str());
-    return want_help ? 0 : 2;
-  }
-  const auto validate = flags.GetBool("validate");
-  return madnet::Run(flags.positional()[0], validate.ok() && *validate);
+  return madnet::Run(flags.positional()[0], flags.Bool("validate"));
 }

@@ -102,10 +102,9 @@ fi
 echo "perf_smoke: obs budget OK"
 
 # Quiet-session overhead gate. With a session installed but every trace
-# category off, record sites reduce to mask tests, but the always-on
-# metrics telemetry (spatial tile load in the medium, dispatch-gap
-# bucketing in the simulator) and per-replication session setup (config
-# hash, trace header) still run; the sweep in the bench goes through
+# category off, record sites reduce to mask tests, but the end-of-run
+# metrics booking and per-replication session setup (config hash, trace
+# header) still run; the sweep in the bench goes through
 # exec::RunReplicated, which is the session-aware path. Min-of-N serial
 # sweep wall times, quiet session vs plain. The true cost measured with
 # interleaved A/B runs is ~5%; the default tolerance is deliberately
