@@ -39,7 +39,6 @@ class AdCache {
 
   /// Looks up an entry; nullptr if absent. The pointer stays valid until
   /// the next Insert, Erase or RemoveIf on this cache.
-  // MADNET_HOT
   CacheEntry* Find(uint64_t key) {
     for (size_t i = 0; i < keys_.size(); ++i) {
       if (keys_[i] == key) return &entries_[i];

@@ -27,10 +27,6 @@ class InterestProfile {
   explicit InterestProfile(std::vector<std::string> keywords);
 
   /// Adds one keyword.
-  // The lint's hot chain goes through Trace::Sample, which shares only its
-  // name with InterestGenerator::Sample; profiles are built once at
-  // scenario setup, never per-packet.
-  // NOLINTNEXTLINE(madnet-hot-transitive-alloc): call-graph name collision.
   void Add(const std::string& keyword) { keywords_.insert(keyword); }
 
   /// The paper's Match(ad, I) predicate: true iff the ad's category or any

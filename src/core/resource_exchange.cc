@@ -18,10 +18,11 @@ ResourceExchange::ResourceExchange(ProtocolContext context,
 
 void ResourceExchange::Start() {
   Protocol::Start();
+  beacon_.payload = std::make_shared<BeaconMessage>();
+  beacon_.size_bytes = 16;  // Node id + position.
   // Random phase so beacons across the network do not synchronize.
   const double phase = context_.rng.Uniform(0.0, options_.beacon_interval_s);
-  beacon_timer_ = context_.simulator->SchedulePeriodic(
-      phase, options_.beacon_interval_s, [this]() { return BeaconTick(); });
+  context_.simulator->Schedule(phase, [this]() { BeaconTick(); });
 }
 
 StatusOr<AdId> ResourceExchange::Issue(const AdContent& content,
@@ -93,14 +94,12 @@ void ResourceExchange::Store(const Advertisement& ad) {
   memory_.emplace(ad.id.Key(), ad);
 }
 
-bool ResourceExchange::BeaconTick() {
+void ResourceExchange::BeaconTick() {
   Prune();
-  net::Packet beacon;
-  beacon.payload = std::make_shared<BeaconMessage>();
-  beacon.size_bytes = 16;  // Node id + position.
-  Broadcast(beacon);
+  Broadcast(beacon_);
   ++beacons_sent_;
-  return true;
+  context_.simulator->Schedule(options_.beacon_interval_s,
+                               [this]() { BeaconTick(); });
 }
 
 void ResourceExchange::OnEncounter(net::NodeId from) {

@@ -87,8 +87,9 @@ class ResourceExchange : public Protocol {
   void OnReceive(const net::Packet& packet, net::NodeId from) override;
 
  private:
-  /// One beacon tick: refresh/prune memory, send the hello frame.
-  bool BeaconTick();
+  /// One beacon tick: refresh/prune memory, send the hello frame, and
+  /// re-arm one beacon interval later.
+  void BeaconTick();
 
   /// Handles hearing node `from`: if it is a new encounter, send our batch.
   void OnEncounter(net::NodeId from);
@@ -110,7 +111,9 @@ class ResourceExchange : public Protocol {
   std::unordered_map<uint64_t, uint32_t> first_hop_;
   /// Last time each neighbour was heard (beacon or data).
   std::unordered_map<net::NodeId, Time> last_heard_;
-  sim::PeriodicHandle beacon_timer_;
+  /// The hello frame every tick re-sends: built once in Start, immutable,
+  /// with an empty payload shared by every copy in flight.
+  net::Packet beacon_;
   uint64_t beacons_sent_ = 0;
   uint64_t exchanges_sent_ = 0;
 };

@@ -38,15 +38,13 @@ StatusOr<AdId> RestrictedFlooding::Issue(const AdContent& content,
   // First broadcast immediately, then every round until expiry. The issuer
   // must stay online throughout (the structural weakness the gossip model
   // removes).
-  state.timer = context_.simulator->SchedulePeriodic(
-      0.0, options_.round_time_s,
-      [this, key]() { return IssuerRound(key); });
+  context_.simulator->Schedule(0.0, [this, key]() { IssuerRound(key); });
   return id;
 }
 
-bool RestrictedFlooding::IssuerRound(uint64_t key) {
+void RestrictedFlooding::IssuerRound(uint64_t key) {
   auto it = issuing_.find(key);
-  if (it == issuing_.end()) return false;
+  if (it == issuing_.end()) return;
   IssuingState& state = it->second;
   const Time age = state.ad.AgeAt(Now());
   const double radius_limit = RadiusAtAge(state.ad.radius_m,
@@ -55,7 +53,7 @@ bool RestrictedFlooding::IssuerRound(uint64_t key) {
   if (radius_limit <= 0.0) {
     // Expired: stop the series and forget the ad.
     issuing_.erase(it);
-    return false;
+    return;
   }
   ++state.round;
   // The issuer implicitly "relays" its own frame this round.
@@ -63,7 +61,8 @@ bool RestrictedFlooding::IssuerRound(uint64_t key) {
   net::Packet packet = MakeFloodPacket(state.ad, state.round, radius_limit);
   packet.hop = 1;  // Issuer frames deliver direct neighbours at hop 1.
   Broadcast(packet);
-  return true;
+  context_.simulator->Schedule(options_.round_time_s,
+                               [this, key]() { IssuerRound(key); });
 }
 
 void RestrictedFlooding::OnReceive(const net::Packet& packet,

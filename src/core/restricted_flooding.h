@@ -46,7 +46,6 @@ class RestrictedFlooding : public Protocol {
   struct IssuingState {
     Advertisement ad;
     uint32_t round = 0;
-    sim::PeriodicHandle timer;
   };
 
   /// Per-ad receive state, scanned linearly (a node sees few distinct ads):
@@ -59,8 +58,9 @@ class RestrictedFlooding : public Protocol {
     std::vector<uint64_t> relayed_rounds;
   };
 
-  /// One issuer broadcast cycle for one ad; returns false once expired.
-  bool IssuerRound(uint64_t key);
+  /// One issuer broadcast cycle for one ad. Re-arms itself one round
+  /// later, after its broadcast, until the ad expires.
+  void IssuerRound(uint64_t key);
 
   /// The record of `key`, or nullptr if this node never saw the ad.
   AdRecord* FindRecord(uint64_t key);

@@ -37,7 +37,6 @@ void MobilityModel::EnsureHorizon(Time horizon) {
                   "mobility model failed to make progress");
     // The trajectory extends by whole legs (seconds of virtual time each),
     // so per-query cost is O(1) amortized; hot callers hit the cursor cache.
-    // NOLINTNEXTLINE(madnet-hot-transitive-alloc): amortized growth.
     legs_.push_back(next);
   }
 }

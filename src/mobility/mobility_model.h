@@ -51,7 +51,6 @@ class MobilityModel {
 
   /// Exact position at time `t` (>= 0). Times beyond the last generated leg
   /// extend the trajectory deterministically.
-  // MADNET_HOT
   Vec2 PositionAt(Time t) {
     // Fast path: `t` strictly inside the cached cursor leg. The expression
     // mirrors Leg::PositionAt exactly; strict interior guarantees d > 0 and

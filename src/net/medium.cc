@@ -112,7 +112,6 @@ bool Medium::IsOnline(NodeId id) const {
   return index != kNotFound && online_[index] != 0;
 }
 
-// MADNET_HOT
 Vec2 Medium::CachedPositionAt(uint32_t index, Time now) const {
   if (pos_time_[index] == now) return Vec2{pos_x_[index], pos_y_[index]};
   const Vec2 position = PositionAt(index, now);
@@ -122,7 +121,6 @@ Vec2 Medium::CachedPositionAt(uint32_t index, Time now) const {
   return position;
 }
 
-// MADNET_HOT
 Vec2 Medium::PositionAt(uint32_t index, Time t) const {
   Vec2 position;
   const Time start = leg_start_[index];
@@ -155,7 +153,6 @@ Vec2 Medium::PositionOf(NodeId id) const {
   return CachedPositionAt(index, simulator_->Now());
 }
 
-// MADNET_HOT
 Vec2 Medium::VelocityOf(NodeId id) const {
   const uint32_t index = IndexOf(id);
   MADNET_DCHECK(index != kNotFound);  // VelocityOf on unknown node.
@@ -173,7 +170,6 @@ Vec2 Medium::VelocityOf(NodeId id) const {
   return mobility_[index]->VelocityAt(now);
 }
 
-// MADNET_HOT
 void Medium::BuildIndex(Time now) const {
   // The index stores dense node indices (cast through NodeId), so query
   // results feed straight into the state arrays without a hash lookup
@@ -203,7 +199,6 @@ void Medium::BuildIndex(Time now) const {
   stats_.index_rebuilds += 1;
 }
 
-// MADNET_HOT
 double Medium::RefreshIndex() const {
   const Time now = simulator_->Now();
   const bool forced = index_time_ < 0.0;
@@ -229,7 +224,6 @@ double Medium::RefreshIndex() const {
   return 2.0 * options_.max_speed_mps * (now - base_time_);
 }
 
-// MADNET_HOT
 void Medium::SortAsSnapshot(const Vec2& center, double radius) const {
   const Time now = simulator_->Now();
   const double reach = options_.max_speed_mps * (now - index_time_);
@@ -270,7 +264,6 @@ void Medium::SortAsSnapshot(const Vec2& center, double radius) const {
   }
 }
 
-// MADNET_HOT
 const std::vector<uint32_t>& Medium::NeighborIndicesOf(const Vec2& center,
                                                        double radius) const {
   MADNET_DCHECK(radius >= 0.0 && std::isfinite(radius));
@@ -344,7 +337,6 @@ uint32_t Medium::AcquireFrame(const Packet& packet, NodeId from,
   return slot;
 }
 
-// MADNET_HOT
 void Medium::ReleaseFrame(uint32_t slot) {
   Frame& frame = frame_pool_[slot];
   MADNET_DCHECK_GT(frame.refs, 0u);
@@ -355,7 +347,6 @@ void Medium::ReleaseFrame(uint32_t slot) {
   --live_frames_;
 }
 
-// MADNET_HOT
 Status Medium::Broadcast(NodeId from, const Packet& packet) {
   const uint32_t from_index = IndexOf(from);
   if (from_index == kNotFound) return Status::NotFound("unknown sender");
@@ -409,7 +400,6 @@ Status Medium::Broadcast(NodeId from, const Packet& packet) {
       frame_pool_[slot].origin = origin;
       frame_pool_[slot].tx_seq = tx_seq;
     }
-    // NOLINTNEXTLINE(madnet-hot-alloc): capacity kept per arena slot.
     frame_pool_[slot].receivers.push_back(to);
     when_scratch_.push_back(now + latency);
   }
@@ -423,7 +413,6 @@ Status Medium::Broadcast(NodeId from, const Packet& packet) {
   return Status::Ok();
 }
 
-// MADNET_HOT
 void Medium::DeliverFrame(uint32_t slot, uint32_t to) {
   // The frame reference stays valid while the receive handler re-enters
   // Broadcast (frame_pool_ is a deque; the slot holds a ref until after
@@ -459,7 +448,6 @@ void Medium::CsmaTryTransmit(uint32_t slot, int attempt) {
   CsmaTransmit(slot);
 }
 
-// MADNET_HOT
 void Medium::CsmaTransmit(uint32_t slot) {
   Frame& frame = frame_pool_[slot];
   const uint32_t from_index = frame.from_index;
@@ -513,7 +501,6 @@ void Medium::CsmaTransmit(uint32_t slot) {
       }
     }
     // Reception completes when the frame's airtime ends.
-    // NOLINTNEXTLINE(madnet-hot-alloc): capacity kept per arena slot.
     frame.receivers.push_back(to);
     when_scratch_.push_back(end);
   }
@@ -526,7 +513,6 @@ void Medium::CsmaTransmit(uint32_t slot) {
   ReleaseFrame(slot);  // Drop the retry chain's carry ref.
 }
 
-// MADNET_HOT
 void Medium::CsmaCompleteRx(uint32_t slot, uint32_t to) {
   const Frame& frame = frame_pool_[slot];
   if (!online_[to]) {
@@ -568,7 +554,6 @@ bool Medium::Jammed(const Vec2& position) const {
   return false;
 }
 
-// MADNET_HOT
 void Medium::DeliverTo(uint32_t to_index, NodeId from, const Vec2& origin,
                        const Packet& packet, uint64_t tx_seq) {
   if (!online_[to_index]) {

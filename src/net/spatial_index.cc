@@ -66,7 +66,6 @@ void SpatialIndex::Rebuild(
   Rebuild(compat_ids_scratch_, compat_xs_scratch_, compat_ys_scratch_);
 }
 
-// MADNET_HOT
 void SpatialIndex::Rebuild(const std::vector<NodeId>& ids,
                            const std::vector<double>& xs,
                            const std::vector<double>& ys) {
@@ -158,7 +157,6 @@ bool SpatialIndex::RebuildKeepsCellSize(double grow_m, size_t points) const {
   return FitsCap(width_ + 2 * grow, height_ + 2 * grow, points);
 }
 
-// MADNET_HOT
 void SpatialIndex::QueryRange(const Vec2& center, double radius,
                               std::vector<NodeId>* out) const {
   MADNET_DCHECK(radius >= 0.0 && std::isfinite(radius));

@@ -32,11 +32,7 @@ const DeliveryRecord* AdTree::FindDelivery(uint32_t node) const {
 }
 
 Status DisseminationForest::Add(const TraceEvent& event) {
-  // Offline trace analysis: nothing on the simulation path calls Add();
-  // the linter's "reachable from Medium::Broadcast" chain is a same-name
-  // call-graph false positive (Trace::Sample vs InterestGenerator::Sample).
   if (event.cat == "run") {
-    // NOLINTNEXTLINE(madnet-hot-transitive-alloc): heuristic false positive, see above.
     runs_.push_back(RunForest{event.seed, {}});
     tx_time_by_seq_.clear();
     return Status::Ok();
@@ -51,7 +47,6 @@ Status DisseminationForest::Add(const TraceEvent& event) {
   RunForest& run = runs_.back();
 
   if (event.cat == "tx") {
-    // NOLINTNEXTLINE(madnet-hot-transitive-alloc): heuristic false positive, see above.
     if (event.seq != 0) tx_time_by_seq_.emplace(event.seq, event.t);
     return Status::Ok();
   }
@@ -115,9 +110,7 @@ Status DisseminationForest::Add(const TraceEvent& event) {
       tree.origin_t = event.t;  // Fallback: relative latencies.
     }
   }
-  // NOLINTNEXTLINE(madnet-hot-transitive-alloc): heuristic false positive, see above.
   tree.delivery_index.emplace(event.node, tree.deliveries.size());
-  // NOLINTNEXTLINE(madnet-hot-transitive-alloc): heuristic false positive, see above.
   tree.deliveries.push_back(
       DeliveryRecord{event.t, event.node, event.parent, event.hop,
                      event.seq});

@@ -10,12 +10,10 @@
 
 namespace madnet::sim {
 
-// MADNET_HOT
 void EventQueue::HeapPush(const Entry& entry) {
   // Hole-based sift-up: move parents down until `entry` fits, then write it
   // once (entries are trivially copyable 16-byte keys, so each step is a
   // memcpy).
-  // NOLINTNEXTLINE(madnet-hot-alloc): amortized O(1) heap growth.
   near_.push_back(entry);
   size_t i = near_.size() - 1;
   while (i > 0) {
@@ -27,14 +25,12 @@ void EventQueue::HeapPush(const Entry& entry) {
   near_[i] = entry;
 }
 
-// MADNET_HOT
 void EventQueue::HeapPop() {
   const Entry last = near_.back();
   near_.pop_back();
   if (!near_.empty()) SiftDownFromRoot(last);
 }
 
-// MADNET_HOT
 void EventQueue::SiftDownFromRoot(const Entry& entry) {
   // Hole-based sift-down from the root: promote the smallest child until
   // `entry` fits.
@@ -55,7 +51,6 @@ void EventQueue::SiftDownFromRoot(const Entry& entry) {
   near_[i] = entry;
 }
 
-// MADNET_HOT
 void EventQueue::Place(const Entry& entry) {
   const int64_t e = EpochOf(entry.when);
   if (e <= cur_epoch_) {
@@ -64,12 +59,9 @@ void EventQueue::Place(const Entry& entry) {
     HeapPush(entry);
   } else if (static_cast<uint64_t>(e) - static_cast<uint64_t>(cur_epoch_) <
              static_cast<uint64_t>(kRingSize)) {
-    // NOLINTNEXTLINE(madnet-hot-alloc): amortized O(1) bucket growth;
-    // buckets are recycled every ring lap.
     ring_[static_cast<uint64_t>(e) & (kRingSize - 1)].push_back(entry);
     ++ring_count_;
   } else {
-    // NOLINTNEXTLINE(madnet-hot-alloc): far-future events are rare.
     overflow_.push_back(entry);
     min_overflow_epoch_ = std::min(min_overflow_epoch_, e);
   }
@@ -94,7 +86,6 @@ void EventQueue::RedistributeOverflow() {
     } else {
       // Only events scheduled beyond the ring window land here, and the
       // epoch advance that triggers redistribution is rare by construction.
-      // NOLINTNEXTLINE(madnet-hot-transitive-alloc): cold branch.
       keep.push_back(entry);
       new_min = std::min(new_min, e);
     }
@@ -150,7 +141,6 @@ void EventQueue::AdvanceEpoch() {
   }
 }
 
-// MADNET_HOT
 bool EventQueue::SettleTop() {
   for (;;) {
     if (!near_.empty()) {
@@ -166,7 +156,6 @@ bool EventQueue::SettleTop() {
   }
 }
 
-// MADNET_HOT
 EventId EventQueue::Push(Time when, Callback callback) {
   MADNET_DCHECK(when == when);  // NaN keys would corrupt the heap order.
   MADNET_DCHECK(callback != nullptr);
@@ -181,7 +170,6 @@ EventId EventQueue::Push(Time when, Callback callback) {
     slots_.push_back(std::move(callback));
   }
   MADNET_DCHECK_LT(slot, kRunBit);
-  // NOLINTNEXTLINE(madnet-hot-alloc): amortized O(1) per-id byte growth.
   state_.push_back(kPending);  // state_[id - 1].
   MADNET_DCHECK_LE(id, std::numeric_limits<uint32_t>::max());
   Place(Entry{when, static_cast<uint32_t>(id), slot});
@@ -194,7 +182,6 @@ EventId EventQueue::Push(Time when, Firing&& firing) {
   return Push(when, std::move(firing.callback_));
 }
 
-// MADNET_HOT
 EventId EventQueue::PushRun(const Time* when, uint32_t n, RunCallback fire) {
   if (n == 0) return kInvalidEventId;
   MADNET_DCHECK(fire != nullptr);
@@ -204,7 +191,6 @@ EventId EventQueue::PushRun(const Time* when, uint32_t n, RunCallback fire) {
   // Grow to the power-of-two capacity n push_backs would reach: resize
   // alone would seed capacities from run sizes and raise peak memory.
   const size_t needed = state_.size() + n;
-  // NOLINTNEXTLINE(madnet-hot-alloc): amortized O(1) per-id byte growth.
   if (needed > state_.capacity()) state_.reserve(std::bit_ceil(needed));
   state_.resize(needed, kRunItem);
   uint32_t index;
@@ -221,7 +207,6 @@ EventId EventQueue::PushRun(const Time* when, uint32_t n, RunCallback fire) {
   items.clear();
   for (uint32_t i = 0; i < n; ++i) {
     MADNET_DCHECK(when[i] == when[i]);  // NaN keys would corrupt the order.
-    // NOLINTNEXTLINE(madnet-hot-alloc): recycled per record; amortized.
     items.push_back(RunItem{when[i], i});
   }
   // (when, index) is a strict total order, so the result is unique.
@@ -237,7 +222,6 @@ EventId EventQueue::PushRun(const Time* when, uint32_t n, RunCallback fire) {
   return first;
 }
 
-// MADNET_HOT
 void EventQueue::AdvanceRun(uint32_t run) {
   Run& record = run_pool_[run];
   if (++record.next == record.items.size()) {
@@ -285,7 +269,6 @@ Time EventQueue::NextTime() {
   return near_.front().when;
 }
 
-// MADNET_HOT
 std::pair<Time, EventQueue::Firing> EventQueue::Pop() {
   if (retired_run_ != kNoRun) {
     // Its last item's callback has returned by now.

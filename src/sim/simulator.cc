@@ -7,20 +7,6 @@
 
 namespace madnet::sim {
 
-struct PeriodicHandle::State {
-  Simulator* simulator = nullptr;
-  EventId current = kInvalidEventId;
-  bool stopped = false;
-};
-
-bool PeriodicHandle::Cancel() {
-  if (!state_ || state_->stopped) return false;
-  state_->stopped = true;
-  return state_->simulator->Cancel(state_->current);
-}
-
-bool PeriodicHandle::active() const { return state_ && !state_->stopped; }
-
 EventId Simulator::Schedule(Time delay, EventQueue::Callback callback) {
   if (delay < 0.0) delay = 0.0;
   return queue_.Push(now_ + delay, std::move(callback));
@@ -31,7 +17,6 @@ EventId Simulator::ScheduleAt(Time when, EventQueue::Callback callback) {
   return queue_.Push(when, std::move(callback));
 }
 
-// MADNET_HOT
 EventId Simulator::ScheduleRunAt(std::span<Time> when,
                                  EventQueue::RunCallback fire) {
   for (Time& t : when) {
@@ -39,36 +24,6 @@ EventId Simulator::ScheduleRunAt(std::span<Time> when,
   }
   return queue_.PushRun(when.data(), static_cast<uint32_t>(when.size()),
                         std::move(fire));
-}
-
-PeriodicHandle Simulator::SchedulePeriodic(Time initial_delay, Time period,
-                                           std::function<bool()> callback) {
-  MADNET_DCHECK(period > 0.0 && "periodic events require a positive period");
-  PeriodicHandle handle;
-  handle.state_ = std::make_shared<PeriodicHandle::State>();
-  handle.state_->simulator = this;
-
-  auto state = handle.state_;
-  auto shared_cb = std::make_shared<std::function<bool()>>(std::move(callback));
-  handle.state_->current = Schedule(initial_delay, [this, state, period,
-                                                    shared_cb]() {
-    FirePeriodic(state, period, shared_cb);
-  });
-  return handle;
-}
-
-void Simulator::FirePeriodic(std::shared_ptr<PeriodicHandle::State> state,
-                             Time period,
-                             std::shared_ptr<std::function<bool()>> callback) {
-  if (state->stopped) return;
-  if (!(*callback)()) {
-    state->stopped = true;
-    return;
-  }
-  if (state->stopped) return;  // The callback may have cancelled itself.
-  state->current = Schedule(period, [this, state, period, callback]() {
-    FirePeriodic(state, period, callback);
-  });
 }
 
 bool Simulator::Step() {

@@ -9,9 +9,7 @@
 #define MADNET_SIM_SIMULATOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <memory>
 #include <span>
 
 #include "obs/trace.h"
@@ -19,28 +17,6 @@
 #include "util/status.h"
 
 namespace madnet::sim {
-
-class Simulator;
-
-/// Cancellation handle for a repeating event series started with
-/// Simulator::SchedulePeriodic. Copyable; all copies control the same series.
-class PeriodicHandle {
- public:
-  /// A disengaged handle; Cancel() is a no-op.
-  PeriodicHandle() = default;
-
-  /// Stops the series before its next firing. Idempotent. Returns true if a
-  /// pending firing was actually cancelled.
-  bool Cancel();
-
-  /// True while the series will keep firing.
-  bool active() const;
-
- private:
-  friend class Simulator;
-  struct State;
-  std::shared_ptr<State> state_;
-};
 
 /// Virtual-time event loop. Single-threaded; all callbacks run inline from
 /// Run()/Step() in timestamp order (FIFO among equal timestamps).
@@ -71,12 +47,6 @@ class Simulator {
 
   /// Cancels a pending event; false if it already ran or was cancelled.
   bool Cancel(EventId id) { return queue_.Cancel(id); }
-
-  /// Runs a repeating event every `period` seconds (first firing after
-  /// `initial_delay`). Returning false from the callback stops the series;
-  /// the returned handle also cancels it. Requires period > 0.
-  PeriodicHandle SchedulePeriodic(Time initial_delay, Time period,
-                                  std::function<bool()> callback);
 
   /// Executes the single earliest pending event. Returns false if none.
   bool Step();
@@ -110,10 +80,6 @@ class Simulator {
   const Time* NowHandle() const { return &now_; }
 
  private:
-  /// One firing of a periodic series; reschedules itself while active.
-  void FirePeriodic(std::shared_ptr<PeriodicHandle::State> state, Time period,
-                    std::shared_ptr<std::function<bool()>> callback);
-
   EventQueue queue_;
   Time now_ = 0.0;
   uint64_t executed_ = 0;

@@ -9,9 +9,6 @@
 namespace madnet::stats {
 
 void Summary::Add(double value) {
-  // Reached only via the Trace::Sample / InterestGenerator::Sample name
-  // collision; summaries take one sample per run, not per event.
-  // NOLINTNEXTLINE(madnet-hot-transitive-alloc): call-graph name collision.
   values_.push_back(value);
   sum_ += value;
   sorted_valid_ = false;

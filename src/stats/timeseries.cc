@@ -12,9 +12,6 @@ Status TimeSeries::Add(Time time, double value) {
   if (!samples_.empty() && time < samples_.back().time) {
     return Status::InvalidArgument("time series must be appended in order");
   }
-  // Reached only via the Trace::Sample / InterestGenerator::Sample name
-  // collision; series are appended at coarse sampling intervals.
-  // NOLINTNEXTLINE(madnet-hot-transitive-alloc): call-graph name collision.
   samples_.push_back(Sample{time, value});
   return Status::Ok();
 }

@@ -1,0 +1,338 @@
+// Copyright (c) 2026 madnet authors. All rights reserved.
+//
+// Heap allocations on the per-event paths, counted instead of guessed.
+// This binary replaces the global operator new/delete with a counter that
+// forwards to malloc/free (so ASan still sees every block), and measures
+// steady-state windows, each after a warm-up:
+//
+//   * Substrate: the event queue under a hold model (plain events and
+//     PushRun runs), Medium broadcast fan-out over stationary nodes (ideal
+//     with loss and collisions, and CSMA), and mobility cursor queries
+//     inside already-generated legs. The first two may allocate at most
+//     once per 100,000 events (amortized growth of pools that already
+//     cover the steady-state population); the cursor never.
+//   * Whole runs: the 1000-peer Table-II run of each method, ideal and
+//     CSMA, from issue + 100 s to sim_time - 1 s, against a per-method
+//     ceiling of allocations per 1000 events. The comment on each ceiling
+//     names the sources that remain.
+//
+// It is its own binary because the replacement is global.
+
+#include <atomic>
+#include <cctype>
+#include <cstdio>
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "mobility/constant_velocity.h"
+#include "mobility/random_waypoint.h"
+#include "net/medium.h"
+#include "scenario/scenario.h"
+#include "sim/simulator.h"
+#include "util/random.h"
+
+namespace {
+std::atomic<uint64_t> g_allocations{0};
+}  // namespace
+
+// The replaceable forms every other form forwards to (libstdc++'s array
+// and nothrow forms call these). GCC sees a block from operator new reach
+// free() once a delete is inlined; here that pairing is the point.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t a = static_cast<std::size_t>(align);
+  if (void* block = std::aligned_alloc(a, (size + a - 1) / a * a)) {
+    return block;
+  }
+  throw std::bad_alloc();
+}
+void operator delete(void* block) noexcept { std::free(block); }
+void operator delete(void* block, std::size_t) noexcept { std::free(block); }
+void operator delete(void* block, std::align_val_t) noexcept {
+  std::free(block);
+}
+void operator delete(void* block, std::size_t, std::align_val_t) noexcept {
+  std::free(block);
+}
+
+namespace madnet {
+namespace {
+
+using sim::Time;
+
+uint64_t Allocations() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
+
+/// Allocations and executed events over one window of a simulator's run.
+struct Window {
+  uint64_t allocations = 0;
+  uint64_t events = 0;
+
+  void Begin(const sim::Simulator& sim) {
+    allocations = Allocations();
+    events = sim.ExecutedEvents();
+  }
+  void End(const sim::Simulator& sim) {
+    allocations = Allocations() - allocations;
+    events = sim.ExecutedEvents() - events;
+  }
+  std::string Describe() const {
+    return std::to_string(allocations) + " allocations in " +
+           std::to_string(events) + " events";
+  }
+};
+
+/// The substrate budget: at most one allocation per 100,000 events.
+void ExpectSubstrateBudget(const Window& window) {
+  EXPECT_GE(window.events, 500'000u) << window.Describe();
+  EXPECT_LE(window.allocations * 100'000, window.events) << window.Describe();
+  std::printf("%s\n", window.Describe().c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Substrate.
+
+void RunEvents(sim::Simulator* sim, uint64_t count) {
+  for (uint64_t i = 0; i < count; ++i) sim->Step();
+}
+
+/// A hold model over the simulator: every plain event re-arms itself a
+/// random delay ahead, and every fifth one also schedules a run of eight
+/// items a few milliseconds ahead, as a broadcast schedules its deliveries.
+class HoldModel {
+ public:
+  explicit HoldModel(int population) {
+    for (int i = 0; i < population; ++i) {
+      sim_.Schedule(rng_.Uniform(0.0, 10.0), [this] { Hold(); });
+    }
+  }
+
+  sim::Simulator sim_;
+
+ private:
+  void Hold() {
+    sim_.Schedule(rng_.Uniform(0.0, 10.0), [this] { Hold(); });
+    if (rng_.Bernoulli(0.2)) {
+      for (Time& t : when_) t = sim_.Now() + rng_.Uniform(0.5e-3, 2.0e-3);
+      sim_.ScheduleRunAt(when_, [this](uint32_t i) { fired_ += i; });
+    }
+  }
+
+  Rng rng_{17};
+  std::vector<Time> when_ = std::vector<Time>(8);
+  uint64_t fired_ = 0;
+};
+
+TEST(AllocBudgetTest, EventQueueHoldModel) {
+  HoldModel model(2000);
+  RunEvents(&model.sim_, 1'000'000);  // Warm-up: pools reach the population.
+  Window window;
+  window.Begin(model.sim_);
+  RunEvents(&model.sim_, 2'000'000);
+  window.End(model.sim_);
+  ExpectSubstrateBudget(window);
+}
+
+/// Stationary nodes in a square, each broadcasting one shared immutable
+/// frame about once a second; receivers count deliveries.
+class FanOut {
+ public:
+  explicit FanOut(const net::Medium::Options& options)
+      : medium_(options, &sim_, Rng(23)) {
+    Rng place(29);
+    const Rect area{{0.0, 0.0}, {2000.0, 2000.0}};
+    for (net::NodeId id = 0; id < 400; ++id) {
+      mobilities_.push_back(
+          std::make_unique<mobility::Stationary>(place.UniformInRect(area)));
+      EXPECT_TRUE(medium_.AddNode(id, mobilities_.back().get()).ok());
+      EXPECT_TRUE(medium_
+                      .SetReceiver(id, [this](const net::Packet&, net::NodeId,
+                                              net::NodeId) { ++received_; })
+                      .ok());
+      sim_.Schedule(rng_.Uniform(0.0, 1.0), [this, id] { Beacon(id); });
+    }
+    frame_.payload = std::make_shared<const net::Payload>();
+    frame_.size_bytes = 64;
+  }
+
+  sim::Simulator sim_;
+  net::Medium medium_;
+  uint64_t received_ = 0;
+
+ private:
+  void Beacon(net::NodeId id) {
+    EXPECT_TRUE(medium_.Broadcast(id, frame_).ok());
+    sim_.Schedule(rng_.Uniform(0.5, 1.5), [this, id] { Beacon(id); });
+  }
+
+  Rng rng_{31};
+  net::Packet frame_;
+  std::vector<std::unique_ptr<mobility::MobilityModel>> mobilities_;
+};
+
+/// Runs `bed` past its warm-up and checks one window: the budget holds,
+/// frames were delivered, and the spatial grid was rebuilt in the window
+/// (so the rebuild path is measured, not skipped).
+void CheckFanOut(FanOut* bed) {
+  RunEvents(&bed->sim_, 300'000);
+  const uint64_t rebuilds = bed->medium_.stats().index_rebuilds;
+  const uint64_t received = bed->received_;
+  Window window;
+  window.Begin(bed->sim_);
+  RunEvents(&bed->sim_, 1'000'000);
+  window.End(bed->sim_);
+  ExpectSubstrateBudget(window);
+  EXPECT_GT(bed->received_ - received, window.events / 2);
+  EXPECT_GT(bed->medium_.stats().index_rebuilds - rebuilds, 20u);
+}
+
+TEST(AllocBudgetTest, MediumFanOutIdealWithLossAndCollisions) {
+  net::Medium::Options options;
+  options.loss_probability = 0.1;
+  options.enable_collisions = true;
+  FanOut bed(options);
+  CheckFanOut(&bed);
+  EXPECT_GT(bed.medium_.stats().dropped_loss, 0u);
+  EXPECT_GT(bed.medium_.stats().dropped_collision, 0u);
+}
+
+TEST(AllocBudgetTest, MediumFanOutCsma) {
+  net::Medium::Options options;
+  options.csma = true;
+  FanOut bed(options);
+  CheckFanOut(&bed);
+  EXPECT_GT(bed.medium_.stats().mac_defers, 0u);
+}
+
+TEST(AllocBudgetTest, MobilityCursorInsideGeneratedLegs) {
+  mobility::RandomWaypoint::Options options;
+  mobility::RandomWaypoint model(options, Rng(37));
+  model.EnsureHorizon(1000.0);
+  const uint64_t before = Allocations();
+  Vec2 sum;
+  for (int i = 0; i < 1'000'000; ++i) {
+    // Forward sweeps, as the medium's clock drives them, with restarts
+    // that move the cursor back across leg boundaries.
+    sum = sum + model.PositionAt(static_cast<double>(i % 100'000) * 0.01);
+  }
+  EXPECT_EQ(Allocations() - before, 0u);
+  EXPECT_NE(sum.x, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Whole runs.
+
+using scenario::Method;
+
+/// A method's ceiling in allocations per 1000 events, for the ideal and
+/// the CSMA run alike: the higher of the two measured rates plus about 3%.
+struct Ceiling {
+  Method method;
+  double per_1000_events;
+};
+
+constexpr Ceiling kCeilings[] = {
+    // 65.4 ideal / 68.9 CSMA. The relay's [this, copy] capture holds a
+    // 40-byte Packet, past std::function's inline buffer (86%); leg
+    // generation (6%); the relayed-round bitmaps and first-receipt records
+    // growing (4.5%); each issuer round's flood payload (1.3%).
+    {Method::kFlooding, 71.0},
+    // 259.8 / 260.4. Each gossip broadcast copies its Advertisement into a
+    // new GossipMessage: the payload block plus four blocks of the ad's
+    // strings, keywords and sketch (96%); leg generation (1.2%).
+    {Method::kGossip, 268.0},
+    // 230.8 / 230.9. Gossip broadcasts as above (90%); leg generation
+    // (2.6%); the FM sketch and cache entry of each first receipt.
+    {Method::kOptimized1, 238.0},
+    // 207.4 / 204.6. Broadcasts of postponed entries, copied as above
+    // (72%); leg generation (9%); first-receipt sketch and cache entry (7%).
+    {Method::kOptimized2, 214.0},
+    // 154.1 / 154.7. As Optimized Gossiping-2: broadcasts (62%), legs
+    // (12%), first-receipt sketch and cache entry (9%).
+    {Method::kOptimized, 160.0},
+    // 666.7 / 670.8. A last_heard_ hash node per beacon heard while the
+    // resource memory is empty: inserted, then erased, so the next beacon
+    // inserts again (81%); each encounter batch's vectors and ad copies
+    // (14%); ad copies into memory (2%).
+    {Method::kResourceExchange, 691.0},
+};
+
+struct RunCase {
+  Ceiling ceiling;
+  bool csma;
+};
+
+void PrintTo(const RunCase& run, std::ostream* os) {
+  *os << scenario::MethodName(run.ceiling.method)
+      << (run.csma ? ", CSMA" : ", ideal");
+}
+
+class WholeRunTest : public ::testing::TestWithParam<RunCase> {};
+
+TEST_P(WholeRunTest, StaysUnderItsCeiling) {
+  const RunCase& run = GetParam();
+  scenario::ScenarioConfig config = scenario::ScenarioConfig::PaperDefaults();
+  config.num_peers = 1000;
+  config.seed = 7;
+  config.method = run.ceiling.method;
+  config.medium.csma = run.csma;
+  ASSERT_TRUE(config.Validate().ok());
+
+  scenario::Scenario scenario(config);
+  sim::Simulator* sim = scenario.simulator();
+  Window window;
+  sim->ScheduleAt(config.issue_time_s + 100.0,
+                  [&window, sim] { window.Begin(*sim); });
+  sim->ScheduleAt(config.sim_time_s - 1.0,
+                  [&window, sim] { window.End(*sim); });
+  scenario.Run();
+
+  const double per_1000 = 1000.0 * static_cast<double>(window.allocations) /
+                          static_cast<double>(window.events);
+  EXPECT_GT(window.events, 100'000u);
+  EXPECT_LE(per_1000, run.ceiling.per_1000_events) << window.Describe();
+  std::printf("%s %s: %.2f allocations per 1000 events (%s)\n",
+              scenario::MethodName(config.method),
+              run.csma ? "CSMA" : "ideal", per_1000,
+              window.Describe().c_str());
+}
+
+std::vector<RunCase> AllRunCases() {
+  std::vector<RunCase> cases;
+  for (const Ceiling& ceiling : kCeilings) {
+    cases.push_back({ceiling, false});
+    cases.push_back({ceiling, true});
+  }
+  return cases;
+}
+
+std::string RunCaseName(const ::testing::TestParamInfo<RunCase>& info) {
+  std::string name;
+  for (const char* c = scenario::MethodName(info.param.ceiling.method); *c;
+       ++c) {
+    if (std::isalnum(static_cast<unsigned char>(*c))) name += *c;
+  }
+  return name + (info.param.csma ? "Csma" : "Ideal");
+}
+
+INSTANTIATE_TEST_SUITE_P(TableII, WholeRunTest,
+                         ::testing::ValuesIn(AllRunCases()), RunCaseName);
+
+}  // namespace
+}  // namespace madnet

@@ -5,6 +5,7 @@
 // it falls on exactly the tick an always-on periodic series with the
 // peer's phase would have produced. Dormancy removes events, nothing else.
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -127,12 +128,13 @@ TEST(GossipRoundsTest, RoundsAfterFirstReceiptFallOnThePeriodicSeries) {
   RoundBed bed;
   bed.Start({{0.0, 0.0}, {100.0, 0.0}});
   // A shadow series started with the receiver's phase, at the same
-  // instant as its Start().
+  // instant as its Start(): each tick re-arms itself one round later.
   std::vector<double> shadow;
-  bed.sim_.SchedulePeriodic(RoundBed::PhaseOf(1), kRound, [&] {
+  std::function<void()> tick = [&] {
     shadow.push_back(bed.sim_.Now());
-    return true;
-  });
+    bed.sim_.Schedule(kRound, tick);
+  };
+  bed.sim_.Schedule(RoundBed::PhaseOf(1), tick);
   bed.sim_.RunUntil(12.3);
   ASSERT_TRUE(bed.gossips_[0]->Issue(PetrolAd(), 1000.0, 800.0).ok());
   bed.sim_.RunUntil(80.0);

@@ -9,6 +9,8 @@
 
 #include "mobility/constant_velocity.h"
 #include "net/medium.h"
+#include "obs/flight_recorder.h"
+#include "obs/trace.h"
 #include "sim/simulator.h"
 #include "stats/delivery.h"
 
@@ -112,6 +114,45 @@ TEST(ExchangeTest, MutualExchangeOnEncounter) {
   EXPECT_TRUE(bed.peers_[1]->Holds(a->Key()));
   EXPECT_GE(bed.log_.FirstReceipt(a->Key(), 1), 0.0);
   EXPECT_GE(bed.log_.FirstReceipt(b->Key(), 0), 0.0);
+}
+
+TEST(ExchangeTest, BeaconsFireOnPhasePlusIntervalsAcrossCrashAndRejoin) {
+  ExchangeTestBed bed;
+  obs::FlightRecorder recorder;
+  obs::Trace trace{obs::TraceOptions{}};
+  trace.SetFlightRecorder(&recorder);
+  bed.medium_->SetTrace(&trace);
+  bed.AddNode(std::make_unique<Stationary>(Vec2{0.0, 0.0}));
+  ResourceExchange::Options options;
+  bed.Start(options);
+  // The phase is the first draw of the node's stream.
+  Rng rng(7000);
+  const double phase = rng.Uniform(0.0, options.beacon_interval_s);
+
+  bed.sim_.RunUntil(20.0);
+  ASSERT_TRUE(bed.medium_->SetOnline(0, false).ok());
+  bed.peers_[0]->OnCrash();
+  bed.sim_.RunUntil(31.0);
+  ASSERT_TRUE(bed.medium_->SetOnline(0, true).ok());
+  bed.peers_[0]->OnRejoin();
+  bed.sim_.RunUntil(60.0);
+  EXPECT_EQ(bed.sim_.PendingEvents(), 1u);  // Only the next beacon.
+
+  // Each tick is the previous one plus the interval, by the same double
+  // addition the re-arming performs. Ticks keep running while the node is
+  // down; only the frames of those ticks stay off the air.
+  std::vector<double> on_air;
+  uint64_t ticks = 0;
+  for (double t = phase; t <= 60.0; t += options.beacon_interval_s) {
+    ++ticks;
+    if (t <= 20.0 || t > 31.0) on_air.push_back(t);
+  }
+  std::vector<double> sent;
+  for (const obs::FlightRecord& record : recorder.Snapshot()) {
+    if (record.category == obs::kTraceTx) sent.push_back(record.t);
+  }
+  EXPECT_EQ(sent, on_air);
+  EXPECT_EQ(bed.peers_[0]->beacons_sent(), ticks);
 }
 
 TEST(ExchangeTest, NoReExchangeWithinTimeout) {

@@ -105,6 +105,37 @@ TEST(GoldenTraceTest, AllCategoriesFloodingWithLossAndCollisions) {
   EXPECT_EQ(obs::HashHex(text), kFloodingAllDigest);
 }
 
+// The exchange run pins the beacon series (every peer's random phase plus
+// k beacon intervals) and the batch frames, across crash churn that wipes
+// resource memory. Recorded with glibc 2.36, like the digests above.
+constexpr char kExchangeAllDigest[] = "0b05ca3a637b5668";
+
+TEST(GoldenTraceTest, AllCategoriesResourceExchange) {
+  ScenarioConfig config;
+  config.method = Method::kResourceExchange;
+  config.num_peers = 60;
+  config.area_size_m = 1500.0;
+  config.issue_location = {750.0, 750.0};
+  config.initial_radius_m = 600.0;
+  config.initial_duration_s = 60.0;
+  config.sim_time_s = 90.0;
+  config.issue_time_s = 10.0;
+  config.medium.loss_probability = 0.1;
+  config.fault.churn_rate = 0.3;
+  config.fault.churn_up_s = 20.0;
+  config.fault.churn_down_s = 10.0;
+  config.fault.churn_crash = true;
+  config.seed = 41;
+  ASSERT_TRUE(config.Validate().ok());
+
+  RunResult result;
+  const std::string text = AllCategoryTrace(config, &result);
+  EXPECT_GT(result.net.deliveries, 0u);
+  EXPECT_GT(result.fault.crashes, 0u);
+  EXPECT_GT(result.fault.node_rejoins, 0u);
+  EXPECT_EQ(obs::HashHex(text), kExchangeAllDigest);
+}
+
 TEST(GoldenTraceTest, AllCategoriesOptimizedCsmaWithFading) {
   ScenarioConfig config;
   config.method = Method::kOptimized;

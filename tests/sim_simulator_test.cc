@@ -141,79 +141,6 @@ TEST(SimulatorTest, ResetClearsEverything) {
   EXPECT_EQ(sim.ExecutedEvents(), 0u);
 }
 
-TEST(PeriodicTest, FiresAtFixedPeriod) {
-  Simulator sim;
-  std::vector<Time> fire_times;
-  sim.SchedulePeriodic(1.0, 2.0, [&] {
-    fire_times.push_back(sim.Now());
-    return true;
-  });
-  sim.RunUntil(10.0);
-  ASSERT_EQ(fire_times.size(), 5u);  // 1, 3, 5, 7, 9.
-  for (size_t i = 0; i < fire_times.size(); ++i) {
-    EXPECT_DOUBLE_EQ(fire_times[i], 1.0 + 2.0 * static_cast<double>(i));
-  }
-}
-
-TEST(PeriodicTest, CallbackReturningFalseStops) {
-  Simulator sim;
-  int fired = 0;
-  sim.SchedulePeriodic(0.0, 1.0, [&] {
-    ++fired;
-    return fired < 3;
-  });
-  sim.RunUntil(100.0);
-  EXPECT_EQ(fired, 3);
-}
-
-TEST(PeriodicTest, HandleCancelStops) {
-  Simulator sim;
-  int fired = 0;
-  PeriodicHandle handle = sim.SchedulePeriodic(0.0, 1.0, [&] {
-    ++fired;
-    return true;
-  });
-  EXPECT_TRUE(handle.active());
-  sim.RunUntil(2.5);
-  EXPECT_EQ(fired, 3);  // 0, 1, 2.
-  EXPECT_TRUE(handle.Cancel());
-  EXPECT_FALSE(handle.active());
-  sim.RunUntil(10.0);
-  EXPECT_EQ(fired, 3);
-  EXPECT_FALSE(handle.Cancel());  // Idempotent.
-}
-
-TEST(PeriodicTest, CancelBeforeFirstFiring) {
-  Simulator sim;
-  int fired = 0;
-  PeriodicHandle handle = sim.SchedulePeriodic(5.0, 1.0, [&] {
-    ++fired;
-    return true;
-  });
-  EXPECT_TRUE(handle.Cancel());
-  sim.RunUntil(20.0);
-  EXPECT_EQ(fired, 0);
-}
-
-TEST(PeriodicTest, SelfCancelInsideCallback) {
-  Simulator sim;
-  int fired = 0;
-  PeriodicHandle handle;
-  handle = sim.SchedulePeriodic(0.0, 1.0, [&] {
-    ++fired;
-    if (fired == 2) handle.Cancel();
-    return true;
-  });
-  sim.RunUntil(10.0);
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(PeriodicTest, DefaultHandleIsInert) {
-  PeriodicHandle handle;
-  EXPECT_FALSE(handle.active());
-  EXPECT_FALSE(handle.Cancel());
-}
-
 TEST(SimulatorTest, DeterministicReplay) {
   // Two simulators given the same workload execute identically.
   auto run = [] {

@@ -318,85 +318,6 @@ TEST(MadnetLintTest, NolintInStringLiteralIsNotADirective) {
 }
 
 // --------------------------------------------------------------------------
-// madnet-hot-alloc
-
-TEST(MadnetLintTest, FlagsContainerGrowthInHotFunction) {
-  const auto diags = LintFile("src/net/foo.cc",
-                              "// MADNET_HOT\n"
-                              "void Medium::Deliver(uint32_t to) {\n"
-                              "  pending_.push_back(to);\n"
-                              "}\n");
-  ASSERT_TRUE(HasRule(diags, "madnet-hot-alloc"));
-  EXPECT_EQ(LineOf(diags, "madnet-hot-alloc"), 3);
-}
-
-TEST(MadnetLintTest, FlagsMakeSharedAndNewInHotFunction) {
-  const auto diags = LintFile("src/net/foo.cc",
-                              "// MADNET_HOT\n"
-                              "void Medium::Send() {\n"
-                              "  auto p = std::make_shared<Packet>();\n"
-                              "}\n"
-                              "// MADNET_HOT\n"
-                              "void Medium::Recv() {\n"
-                              "  int* x = new int;\n"
-                              "}\n");
-  EXPECT_EQ(LineOf(diags, "madnet-hot-alloc"), 3);
-  // Line 7 also trips madnet-raw-new; both rules report independently.
-  EXPECT_TRUE(HasRule(diags, "madnet-raw-new"));
-}
-
-TEST(MadnetLintTest, AcceptsScratchAndOutParamGrowthInHotFunction) {
-  const auto diags = LintFile(
-      "src/net/foo.cc",
-      "// MADNET_HOT\n"
-      "void Medium::Query(NeighborBatch* out) const {\n"
-      "  neighbor_scratch_.push_back(1);\n"
-      "  out->ids.push_back(2);\n"
-      "  free_slots_.push_back(3);\n"
-      "  arena_.emplace_back();\n"
-      "}\n");
-  EXPECT_FALSE(HasRule(diags, "madnet-hot-alloc"));
-}
-
-TEST(MadnetLintTest, AcceptsAllocationOutsideHotFunctions) {
-  const auto diags = LintFile("src/net/foo.cc",
-                              "void Medium::AddNode(uint32_t id) {\n"
-                              "  ids_.push_back(id);\n"
-                              "}\n"
-                              "// MADNET_HOT\n"
-                              "void Medium::Deliver() {\n"
-                              "  counter_ += 1;\n"
-                              "}\n"
-                              "void Medium::Detach() {\n"
-                              "  handlers_.emplace_back(nullptr);\n"
-                              "}\n");
-  EXPECT_FALSE(HasRule(diags, "madnet-hot-alloc"));
-}
-
-TEST(MadnetLintTest, HotMarkerOnPrototypeDoesNotSwallowFile) {
-  // A marker on a declaration (no body) must not extend the hot region to
-  // the rest of the file.
-  const auto diags = LintFile("src/net/foo.h",
-                              "// MADNET_HOT\n"
-                              "void Deliver(uint32_t to);\n"
-                              "void Other() {\n"
-                              "  list_.push_back(1);\n"
-                              "}\n");
-  EXPECT_FALSE(HasRule(diags, "madnet-hot-alloc"));
-}
-
-TEST(MadnetLintTest, NolintSuppressesHotAlloc) {
-  const auto diags = LintFile(
-      "src/sim/foo.cc",
-      "// MADNET_HOT\n"
-      "void EventQueue::HeapPush(const Entry& e) {\n"
-      "  // NOLINTNEXTLINE(madnet-hot-alloc): amortized O(1) heap growth\n"
-      "  heap_.push_back(e);\n"
-      "}\n");
-  EXPECT_FALSE(HasRule(diags, "madnet-hot-alloc"));
-}
-
-// --------------------------------------------------------------------------
 // Preprocessor (comment/string stripping)
 
 TEST(MadnetLintTest, StripPreservesLineStructure) {
@@ -447,8 +368,6 @@ TEST(MadnetLintTest, RuleNamesListsEveryRule) {
       "madnet-stderr",
       "madnet-unordered-iteration",
       "madnet-raw-new",
-      "madnet-hot-alloc",
-      "madnet-hot-transitive-alloc",
       "madnet-layering",
       "madnet-rng-fork-label",
       "madnet-nolint",
@@ -498,67 +417,10 @@ TEST(ProjectModelTest, BuildsIncludeGraphAndModuleEdges) {
   EXPECT_EQ(edges.count({"net", "util"}), 1u);
 }
 
-TEST(ProjectModelTest, ExtractsFunctionSpansAndHotMarkers) {
-  const ProjectModel model = BuildProjectModel({
-      {"src/net/medium.cc",
-       "void Medium::AddNode(uint32_t id) {\n"
-       "  ids_.push_back(id);\n"
-       "}\n"
-       "// MADNET_HOT\n"
-       "void Medium::Broadcast(const Packet& p) {\n"
-       "  if (true) {\n"
-       "    Deliver(p);\n"
-       "  }\n"
-       "}\n"},
-  });
-  const ModelFile& file = model.files()[0];
-  ASSERT_EQ(file.functions.size(), 2u);
-  EXPECT_EQ(file.functions[0].name, "AddNode");
-  EXPECT_EQ(file.functions[0].qualified, "Medium::AddNode");
-  EXPECT_FALSE(file.functions[0].hot);
-  EXPECT_EQ(file.functions[0].body_begin, 1);
-  EXPECT_EQ(file.functions[0].body_end, 3);
-  EXPECT_EQ(file.functions[1].name, "Broadcast");
-  EXPECT_TRUE(file.functions[1].hot);
-  EXPECT_EQ(file.functions[1].body_begin, 5);
-  EXPECT_EQ(file.functions[1].body_end, 9);
-}
-
-TEST(ProjectModelTest, ExtractsCallEdgesWithCallerAttribution) {
-  const ProjectModel model = BuildProjectModel({
-      {"src/net/medium.cc",
-       "void Medium::Broadcast(const Packet& p) {\n"
-       "  DeliverFrame(p);\n"
-       "  stats_.Count();\n"
-       "}\n"},
-      {"src/net/frame.cc",
-       "void DeliverFrame(const Packet& p) {\n"
-       "  Log(p);\n"
-       "}\n"},
-  });
-  const ModelFile& medium = model.files()[0];
-  // Both callee sites attribute to the enclosing Broadcast definition.
-  bool saw_deliver = false;
-  for (const CallSite& call : medium.calls) {
-    if (call.callee == "DeliverFrame") {
-      saw_deliver = true;
-      EXPECT_EQ(call.line, 2);
-      ASSERT_GE(call.caller, 0);
-      EXPECT_EQ(medium.functions[static_cast<size_t>(call.caller)].name,
-                "Broadcast");
-    }
-  }
-  EXPECT_TRUE(saw_deliver);
-  // And the definitions index finds DeliverFrame in the other file.
-  const auto refs = model.FunctionsNamed("DeliverFrame");
-  ASSERT_EQ(refs.size(), 1u);
-  EXPECT_EQ(model.files()[static_cast<size_t>(refs[0].first)].path,
-            "src/net/frame.cc");
-}
-
 TEST(ProjectModelTest, IndexesForkLabelSites) {
   const ProjectModel model = BuildProjectModel({
       {"src/scenario/scenario.cc",
+       "#define FORK_SEVEN(rng) (rng).Fork(7)\n"
        "void Build(Rng& root) {\n"
        "  Rng a = root.Fork(0x9001);\n"
        "  Rng b = root.Fork(42);\n"
@@ -573,42 +435,6 @@ TEST(ProjectModelTest, IndexesForkLabelSites) {
   EXPECT_EQ(file.forks[1].value, 42u);
   EXPECT_FALSE(file.forks[2].literal);
   EXPECT_EQ(file.forks[2].argument, "0x10000 + i");
-}
-
-TEST(ProjectModelTest, HotReachabilityFollowsCallChains) {
-  const ProjectModel model = BuildProjectModel({
-      {"src/net/medium.cc",
-       "// MADNET_HOT\n"
-       "void Medium::Broadcast(const Packet& p) {\n"
-       "  DeliverFrame(p);\n"
-       "}\n"},
-      {"src/net/frame.cc",
-       "void DeliverFrame(const Packet& p) {\n"
-       "  AppendLog(p);\n"
-       "}\n"
-       "void AppendLog(const Packet& p) {\n"
-       "}\n"
-       "void Unrelated() {\n"
-       "}\n"},
-  });
-  const auto reachable = model.HotReachableFunctions();
-  std::vector<std::string> names;
-  for (const auto& fn : reachable) {
-    const ModelFile& file =
-        model.files()[static_cast<size_t>(fn.function.first)];
-    names.push_back(
-        file.functions[static_cast<size_t>(fn.function.second)].name);
-    if (names.back() == "AppendLog") {
-      EXPECT_EQ(fn.chain,
-                "Medium::Broadcast -> DeliverFrame -> AppendLog");
-    }
-  }
-  EXPECT_NE(std::find(names.begin(), names.end(), "DeliverFrame"),
-            names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "AppendLog"), names.end());
-  EXPECT_EQ(std::find(names.begin(), names.end(), "Unrelated"), names.end());
-  // Roots themselves are not re-reported.
-  EXPECT_EQ(std::find(names.begin(), names.end(), "Broadcast"), names.end());
 }
 
 // --------------------------------------------------------------------------
@@ -732,97 +558,6 @@ TEST(MadnetLintTest, NolintSuppressesLayeringOnTheIncludeLine) {
       {"src/stats/delivery.h", "\n"},
   });
   EXPECT_FALSE(HasRule(diags, "madnet-layering"));
-}
-
-// --------------------------------------------------------------------------
-// madnet-hot-transitive-alloc
-
-TEST(MadnetLintTest, FlagsAllocationReachableFromHotFunction) {
-  const auto diags = RunLinter({
-      {"src/net/medium.cc",
-       "// MADNET_HOT\n"
-       "void Medium::Broadcast(const Packet& p) {\n"
-       "  DeliverFrame(p);\n"
-       "}\n"},
-      {"src/net/frame.cc",
-       "void DeliverFrame(const Packet& p) {\n"
-       "  log_.push_back(p);\n"
-       "}\n"},
-  });
-  ASSERT_TRUE(HasRule(diags, "madnet-hot-transitive-alloc"));
-  EXPECT_EQ(LineOf(diags, "madnet-hot-transitive-alloc"), 2);
-  for (const auto& d : diags) {
-    if (d.rule == "madnet-hot-transitive-alloc") {
-      EXPECT_EQ(d.file, "src/net/frame.cc");
-      // The message names the discovery chain from the hot root.
-      EXPECT_NE(d.message.find("Medium::Broadcast -> DeliverFrame"),
-                std::string::npos);
-    }
-  }
-}
-
-TEST(MadnetLintTest, AcceptsScratchGrowthInReachableFunction) {
-  const auto diags = RunLinter({
-      {"src/net/medium.cc",
-       "// MADNET_HOT\n"
-       "void Medium::Broadcast(const Packet& p) {\n"
-       "  DeliverFrame(p);\n"
-       "}\n"},
-      {"src/net/frame.cc",
-       "void DeliverFrame(const Packet& p) {\n"
-       "  frame_scratch_.push_back(p);\n"
-       "}\n"},
-  });
-  EXPECT_FALSE(HasRule(diags, "madnet-hot-transitive-alloc"));
-}
-
-TEST(MadnetLintTest, AcceptsAllocationNotReachableFromHotCode) {
-  const auto diags = RunLinter({
-      {"src/net/medium.cc",
-       "// MADNET_HOT\n"
-       "void Medium::Broadcast(const Packet& p) {\n"
-       "  Forward(p);\n"
-       "}\n"},
-      {"src/net/frame.cc",
-       "void Setup(const Config& c) {\n"
-       "  handlers_.push_back(c.handler);\n"
-       "}\n"},
-  });
-  EXPECT_FALSE(HasRule(diags, "madnet-hot-transitive-alloc"));
-}
-
-TEST(MadnetLintTest, NolintSuppressesTransitiveAlloc) {
-  const auto diags = RunLinter({
-      {"src/net/medium.cc",
-       "// MADNET_HOT\n"
-       "void Medium::Broadcast(const Packet& p) {\n"
-       "  DeliverFrame(p);\n"
-       "}\n"},
-      {"src/net/frame.cc",
-       "void DeliverFrame(const Packet& p) {\n"
-       "  // NOLINTNEXTLINE(madnet-hot-transitive-alloc): cold error path\n"
-       "  log_.push_back(p);\n"
-       "}\n"},
-  });
-  EXPECT_FALSE(HasRule(diags, "madnet-hot-transitive-alloc"));
-}
-
-TEST(MadnetLintTest, DirectlyHotLinesStayWithHotAllocRule) {
-  // A MADNET_HOT function that both allocates and is itself reachable from
-  // another hot function reports the direct rule, not the transitive one.
-  const auto diags = RunLinter({
-      {"src/net/medium.cc",
-       "// MADNET_HOT\n"
-       "void Medium::Broadcast(const Packet& p) {\n"
-       "  Deliver(p);\n"
-       "}\n"
-       "// MADNET_HOT\n"
-       "void Medium::Deliver(const Packet& p) {\n"
-       "  log_.push_back(p);\n"
-       "}\n"},
-  });
-  EXPECT_TRUE(HasRule(diags, "madnet-hot-alloc"));
-  EXPECT_FALSE(HasRule(diags, "madnet-hot-transitive-alloc"));
 }
 
 // --------------------------------------------------------------------------

@@ -29,9 +29,6 @@ namespace {
   X(kUnorderedIteration, "madnet-unordered-iteration",                         \
     "range-for over an unordered container in src/")                           \
   X(kRawNew, "madnet-raw-new", "raw new or delete")                            \
-  X(kHotAlloc, "madnet-hot-alloc", "heap allocation in a MADNET_HOT function") \
-  X(kHotTransitiveAlloc, "madnet-hot-transitive-alloc",                        \
-    "allocation in code a MADNET_HOT function calls")                          \
   X(kLayering, "madnet-layering",                                              \
     "src/ include that breaks the module layer DAG")                           \
   X(kRngForkLabel, "madnet-rng-fork-label",                                    \
@@ -466,94 +463,6 @@ void CheckUnorderedIteration(const FileScan& scan,
 }
 
 // ---------------------------------------------------------------------------
-// madnet-hot-alloc.
-
-// Functions annotated with a `// MADNET_HOT` comment line are the per-event
-// broadcast/queue paths: steady-state execution must not allocate. The rule
-// flags obvious per-call allocations — `new`, make_shared/make_unique, and
-// growth calls on containers — inside the function body following the
-// marker. Receivers whose name chain identifies a deliberately reused
-// buffer (scratch/arena/slot/pool/free vectors, out-parameters) are
-// allowed; anything else needs a justified suppression (typically
-// "amortized O(1) growth").
-
-// True if `name` identifies a reused buffer or an out-parameter.
-bool IsReusedBufferName(const std::string& name) {
-  for (const char* marker : {"scratch", "arena", "slot", "pool", "free"}) {
-    if (Contains(name, marker)) return true;
-  }
-  if (name == "out" || StartsWith(name, "out_")) return true;
-  if (name.size() >= 4 && name.compare(name.size() - 4, 4, "_out") == 0) {
-    return true;
-  }
-  // Trailing-underscore members: strip and re-test the out-param forms.
-  if (!name.empty() && name.back() == '_') {
-    return IsReusedBufferName(name.substr(0, name.size() - 1));
-  }
-  return false;
-}
-
-// Marks the lines of `file`'s MADNET_HOT function bodies, as the project
-// model found them: from the opening '{' through its matching '}'.
-std::vector<bool> HotLines(const ModelFile& file, size_t line_count) {
-  std::vector<bool> hot(line_count, false);
-  for (const FunctionSpan& fn : file.functions) {
-    if (!fn.hot) continue;
-    for (int line = fn.body_begin; line <= fn.body_end; ++line) {
-      hot[static_cast<size_t>(line) - 1] = true;
-    }
-  }
-  return hot;
-}
-
-// True if the (code-view) line performs a heap allocation that the hot-path
-// policy bans: `new`, make_shared/make_unique, or growth on a container
-// whose receiver chain does not name a reused scratch/arena/pool buffer or
-// an out-parameter. Shared by madnet-hot-alloc (direct) and
-// madnet-hot-transitive-alloc (call-graph reachable).
-bool LineHasHotAllocViolation(const std::string& line) {
-  static const std::regex kAllocRe(
-      "\\bnew\\b|\\bmake_(shared|unique)\\b");
-  static const std::regex kGrowRe(
-      "((?:[A-Za-z_][A-Za-z0-9_]*\\s*(?:\\.|->)\\s*)+)"
-      "(push_back|emplace_back|emplace|insert)\\s*\\(");
-  static const std::regex kIdentRe("[A-Za-z_][A-Za-z0-9_]*");
-  if (std::regex_search(line, kAllocRe)) return true;
-  std::smatch match;
-  std::string rest = line;
-  while (std::regex_search(rest, match, kGrowRe)) {
-    // Allow if any identifier in the receiver chain names a reused
-    // buffer (covers `scratch_.push_back` and `out->ids.push_back`).
-    const std::string chain = match[1].str();
-    bool allowed = false;
-    auto begin = std::sregex_iterator(chain.begin(), chain.end(), kIdentRe);
-    for (auto it = begin; it != std::sregex_iterator(); ++it) {
-      if (IsReusedBufferName(it->str())) {
-        allowed = true;
-        break;
-      }
-    }
-    if (!allowed) return true;
-    rest = match.suffix().str();
-  }
-  return false;
-}
-
-void CheckHotAlloc(const ModelFile& file, const FileScan& scan,
-                   std::vector<Diagnostic>* out) {
-  const std::vector<bool> hot = HotLines(file, scan.code_lines.size());
-  for (size_t idx = 0; idx < scan.code_lines.size(); ++idx) {
-    if (!hot[idx] || !LineHasHotAllocViolation(scan.code_lines[idx])) {
-      continue;
-    }
-    out->push_back(MakeDiagnostic(
-        scan.path, static_cast<int>(idx) + 1, Rule::kHotAlloc,
-        "allocation in a MADNET_HOT function: reuse a scratch/arena "
-        "buffer, or NOLINT with a justification if growth is amortized"));
-  }
-}
-
-// ---------------------------------------------------------------------------
 // madnet-layering.
 
 // A module's layer in LayerModules() (the table, defined below), or -1.
@@ -670,41 +579,6 @@ void CheckLayering(const ProjectModel& model, std::vector<Diagnostic>* out) {
         path.push_back(target);
         stack.push_back({target, 0});
       }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// madnet-hot-transitive-alloc.
-
-void CheckHotTransitiveAlloc(const ProjectModel& model,
-                             const std::vector<FileScan>& scans,
-                             std::vector<Diagnostic>* out) {
-  for (const auto& reachable : model.HotReachableFunctions()) {
-    const ModelFile& file =
-        model.files()[static_cast<size_t>(reachable.function.first)];
-    const FunctionSpan& span =
-        file.functions[static_cast<size_t>(reachable.function.second)];
-    // The model holds the files in scan order.
-    const FileScan& scan = scans[static_cast<size_t>(reachable.function.first)];
-    // Lines already inside a directly-marked MADNET_HOT body belong to
-    // madnet-hot-alloc; this rule covers the unmarked remainder.
-    const std::vector<bool> directly_hot =
-        HotLines(file, scan.code_lines.size());
-    for (int lineno = span.body_begin; lineno <= span.body_end; ++lineno) {
-      const size_t idx = static_cast<size_t>(lineno) - 1;
-      if (directly_hot[idx]) continue;
-      if (!LineHasHotAllocViolation(scan.code_lines[idx])) continue;
-      const std::string name =
-          span.qualified.empty() ? span.name : span.qualified;
-      out->push_back(MakeDiagnostic(
-          file.path, lineno, Rule::kHotTransitiveAlloc,
-          "allocation in '" + name +
-              "', which is reachable from a MADNET_HOT function (" +
-              reachable.chain +
-              "): reuse a scratch/arena buffer, or NOLINT with a "
-              "justification (cold branch, amortized growth, or a "
-              "heuristic call-graph false positive)"));
     }
   }
 }
@@ -843,8 +717,7 @@ std::vector<Diagnostic> Linter::Run() const {
     }
   }
 
-  // Pass 1b: the whole-project model (include graph, function spans, call
-  // graph, Fork sites).
+  // Pass 1b: the whole-project model (include graph, Fork sites).
   ProjectModel model;
   for (const FileScan& scan : scans) {
     model.AddFile(scan.path, scan.raw_lines, scan.code_lines);
@@ -852,8 +725,7 @@ std::vector<Diagnostic> Linter::Run() const {
 
   // Pass 2: all rules.
   std::vector<Diagnostic> diagnostics;
-  for (size_t i = 0; i < scans.size(); ++i) {
-    const FileScan& scan = scans[i];
+  for (const FileScan& scan : scans) {
     for (const LineRule& rule : LineRules()) {
       bool in_scope = !rule.src_only || InDirectory(scan.path, "src/");
       for (const std::string& exempt : rule.allowlist) {
@@ -867,11 +739,9 @@ std::vector<Diagnostic> Linter::Run() const {
       }
     }
     CheckRawNew(scan, &diagnostics);
-    CheckHotAlloc(model.files()[i], scan, &diagnostics);
     CheckUnorderedIteration(scan, unordered_names, &diagnostics);
   }
   CheckLayering(model, &diagnostics);
-  CheckHotTransitiveAlloc(model, scans, &diagnostics);
   CheckRngForkLabel(model, &diagnostics);
 
   // Every rule's findings pass through the NOLINTs of the file they land

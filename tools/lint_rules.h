@@ -8,11 +8,10 @@
 // comments and string literals are blanked out.
 //
 // The engine runs in two passes. Pass 1 indexes every file into a
-// ProjectModel (tools/project_model.h): include graph, function spans, a
-// heuristic call graph, Rng::Fork label sites, MADNET_HOT markers. Pass 2
-// runs the rules; the per-line rules see one file at a time, the
-// project-model rules (layering, transitive hot allocation, Fork-label
-// discipline) see the whole project.
+// ProjectModel (tools/project_model.h): include graph and Rng::Fork label
+// sites. Pass 2 runs the rules; the per-line rules see one file at a time,
+// the project-model rules (layering, Fork-label discipline) see the whole
+// project.
 //
 // The rules live in one table in lint_rules.cc; `madnet_lint --list-rules`
 // prints each id with its summary, and docs/STATIC_ANALYSIS.md explains the
@@ -58,7 +57,7 @@ const std::vector<std::vector<std::string>>& LayerModules();
 /// The cross-file rule engine. Add every file first, then Run(): the
 /// unordered-iteration rule needs the full file set to resolve container
 /// names declared in headers but iterated in sources, and the project-model
-/// rules need the whole include/call graph.
+/// rules need the whole include graph and every Fork site.
 class Linter {
  public:
   /// Registers a file. `path` must be repo-relative with forward slashes;
