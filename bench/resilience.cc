@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel_for.h"
 #include "obs/manifest.h"
 #include "scenario/config_io.h"
 #include "exec/replication.h"
@@ -160,7 +160,7 @@ void Run(const bench::BenchEnv& env) {
   // Unless told otherwise, the sweeps use every hardware thread.
   bench::BenchEnv sweep_env = env;
   if (sweep_env.jobs <= 1) {
-    sweep_env.jobs = exec::ThreadPool::HardwareConcurrency();
+    sweep_env.jobs = exec::ResolveJobs(0);
   }
 
   auto start = std::chrono::steady_clock::now();

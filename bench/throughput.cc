@@ -14,7 +14,7 @@
 //   3. Sweep engine: a fig07-style (method × network size) grid, run
 //      serially and then with a worker per hardware thread — wall-clock
 //      both ways and the resulting speedup. This is the number the
-//      exec::ThreadPool engine moves.
+//      exec::ParallelFor engine moves.
 //   4. Metro scale (opt-in: --metro or MADNET_BENCH_METRO): one
 //      Table-II-density run at metro population (100k peers; 20k in fast
 //      mode) — wall-clock, events/sec and spatial-grid builds.
@@ -34,7 +34,6 @@
 
 #include "bench/bench_util.h"
 #include "exec/parallel_for.h"
-#include "exec/thread_pool.h"
 #include "obs/manifest.h"
 #include "obs/run_context.h"
 #include "obs/trace_query.h"
@@ -204,12 +203,12 @@ void Run(const bench::BenchEnv& env, bool metro) {
   if (env.fast) sizes = {100, 300};
   // --jobs / MADNET_JOBS still wins if given; otherwise use the hardware.
   const int parallel_jobs =
-      env.jobs > 1 ? env.jobs : exec::ThreadPool::HardwareConcurrency();
+      env.jobs > 1 ? env.jobs : exec::ResolveJobs(0);
 
   const SweepResult serial = RunSweep(methods, sizes, env.reps, 1);
   const SweepResult parallel =
       RunSweep(methods, sizes, env.reps, parallel_jobs);
-  const int hardware_threads = exec::ThreadPool::HardwareConcurrency();
+  const int hardware_threads = exec::ResolveJobs(0);
   // On a machine with fewer hardware threads than workers the "speedup" is
   // dominated by oversubscription and scheduler noise, not by the engine;
   // report it as unavailable rather than publish a misleading ratio.

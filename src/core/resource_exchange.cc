@@ -109,20 +109,24 @@ void ResourceExchange::OnEncounter(net::NodeId from) {
   // the encounter re-fires on the peer's first beacon after rejoining.
   if (!context_.medium->IsOnline(from)) return;
   const Time now = Now();
-  auto [it, inserted] = last_heard_.try_emplace(from, now);
-  const bool is_new_encounter =
-      inserted || now - it->second > options_.encounter_timeout_s;
-  it->second = now;
-  if (!is_new_encounter) return;
+  auto it = last_heard_.find(from);
+  if (it != last_heard_.end()) {
+    const bool is_new_encounter =
+        now - it->second > options_.encounter_timeout_s;
+    it->second = now;
+    if (!is_new_encounter) return;
+  }
 
   Prune();
   if (memory_.empty()) {
     // Nothing to share yet: do not consume the encounter, so the exchange
     // happens at the next beacon once this peer has resources (e.g. the
-    // ones the neighbour is about to send it).
-    last_heard_.erase(it);
+    // ones the neighbour is about to send it). A first encounter never
+    // inserts, so an empty memory costs no allocation per beacon heard.
+    if (it != last_heard_.end()) last_heard_.erase(it);
     return;
   }
+  if (it == last_heard_.end()) last_heard_.emplace(from, now);
 
   // Send our most relevant resources, best first, as one batch frame.
   std::vector<const Advertisement*> ranked;

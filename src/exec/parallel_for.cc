@@ -10,8 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "exec/thread_pool.h"
-
 namespace madnet::exec {
 namespace {
 
@@ -137,9 +135,11 @@ void ParallelFor(int jobs, size_t n, const std::function<void(size_t)>& fn) {
 }
 
 int ResolveJobs(int jobs) {
-  return jobs >= 1 ? jobs : ThreadPool::HardwareConcurrency();
+  if (jobs >= 1) return jobs;
+  const unsigned hardware = std::thread::hardware_concurrency();
+  return hardware == 0 ? 1 : static_cast<int>(hardware);
 }
 
-int MaxJobs() { return 4 * ThreadPool::HardwareConcurrency(); }
+int MaxJobs() { return 4 * ResolveJobs(0); }
 
 }  // namespace madnet::exec

@@ -77,14 +77,6 @@ class MobilityModel {
   /// All legs generated so far (EnsureHorizon first for a known span).
   const std::vector<Leg>& legs() const { return legs_; }
 
-  /// The leg the cursor cache points at — the leg used by the most recent
-  /// query — or nullptr before any query. Legs are immutable once
-  /// generated, so callers may mirror the returned leg as a long-lived
-  /// position-evaluation cache (see Medium::CachedPositionAt).
-  const Leg* CursorLeg() const {
-    return cursor_ < legs_.size() ? &legs_[cursor_] : nullptr;
-  }
-
   /// Exact time intervals within [t0, t1] spent inside `circle`.
   /// Overlapping/abutting intervals from consecutive legs are coalesced.
   std::vector<CrossingInterval> CrossingsWithin(const Circle& circle, Time t0,

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "util/logging.h"
@@ -28,10 +29,11 @@ Status Medium::AddNode(NodeId id, MobilityModel* mobility) {
   if (mobility == nullptr) {
     return Status::InvalidArgument("mobility model must not be null");
   }
-  const uint32_t index = static_cast<uint32_t>(ids_.size());
-  auto [it, inserted] = index_of_.try_emplace(id, index);
-  if (!inserted) return Status::AlreadyExists("node id already registered");
-  ids_.push_back(id);
+  if (Known(id)) return Status::AlreadyExists("node id already registered");
+  if (id != node_count()) {
+    return Status::InvalidArgument("node ids are dense: expected id " +
+                                   std::to_string(node_count()));
+  }
   mobility_.push_back(mobility);
   handlers_.emplace_back();
   online_.push_back(1);
@@ -43,15 +45,6 @@ Status Medium::AddNode(NodeId id, MobilityModel* mobility) {
   sent_bytes_.push_back(0);
   received_.push_back(0);
   received_bytes_.push_back(0);
-  pos_x_.push_back(0.0);
-  pos_y_.push_back(0.0);
-  pos_time_.push_back(-1.0);
-  leg_start_.push_back(0.0);  // start == end: mirror starts invalid.
-  leg_end_.push_back(0.0);
-  leg_from_x_.push_back(0.0);
-  leg_from_y_.push_back(0.0);
-  leg_to_x_.push_back(0.0);
-  leg_to_y_.push_back(0.0);
   ++online_count_;
   index_time_ = -1.0;  // Force reindex: the node set changed.
   ++mutation_epoch_;
@@ -59,24 +52,22 @@ Status Medium::AddNode(NodeId id, MobilityModel* mobility) {
 }
 
 Status Medium::SetReceiver(NodeId id, ReceiveHandler handler) {
-  const uint32_t index = IndexOf(id);
-  if (index == kNotFound) return Status::NotFound("unknown node id");
-  handlers_[index] = std::move(handler);
+  if (!Known(id)) return Status::NotFound("unknown node id");
+  handlers_[id] = std::move(handler);
   return Status::Ok();
 }
 
 Status Medium::SetOnline(NodeId id, bool online) {
-  const uint32_t index = IndexOf(id);
-  if (index == kNotFound) return Status::NotFound("unknown node id");
+  if (!Known(id)) return Status::NotFound("unknown node id");
   // Index rebuilds skip offline nodes, so a node coming back must become
   // queryable immediately: force a rebuild at the next query. Going
   // offline needs none — queries filter on the live flag anyway.
-  if (online && !online_[index]) {
+  if (online && !online_[id]) {
     index_time_ = -1.0;
     ++online_count_;
   }
-  if (!online && online_[index]) --online_count_;
-  online_[index] = online ? 1 : 0;
+  if (!online && online_[id]) --online_count_;
+  online_[id] = online ? 1 : 0;
   ++mutation_epoch_;  // Invalidate the same-tick neighbour memo.
   return Status::Ok();
 }
@@ -88,107 +79,49 @@ void Medium::SetExtraLoss(double probability) {
 }
 
 uint64_t Medium::SentBy(NodeId id) const {
-  const uint32_t index = IndexOf(id);
-  return index == kNotFound ? 0 : sent_[index];
+  return Known(id) ? sent_[id] : 0;
 }
 
 uint64_t Medium::SentBytesBy(NodeId id) const {
-  const uint32_t index = IndexOf(id);
-  return index == kNotFound ? 0 : sent_bytes_[index];
+  return Known(id) ? sent_bytes_[id] : 0;
 }
 
 uint64_t Medium::ReceivedBy(NodeId id) const {
-  const uint32_t index = IndexOf(id);
-  return index == kNotFound ? 0 : received_[index];
+  return Known(id) ? received_[id] : 0;
 }
 
 uint64_t Medium::ReceivedBytesBy(NodeId id) const {
-  const uint32_t index = IndexOf(id);
-  return index == kNotFound ? 0 : received_bytes_[index];
+  return Known(id) ? received_bytes_[id] : 0;
 }
 
-bool Medium::IsOnline(NodeId id) const {
-  const uint32_t index = IndexOf(id);
-  return index != kNotFound && online_[index] != 0;
-}
-
-Vec2 Medium::CachedPositionAt(uint32_t index, Time now) const {
-  if (pos_time_[index] == now) return Vec2{pos_x_[index], pos_y_[index]};
-  const Vec2 position = PositionAt(index, now);
-  pos_time_[index] = now;
-  pos_x_[index] = position.x;
-  pos_y_[index] = position.y;
-  return position;
-}
-
-Vec2 Medium::PositionAt(uint32_t index, Time t) const {
-  Vec2 position;
-  const Time start = leg_start_[index];
-  const Time end = leg_end_[index];
-  if (start < t && t < end) {
-    // Strictly inside the mirrored leg: that leg is the unique one
-    // containing `t` in its interior, and the expression below is the
-    // one Leg::PositionAt uses (interior times make its clamp a no-op),
-    // so this is bit-identical to asking the model.
-    const double s = (t - start) / (end - start);
-    position.x = leg_from_x_[index] + (leg_to_x_[index] - leg_from_x_[index]) * s;
-    position.y = leg_from_y_[index] + (leg_to_y_[index] - leg_from_y_[index]) * s;
-  } else {
-    position = mobility_[index]->PositionAt(t);
-    if (const mobility::Leg* leg = mobility_[index]->CursorLeg()) {
-      leg_start_[index] = leg->start;
-      leg_end_[index] = leg->end;
-      leg_from_x_[index] = leg->from.x;
-      leg_from_y_[index] = leg->from.y;
-      leg_to_x_[index] = leg->to.x;
-      leg_to_y_[index] = leg->to.y;
-    }
-  }
-  return position;
-}
+bool Medium::IsOnline(NodeId id) const { return Known(id) && online_[id]; }
 
 Vec2 Medium::PositionOf(NodeId id) const {
-  const uint32_t index = IndexOf(id);
-  MADNET_DCHECK(index != kNotFound);  // PositionOf on unknown node.
-  return CachedPositionAt(index, simulator_->Now());
+  MADNET_DCHECK(Known(id));  // PositionOf on unknown node.
+  return mobility_[id]->PositionAt(simulator_->Now());
 }
 
 Vec2 Medium::VelocityOf(NodeId id) const {
-  const uint32_t index = IndexOf(id);
-  MADNET_DCHECK(index != kNotFound);  // VelocityOf on unknown node.
-  const Time now = simulator_->Now();
-  const Time start = leg_start_[index];
-  const Time end = leg_end_[index];
-  if (start < now && now < end) {
-    // Strictly inside the mirrored leg, the unique leg containing `now`
-    // (the rule PositionAt uses): Leg::Velocity's expression, so the
-    // result is bit-identical to asking the model.
-    const double d = end - start;
-    return Vec2{(leg_to_x_[index] - leg_from_x_[index]) / d,
-                (leg_to_y_[index] - leg_from_y_[index]) / d};
-  }
-  return mobility_[index]->VelocityAt(now);
+  MADNET_DCHECK(Known(id));  // VelocityOf on unknown node.
+  return mobility_[id]->VelocityAt(simulator_->Now());
 }
 
 void Medium::BuildIndex(Time now) const {
-  // The index stores dense node indices (cast through NodeId), so query
-  // results feed straight into the state arrays without a hash lookup
-  // per hit.
-  const size_t n = ids_.size();
+  const size_t n = mobility_.size();
   rebuild_id_scratch_.clear();
   rebuild_x_scratch_.clear();
   rebuild_y_scratch_.clear();
   rebuild_id_scratch_.reserve(n);
   rebuild_x_scratch_.reserve(n);
   rebuild_y_scratch_.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
+  for (NodeId id = 0; id < n; ++id) {
     // Offline nodes are excluded: under heavy churn they would bloat
     // every query's candidate set just to be filtered out one by one.
     // SetOnline(…, true) forces a rebuild, so exclusion never hides a
     // node that has come back.
-    if (!online_[i]) continue;
-    const Vec2 position = CachedPositionAt(i, now);
-    rebuild_id_scratch_.push_back(i);
+    if (!online_[id]) continue;
+    const Vec2 position = mobility_[id]->PositionAt(now);
+    rebuild_id_scratch_.push_back(id);
     rebuild_x_scratch_.push_back(position.x);
     rebuild_y_scratch_.push_back(position.y);
   }
@@ -238,11 +171,11 @@ void Medium::SortAsSnapshot(const Vec2& center, double radius) const {
   const int64_t lo_cy = index_.CellCoord(center.y - index_radius);
   const int64_t hi_cy = index_.CellCoord(center.y + index_radius);
   snapshot_scratch_.clear();
-  for (uint32_t index : neighbor_scratch_) {
-    const Vec2 position = PositionAt(index, index_time_);
+  for (NodeId id : neighbor_scratch_) {
+    const Vec2 position = mobility_[id]->PositionAt(index_time_);
     // The snapshot order is only exact if no node outran max_speed_mps
     // (Validate checks that for the built-in mobility models only).
-    MADNET_DCHECK(Distance(position, CachedPositionAt(index, now)) <=
+    MADNET_DCHECK(Distance(position, mobility_[id]->PositionAt(now)) <=
                   reach + 1e-6);
     const double dx = position.x - center.x;
     const double dy = position.y - center.y;
@@ -250,22 +183,22 @@ void Medium::SortAsSnapshot(const Vec2& center, double radius) const {
     const int64_t cx = index_.CellCoord(position.x);
     const int64_t cy = index_.CellCoord(position.y);
     if (cx < lo_cx || cx > hi_cx || cy < lo_cy || cy > hi_cy) continue;
-    snapshot_scratch_.push_back({cx, cy, index});
+    snapshot_scratch_.push_back({cx, cy, id});
   }
   std::sort(snapshot_scratch_.begin(), snapshot_scratch_.end(),
             [](const SnapshotKey& a, const SnapshotKey& b) {
               if (a.cx != b.cx) return a.cx < b.cx;
               if (a.cy != b.cy) return a.cy < b.cy;
-              return a.index < b.index;
+              return a.id < b.id;
             });
   neighbor_scratch_.clear();
   for (const SnapshotKey& key : snapshot_scratch_) {
-    neighbor_scratch_.push_back(key.index);
+    neighbor_scratch_.push_back(key.id);
   }
 }
 
-const std::vector<uint32_t>& Medium::NeighborIndicesOf(const Vec2& center,
-                                                       double radius) const {
+const std::vector<NodeId>& Medium::NeighborIndicesOf(const Vec2& center,
+                                                     double radius) const {
   MADNET_DCHECK(radius >= 0.0 && std::isfinite(radius));
   MADNET_DCHECK(std::isfinite(center.x) && std::isfinite(center.y));
   const Time now = simulator_->Now();
@@ -285,12 +218,11 @@ const std::vector<uint32_t>& Medium::NeighborIndicesOf(const Vec2& center,
 
   const double r2 = radius * radius;
   neighbor_scratch_.clear();
-  for (NodeId candidate : candidate_scratch_) {
-    const uint32_t index = static_cast<uint32_t>(candidate);
-    MADNET_DCHECK_LT(index, ids_.size());  // Index stores dense indices.
-    if (!online_[index]) continue;
-    if (DistanceSquared(CachedPositionAt(index, now), center) <= r2) {
-      neighbor_scratch_.push_back(index);
+  for (NodeId id : candidate_scratch_) {
+    MADNET_DCHECK(Known(id));
+    if (!online_[id]) continue;
+    if (DistanceSquared(mobility_[id]->PositionAt(now), center) <= r2) {
+      neighbor_scratch_.push_back(id);
     }
   }
   // A grid built at the snapshot already walks in snapshot order.
@@ -305,17 +237,12 @@ const std::vector<uint32_t>& Medium::NeighborIndicesOf(const Vec2& center,
 
 std::vector<NodeId> Medium::NeighborsOf(const Vec2& center,
                                         double radius) const {
-  const std::vector<uint32_t>& indices = NeighborIndicesOf(center, radius);
-  std::vector<NodeId> result;
-  result.reserve(indices.size());
-  for (uint32_t index : indices) result.push_back(ids_[index]);
-  return result;
+  return NeighborIndicesOf(center, radius);
 }
 
-uint32_t Medium::AcquireFrame(const Packet& packet, NodeId from,
-                              uint32_t from_index) {
+uint32_t Medium::AcquireFrame(const Packet& packet, NodeId from) {
   uint32_t slot;
-  if (free_frame_ != kNotFound) {
+  if (free_frame_ != kNoSlot) {
     slot = free_frame_;
     free_frame_ = frame_pool_[slot].next_free;
   } else {
@@ -325,11 +252,10 @@ uint32_t Medium::AcquireFrame(const Packet& packet, NodeId from,
   Frame& frame = frame_pool_[slot];
   frame.packet = packet;
   frame.from = from;
-  frame.from_index = from_index;
   frame.origin = Vec2{};
   frame.receivers.clear();
   frame.refs = 0;
-  frame.next_free = kNotFound;
+  frame.next_free = kNoSlot;
   ++live_frames_;
   if (live_frames_ > stats_.arena_frames_peak) {
     stats_.arena_frames_peak = live_frames_;
@@ -347,90 +273,85 @@ void Medium::ReleaseFrame(uint32_t slot) {
   --live_frames_;
 }
 
-Status Medium::Broadcast(NodeId from, const Packet& packet) {
-  const uint32_t from_index = IndexOf(from);
-  if (from_index == kNotFound) return Status::NotFound("unknown sender");
-  if (!online_[from_index]) {
-    return Status::FailedPrecondition("sender is offline");
+Medium::OnAir Medium::Transmit(NodeId from, const Packet& packet, Time now) {
+  stats_.messages_sent += 1;
+  stats_.bytes_sent += packet.size_bytes;
+  sent_[from] += 1;
+  sent_bytes_[from] += packet.size_bytes;
+  const OnAir on_air{mobility_[from]->PositionAt(now), next_tx_seq_++};
+  if (observer_) observer_(from, packet, on_air.origin);
+  if (trace_ != nullptr && trace_->Enabled(obs::kTraceTx)) {
+    trace_->Tx(now, from, on_air.origin.x, on_air.origin.y,
+               packet.size_bytes, on_air.tx_seq);
   }
+  return on_air;
+}
+
+void Medium::ScheduleDeliveries(uint32_t slot) {
+  if (when_scratch_.empty()) return;
+  frame_pool_[slot].refs += static_cast<uint32_t>(when_scratch_.size());
+  simulator_->ScheduleRunAt(when_scratch_, [this, slot](uint32_t i) {
+    DeliverFrame(slot, frame_pool_[slot].receivers[i]);
+  });
+}
+
+Status Medium::Broadcast(NodeId from, const Packet& packet) {
+  if (!Known(from)) return Status::NotFound("unknown sender");
+  if (!online_[from]) return Status::FailedPrecondition("sender is offline");
   if (options_.csma) {
     // The frame enters the arena once and stays in its slot through the
     // whole carrier-sense/backoff chain.
-    const uint32_t slot = AcquireFrame(packet, from, from_index);
+    const uint32_t slot = AcquireFrame(packet, from);
     ++frame_pool_[slot].refs;  // Carry ref held by the retry chain.
     CsmaTryTransmit(slot, 0);
     return Status::Ok();
   }
 
-  stats_.messages_sent += 1;
-  stats_.bytes_sent += packet.size_bytes;
-  sent_[from_index] += 1;
-  sent_bytes_[from_index] += packet.size_bytes;
-
   // Reception set is fixed at transmission time (propagation is effectively
   // instantaneous relative to node motion); the jittered delay models MAC
   // access plus processing.
   const Time now = simulator_->Now();
-  const Vec2 origin = CachedPositionAt(from_index, now);
-  const uint64_t tx_seq = next_tx_seq_++;
-  if (observer_) observer_(from, packet, origin);
-  if (trace_ != nullptr && trace_->Enabled(obs::kTraceTx)) {
-    trace_->Tx(now, from, origin.x, origin.y, packet.size_bytes, tx_seq);
-  }
+  const OnAir on_air = Transmit(from, packet, now);
   // All deliveries of this broadcast share one arena frame (acquired at
   // the first receiver), which lists the receivers, and one queue run: n
   // deliveries cost one calendar entry and one callback capturing
   // {medium, slot}. Latencies are drawn in neighbour order and the run
   // takes one id per receiver in that order, so each delivery keeps the
   // (time, id) key a per-receiver Schedule would have given it.
-  // Loss, fading, and collisions are all decided in DeliverTo, at delivery
-  // time: a frame that will be lost still arrives at the receiver's radio
-  // and must contend in its collision window, and a receiver that churns
-  // offline mid-flight is charged dropped_offline, not dropped_loss.
-  uint32_t slot = kNotFound;
+  // Loss, fading, and collisions are all decided in DeliverFrame, at
+  // delivery time: a frame that will be lost still arrives at the
+  // receiver's radio and must contend in its collision window, and a
+  // receiver that churns offline mid-flight is charged dropped_offline,
+  // not dropped_loss.
+  uint32_t slot = kNoSlot;
   when_scratch_.clear();
-  for (uint32_t to : NeighborIndicesOf(origin, options_.range_m)) {
-    if (to == from_index) continue;
+  for (NodeId to : NeighborIndicesOf(on_air.origin, options_.range_m)) {
+    if (to == from) continue;
     const double latency =
         rng_.Uniform(options_.min_latency_s, options_.max_latency_s);
     MADNET_DCHECK(latency >= options_.min_latency_s &&
                   latency <= options_.max_latency_s);
-    if (slot == kNotFound) {
-      slot = AcquireFrame(packet, from, from_index);
-      frame_pool_[slot].origin = origin;
-      frame_pool_[slot].tx_seq = tx_seq;
+    if (slot == kNoSlot) {
+      slot = AcquireFrame(packet, from);
+      frame_pool_[slot].origin = on_air.origin;
+      frame_pool_[slot].tx_seq = on_air.tx_seq;
     }
     frame_pool_[slot].receivers.push_back(to);
     when_scratch_.push_back(now + latency);
   }
-  if (slot != kNotFound) {
-    // One frame ref per delivery, dropped as each one completes.
-    frame_pool_[slot].refs += static_cast<uint32_t>(when_scratch_.size());
-    simulator_->ScheduleRunAt(when_scratch_, [this, slot](uint32_t i) {
-      DeliverFrame(slot, frame_pool_[slot].receivers[i]);
-    });
-  }
+  ScheduleDeliveries(slot);
   return Status::Ok();
 }
 
-void Medium::DeliverFrame(uint32_t slot, uint32_t to) {
-  // The frame reference stays valid while the receive handler re-enters
-  // Broadcast (frame_pool_ is a deque; the slot holds a ref until after
-  // delivery).
-  const Frame& frame = frame_pool_[slot];
-  DeliverTo(to, frame.from, frame.origin, frame.packet, frame.tx_seq);
-  ReleaseFrame(slot);
-}
-
 void Medium::CsmaTryTransmit(uint32_t slot, int attempt) {
-  const uint32_t from_index = frame_pool_[slot].from_index;
-  if (!online_[from_index]) {  // Went offline while deferring.
+  const NodeId from = frame_pool_[slot].from;
+  if (!online_[from]) {  // Went offline while deferring.
     ReleaseFrame(slot);
     return;
   }
 
   const Time now = simulator_->Now();
-  if (channel_busy_until_[from_index] > now) {
+  if (channel_busy_until_[from] > now) {
     // Carrier sensed busy: defer until it frees, plus a random backoff.
     if (attempt >= options_.max_mac_retries) {
       stats_.dropped_mac_busy += 1;
@@ -438,7 +359,7 @@ void Medium::CsmaTryTransmit(uint32_t slot, int attempt) {
       return;
     }
     stats_.mac_defers += 1;
-    const double wait = (channel_busy_until_[from_index] - now) +
+    const double wait = (channel_busy_until_[from] - now) +
                         rng_.Uniform(0.0, options_.max_backoff_s);
     simulator_->Schedule(wait, [this, slot, attempt]() {
       CsmaTryTransmit(slot, attempt + 1);
@@ -450,33 +371,20 @@ void Medium::CsmaTryTransmit(uint32_t slot, int attempt) {
 
 void Medium::CsmaTransmit(uint32_t slot) {
   Frame& frame = frame_pool_[slot];
-  const uint32_t from_index = frame.from_index;
+  const NodeId from = frame.from;
   const Time now = simulator_->Now();
   const double airtime =
       options_.mac_overhead_s +
       static_cast<double>(frame.packet.size_bytes) * 8.0 / options_.bitrate_bps;
   const Time end = now + airtime;
-
-  stats_.messages_sent += 1;
-  stats_.bytes_sent += frame.packet.size_bytes;
-  sent_[from_index] += 1;
-  sent_bytes_[from_index] += frame.packet.size_bytes;
-  channel_busy_until_[from_index] =
-      std::max(channel_busy_until_[from_index], end);
-
-  const NodeId from = frame.from;
-  const Vec2 origin = CachedPositionAt(from_index, now);
-  frame.origin = origin;
-  frame.tx_seq = next_tx_seq_++;
-  if (observer_) observer_(from, frame.packet, origin);
-  if (trace_ != nullptr && trace_->Enabled(obs::kTraceTx)) {
-    trace_->Tx(now, from, origin.x, origin.y, frame.packet.size_bytes,
-               frame.tx_seq);
-  }
+  channel_busy_until_[from] = std::max(channel_busy_until_[from], end);
+  const OnAir on_air = Transmit(from, frame.packet, now);
+  frame.origin = on_air.origin;
+  frame.tx_seq = on_air.tx_seq;
 
   when_scratch_.clear();
-  for (uint32_t to : NeighborIndicesOf(origin, options_.range_m)) {
-    if (to == from_index) continue;
+  for (NodeId to : NeighborIndicesOf(frame.origin, options_.range_m)) {
+    if (to == from) continue;
     // The receiver was already mid-reception of another frame: this frame
     // is garbled at that receiver (capture effect: the earlier frame
     // survives). Either way the carrier extends the busy period.
@@ -488,133 +396,103 @@ void Medium::CsmaTransmit(uint32_t slot) {
     }
     // CSMA decides loss when the frame starts occupying the receiver
     // (capture is already resolved); episode loss applies here too.
-    if (rng_.Bernoulli(EffectiveLossProbability())) {
-      stats_.dropped_loss += 1;
-      continue;
-    }
-    if (options_.fading_exponent > 0.0) {
-      const double fraction =
-          Distance(CachedPositionAt(to, now), origin) / options_.range_m;
-      if (rng_.Bernoulli(std::pow(fraction, options_.fading_exponent))) {
-        stats_.dropped_loss += 1;
-        continue;
-      }
-    }
+    if (Lost(to, frame.origin, now)) continue;
     // Reception completes when the frame's airtime ends.
     frame.receivers.push_back(to);
     when_scratch_.push_back(end);
   }
-  if (!when_scratch_.empty()) {
-    frame.refs += static_cast<uint32_t>(when_scratch_.size());
-    simulator_->ScheduleRunAt(when_scratch_, [this, slot](uint32_t i) {
-      CsmaCompleteRx(slot, frame_pool_[slot].receivers[i]);
-    });
-  }
+  ScheduleDeliveries(slot);
   ReleaseFrame(slot);  // Drop the retry chain's carry ref.
 }
 
-void Medium::CsmaCompleteRx(uint32_t slot, uint32_t to) {
+void Medium::DeliverFrame(uint32_t slot, NodeId to) {
+  // The frame reference stays valid while the receive handler re-enters
+  // Broadcast (frame_pool_ is a deque; the slot holds a ref until after
+  // delivery).
   const Frame& frame = frame_pool_[slot];
-  if (!online_[to]) {
-    stats_.dropped_offline += 1;
-    ReleaseFrame(slot);
-    return;
-  }
   const Time now = simulator_->Now();
-  if (!jam_zones_.empty() && Jammed(CachedPositionAt(to, now))) {
-    stats_.dropped_jammed += 1;
-    ReleaseFrame(slot);
-    return;
+  if (Reachable(to, now) &&
+      (options_.csma || (!Collided(to, frame.from, now) &&
+                         !Lost(to, frame.origin, now)))) {
+    Receive(to, frame, now);
   }
+  ReleaseFrame(slot);
+}
+
+bool Medium::Reachable(NodeId to, Time now) {
+  if (!online_[to]) {
+    // Churned/crashed away while the frame was in flight: charged here and
+    // nowhere else (the radio never saw the frame, so no loss draw and no
+    // collision-window contention).
+    stats_.dropped_offline += 1;
+    return false;
+  }
+  if (jam_zones_.empty()) return true;
+  const Vec2 position = mobility_[to]->PositionAt(now);
+  for (const Rect& zone : jam_zones_) {
+    if (zone.Contains(position)) {
+      stats_.dropped_jammed += 1;
+      return false;
+    }
+  }
+  return true;
+}
+
+bool Medium::Collided(NodeId to, NodeId from, Time now) {
+  if (!options_.enable_collisions) return false;
+  if (last_rx_time_[to] >= 0.0 &&
+      now - last_rx_time_[to] < options_.collision_window_s &&
+      (rx_garbled_[to] != 0 || last_rx_from_[to] != from)) {
+    // This frame overlaps an earlier arrival from another sender (or a
+    // window already garbled by a collision). Both are lost, and the
+    // window stays garbled: a third overlapping frame collides too, even
+    // one from the sender whose earlier frame opened the window. Only
+    // back-to-back frames from one sender in a *clean* window survive —
+    // that is serialization at the sender's MAC, not a collision.
+    stats_.dropped_collision += 1;
+    last_rx_time_[to] = now;
+    rx_garbled_[to] = 1;
+    return true;
+  }
+  // From here the frame occupies the receiver's window whether or not
+  // it decodes: random loss and fading destroy the payload, not the RF
+  // energy that later frames must contend with.
+  last_rx_time_[to] = now;
+  last_rx_from_[to] = from;
+  rx_garbled_[to] = 0;
+  return false;
+}
+
+bool Medium::Lost(NodeId to, const Vec2& origin, Time now) {
+  bool lost = rng_.Bernoulli(EffectiveLossProbability());
+  if (!lost && options_.fading_exponent > 0.0) {
+    const double fraction =
+        Distance(mobility_[to]->PositionAt(now), origin) / options_.range_m;
+    lost = rng_.Bernoulli(std::pow(fraction, options_.fading_exponent));
+  }
+  if (lost) stats_.dropped_loss += 1;
+  return lost;
+}
+
+void Medium::Receive(NodeId to, const Frame& frame, Time now) {
   stats_.deliveries += 1;
   received_[to] += 1;
   received_bytes_[to] += frame.packet.size_bytes;
   if (trace_ != nullptr && trace_->Enabled(obs::kTraceRx)) {
-    trace_->Rx(now, frame.from, ids_[to], frame.packet.size_bytes,
+    trace_->Rx(now, frame.from, to, frame.packet.size_bytes,
                frame.packet.ad_key, frame.tx_seq);
   }
   if (handlers_[to]) {
     delivering_tx_seq_ = frame.tx_seq;
-    handlers_[to](frame.packet, frame.from, ids_[to]);
+    handlers_[to](frame.packet, frame.from, to);
     delivering_tx_seq_ = 0;
   }
-  ReleaseFrame(slot);
 }
 
 double Medium::EffectiveLossProbability() const {
   if (extra_loss_ <= 0.0) return options_.loss_probability;
   const double combined = options_.loss_probability + extra_loss_;
   return combined < 1.0 ? combined : 1.0;
-}
-
-bool Medium::Jammed(const Vec2& position) const {
-  for (const Rect& zone : jam_zones_) {
-    if (zone.Contains(position)) return true;
-  }
-  return false;
-}
-
-void Medium::DeliverTo(uint32_t to_index, NodeId from, const Vec2& origin,
-                       const Packet& packet, uint64_t tx_seq) {
-  if (!online_[to_index]) {
-    // Churned/crashed away while the frame was in flight: charged here and
-    // nowhere else (the radio never saw the frame, so no loss draw and no
-    // collision-window contention).
-    stats_.dropped_offline += 1;
-    return;
-  }
-  const Time now = simulator_->Now();
-  if (!jam_zones_.empty() && Jammed(CachedPositionAt(to_index, now))) {
-    stats_.dropped_jammed += 1;
-    return;
-  }
-  if (options_.enable_collisions) {
-    if (last_rx_time_[to_index] >= 0.0 &&
-        now - last_rx_time_[to_index] < options_.collision_window_s &&
-        (rx_garbled_[to_index] != 0 || last_rx_from_[to_index] != from)) {
-      // This frame overlaps an earlier arrival from another sender (or a
-      // window already garbled by a collision). Both are lost, and the
-      // window stays garbled: a third overlapping frame collides too, even
-      // one from the sender whose earlier frame opened the window. Only
-      // back-to-back frames from one sender in a *clean* window survive —
-      // that is serialization at the sender's MAC, not a collision.
-      stats_.dropped_collision += 1;
-      last_rx_time_[to_index] = now;
-      rx_garbled_[to_index] = 1;
-      return;
-    }
-    // From here the frame occupies the receiver's window whether or not
-    // it decodes: random loss and fading destroy the payload, not the RF
-    // energy that later frames must contend with.
-    last_rx_time_[to_index] = now;
-    last_rx_from_[to_index] = from;
-    rx_garbled_[to_index] = 0;
-  }
-  const double loss = EffectiveLossProbability();
-  if (loss > 0.0 && rng_.Bernoulli(loss)) {
-    stats_.dropped_loss += 1;
-    return;
-  }
-  if (options_.fading_exponent > 0.0) {
-    const double fraction =
-        Distance(CachedPositionAt(to_index, now), origin) / options_.range_m;
-    if (rng_.Bernoulli(std::pow(fraction, options_.fading_exponent))) {
-      stats_.dropped_loss += 1;
-      return;
-    }
-  }
-  stats_.deliveries += 1;
-  received_[to_index] += 1;
-  received_bytes_[to_index] += packet.size_bytes;
-  if (trace_ != nullptr && trace_->Enabled(obs::kTraceRx)) {
-    trace_->Rx(now, from, ids_[to_index], packet.size_bytes, packet.ad_key,
-               tx_seq);
-  }
-  if (handlers_[to_index]) {
-    delivering_tx_seq_ = tx_seq;
-    handlers_[to_index](packet, from, ids_[to_index]);
-    delivering_tx_seq_ = 0;
-  }
 }
 
 }  // namespace madnet::net

@@ -7,16 +7,16 @@
 // broadcasts are inherently promiscuous, which is what gossip
 // Optimization 2's overhearing relies on).
 //
-// Storage layout (see docs/architecture.md, "Hot path layout"): node state
-// is structure-of-arrays — parallel dense vectors (mobility pointers,
-// online bits, collision-window state, per-node counters, a per-tick
-// position cache) indexed by a per-medium dense index assigned at AddNode
-// and never reused — so DeliverTo/Broadcast and the index rebuild stream
-// over tightly packed arrays instead of striding through fat structs. The
-// id→index map is consulted once at each public-API entry point (with a
-// fast path for the dense 0..n-1 ids scenarios assign) and every hot-path
-// loop then runs on plain array accesses. The spatial index stores dense
-// indices too, so a broadcast performs zero hash lookups per receiver.
+// A node id is its dense index: AddNode takes ids 0, 1, 2, ... in order.
+// Link and MAC state (online bits, collision window, carrier, per-node
+// counters) is structure-of-arrays, one flat vector per attribute indexed
+// by id, and the spatial index stores ids, so a broadcast performs no map
+// lookup per receiver. Positions are not copied: every position and
+// velocity is asked of the node's mobility model, whose cursor leg answers
+// time-monotonic queries inline. Both MACs share one transmit header
+// (counters, origin, tx seq, observer, Tx trace) and one delivery path
+// (offline/jam check, loss and fading, counters, Rx trace, handler); they
+// differ only in when collisions, loss and fading are decided.
 // In-flight frames live in a medium-owned arena (slot pool with intrusive
 // refcounts) instead of one shared_ptr heap allocation per broadcast. A
 // frame lists its receivers, and its deliveries are one event-queue run
@@ -32,7 +32,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "mobility/mobility_model.h"
@@ -125,7 +124,8 @@ class Medium {
   Medium(const Options& options, Simulator* simulator, Rng rng);
 
   /// Registers a node with its mobility model (borrowed; must outlive the
-  /// medium). Returns AlreadyExists if the id is taken.
+  /// medium). Ids are dense: `id` must equal node_count(). A smaller id
+  /// is AlreadyExists; a larger one is InvalidArgument.
   Status AddNode(NodeId id, MobilityModel* mobility);
 
   /// Sets the upcall invoked when `id` receives a packet.
@@ -201,8 +201,8 @@ class Medium {
   uint64_t ReceivedBy(NodeId id) const;      ///< Frames delivered to it.
   uint64_t ReceivedBytesBy(NodeId id) const; ///< Bytes delivered to it.
 
-  /// All registered node ids, in insertion order.
-  const std::vector<NodeId>& node_ids() const { return ids_; }
+  /// Number of registered nodes; their ids are 0 .. node_count() - 1.
+  size_t node_count() const { return mobility_.size(); }
 
   const Options& options() const { return options_; }
 
@@ -216,33 +216,25 @@ class Medium {
   struct Frame {
     Packet packet;
     NodeId from = kInvalidNodeId;
-    uint32_t from_index = 0;
     Vec2 origin;
     uint64_t tx_seq = 0;  ///< Per-medium transmit sequence (1-based).
-    /// Dense indices of the scheduled receivers; delivery run item i goes
-    /// to receivers[i]. Capacity is kept across slot reuse.
-    std::vector<uint32_t> receivers;
+    /// Ids of the scheduled receivers; delivery run item i goes to
+    /// receivers[i]. Capacity is kept across slot reuse.
+    std::vector<NodeId> receivers;
     uint32_t refs = 0;
     uint32_t next_free = 0xFFFFFFFFu;
   };
 
-  /// Dense index of a node, or kNotFound for unknown ids.
-  static constexpr uint32_t kNotFound = 0xFFFFFFFFu;
-  uint32_t IndexOf(NodeId id) const {
-    // Scenarios register ids 0..n densely, so id == index almost always;
-    // the hash map only backs arbitrary external id assignment.
-    if (id < ids_.size() && ids_[id] == id) return id;
-    auto it = index_of_.find(id);
-    return it == index_of_.end() ? kNotFound : it->second;
-  }
+  /// What the transmit header stamps on a frame going on air.
+  struct OnAir {
+    Vec2 origin;      ///< Sender position at transmit time.
+    uint64_t tx_seq;  ///< The frame's transmit sequence number.
+  };
 
-  /// Position of node `index` at `now`, through the per-tick cache
-  /// (positions are pure functions of time, so caching is exact).
-  Vec2 CachedPositionAt(uint32_t index, Time now) const;
+  static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
 
-  /// Position of node `index` at `t` through the leg mirror, without the
-  /// per-tick cache (CachedPositionAt's uncached path).
-  Vec2 PositionAt(uint32_t index, Time t) const;
+  /// True iff `id` was registered.
+  bool Known(NodeId id) const { return id < mobility_.size(); }
 
   /// Rebuilds the spatial grid over the online nodes' positions at `now`.
   void BuildIndex(Time now) const;
@@ -266,38 +258,55 @@ class Medium {
 
   /// Orders neighbor_scratch_ as a query of a grid built at `index_time_`
   /// would: drops the entries that grid's cell box and indexed-distance
-  /// prefilter would drop, then sorts by (snapshot cell x, snapshot cell y, dense index).
-  /// Exact as long as no node outruns Options::max_speed_mps.
+  /// prefilter would drop, then sorts by (snapshot cell x, snapshot cell
+  /// y, id). Exact as long as no node outruns Options::max_speed_mps.
   void SortAsSnapshot(const Vec2& center, double radius) const;
 
-  /// Dense indices of online nodes within `radius` of `center`, ordered by
-  /// (cell x, cell y, dense index) of their positions at the index
-  /// snapshot (see RefreshIndex). Returns a reference to a per-medium
-  /// scratch buffer: valid until the next call, so callers must finish
-  /// iterating (and not
+  /// Ids of online nodes within `radius` of `center`, ordered by
+  /// (cell x, cell y, id) of their positions at the index snapshot (see
+  /// RefreshIndex). Returns a reference to a per-medium scratch buffer:
+  /// valid until the next call, so callers must finish iterating (and not
   /// trigger nested neighbour queries) before any other medium call that
   /// queries neighbours. Repeat same-tick queries with the same center
   /// and radius (one gossip round broadcasts every cached ad from one
   /// spot) are served from a memo without touching the index.
-  const std::vector<uint32_t>& NeighborIndicesOf(const Vec2& center,
-                                                 double radius) const;
+  const std::vector<NodeId>& NeighborIndicesOf(const Vec2& center,
+                                               double radius) const;
 
-  /// Delivery-time endpoint of the non-CSMA path: offline / jamming /
-  /// collision / loss / fading are all decided here, when the frame
-  /// arrives. `origin` is the sender's position at transmit time (for the
-  /// fading distance).
-  void DeliverTo(uint32_t to_index, NodeId from, const Vec2& origin,
-                 const Packet& packet, uint64_t tx_seq);
+  /// Transmit header shared by both MACs: counts the frame sent by
+  /// `from`, takes its origin and tx seq, and reports it to the broadcast
+  /// observer and the trace.
+  OnAir Transmit(NodeId from, const Packet& packet, Time now);
 
-  /// Non-CSMA delivery trampoline: unpacks arena slot `slot`, delivers to
-  /// `to`, and drops one frame ref.
-  void DeliverFrame(uint32_t slot, uint32_t to);
+  /// Schedules the deliveries listed in when_scratch_ to the receivers of
+  /// arena slot `slot` as one queue run, one frame ref each.
+  void ScheduleDeliveries(uint32_t slot);
+
+  /// Delivery endpoint of both MACs: drops the frame at an offline or
+  /// jammed receiver; the ideal MAC then decides collision, loss and
+  /// fading (CSMA decided them in CsmaTransmit); a surviving frame is
+  /// received. Drops one frame ref.
+  void DeliverFrame(uint32_t slot, NodeId to);
+
+  /// Receiver-side gate shared by both MACs: false (and counted) when
+  /// `to` is offline or inside a jam zone at `now`.
+  bool Reachable(NodeId to, Time now);
+
+  /// Ideal MAC's collision window at `to`: true (and counted) when the
+  /// frame from `from` overlaps an earlier arrival there.
+  bool Collided(NodeId to, NodeId from, Time now);
+
+  /// Random loss, then distance fading from `origin`: true (and counted
+  /// as dropped_loss) when either drops the frame at `to`. Draws in that
+  /// order; a zero probability draws nothing.
+  bool Lost(NodeId to, const Vec2& origin, Time now);
+
+  /// Receive tail shared by both MACs: counters, Rx trace, and the
+  /// receive handler under delivering_tx_seq_.
+  void Receive(NodeId to, const Frame& frame, Time now);
 
   /// Combined base + episode loss probability, clamped to [0, 1].
   double EffectiveLossProbability() const;
-
-  /// True iff `position` lies inside any active jam zone.
-  bool Jammed(const Vec2& position) const;
 
   /// CSMA: one carrier-sense attempt for the frame in arena slot `slot`;
   /// transmits, or reschedules itself after a backoff while the channel
@@ -307,18 +316,14 @@ class Medium {
   void CsmaTryTransmit(uint32_t slot, int attempt);
 
   /// CSMA: performs the actual on-air transmission (channel occupation,
-  /// per-receiver capture/garble decision, delayed deliveries).
+  /// per-receiver capture/garble, loss and fading decisions, deliveries
+  /// at airtime end).
   void CsmaTransmit(uint32_t slot);
-
-  /// CSMA: reception completes at airtime end — final offline/jam checks,
-  /// then delivery; drops one frame ref.
-  void CsmaCompleteRx(uint32_t slot, uint32_t to);
 
   /// Takes a slot from the free list (or grows the arena) and fills it.
   /// The new slot starts at zero refs; callers add one per outstanding
   /// use before anything can release it.
-  uint32_t AcquireFrame(const Packet& packet, NodeId from,
-                        uint32_t from_index);
+  uint32_t AcquireFrame(const Packet& packet, NodeId from);
 
   /// Drops one ref; the last ref resets the slot and frees it.
   void ReleaseFrame(uint32_t slot);
@@ -327,8 +332,7 @@ class Medium {
   Simulator* simulator_;
   mutable Rng rng_;
 
-  // --- SoA node state, dense, by index (docs/architecture.md) ---
-  std::vector<NodeId> ids_;                 // index -> id.
+  // --- SoA link and MAC state, dense, by node id (docs/architecture.md) ---
   std::vector<MobilityModel*> mobility_;    // Borrowed models.
   std::vector<ReceiveHandler> handlers_;    // Receive upcalls (cold).
   std::vector<uint8_t> online_;             // 0/1 liveness bits.
@@ -340,26 +344,7 @@ class Medium {
   std::vector<uint64_t> sent_bytes_;
   std::vector<uint64_t> received_;
   std::vector<uint64_t> received_bytes_;
-  // Per-tick position cache: node index -> last evaluated position and
-  // the sim time it was evaluated at (exact — positions are pure
-  // functions of time).
-  mutable std::vector<double> pos_x_;
-  mutable std::vector<double> pos_y_;
-  mutable std::vector<Time> pos_time_;
-  // Mirror of each node's most recently used trajectory leg (legs are
-  // immutable once generated). Times strictly inside the mirrored leg are
-  // evaluated straight from these dense arrays — same arithmetic as
-  // Leg::PositionAt, so results are bit-identical — without touching the
-  // heap-allocated mobility model. Sentinel start == end == 0 before the
-  // first evaluation.
-  mutable std::vector<Time> leg_start_;
-  mutable std::vector<Time> leg_end_;
-  mutable std::vector<double> leg_from_x_;
-  mutable std::vector<double> leg_from_y_;
-  mutable std::vector<double> leg_to_x_;
-  mutable std::vector<double> leg_to_y_;
 
-  std::unordered_map<NodeId, uint32_t> index_of_;  // id -> index.
   mutable SpatialIndex index_;
   mutable Time index_time_ = -1.0;  // Snapshot instant (see RefreshIndex).
   mutable Time base_time_ = -1.0;   // Instant index_ was built at.
@@ -373,7 +358,7 @@ class Medium {
 
   // Frame arena (see Frame).
   std::deque<Frame> frame_pool_;
-  uint32_t free_frame_ = kNotFound;
+  uint32_t free_frame_ = kNoSlot;
   uint32_t live_frames_ = 0;
 
   // Provenance: transmit sequence numbers, assigned in broadcast order
@@ -401,14 +386,14 @@ class Medium {
   mutable std::vector<double> rebuild_x_scratch_;
   mutable std::vector<double> rebuild_y_scratch_;
   mutable std::vector<NodeId> candidate_scratch_;
-  mutable std::vector<uint32_t> neighbor_scratch_;
+  mutable std::vector<NodeId> neighbor_scratch_;
   std::vector<Time> when_scratch_;  // Delivery times of the frame being
                                     // scheduled (Broadcast, CsmaTransmit).
-  // SortAsSnapshot's sort keys: a neighbour's snapshot cell and index.
+  // SortAsSnapshot's sort keys: a neighbour's snapshot cell and id.
   struct SnapshotKey {
     int64_t cx;
     int64_t cy;
-    uint32_t index;
+    NodeId id;
   };
   mutable std::vector<SnapshotKey> snapshot_scratch_;
 };

@@ -266,11 +266,11 @@ constexpr Ceiling kCeilings[] = {
     // 154.1 / 154.7. As Optimized Gossiping-2: broadcasts (62%), legs
     // (12%), first-receipt sketch and cache entry (9%).
     {Method::kOptimized, 160.0},
-    // 666.7 / 670.8. A last_heard_ hash node per beacon heard while the
-    // resource memory is empty: inserted, then erased, so the next beacon
-    // inserts again (81%); each encounter batch's vectors and ad copies
-    // (14%); ad copies into memory (2%).
-    {Method::kResourceExchange, 691.0},
+    // 134.7 / 135.7. Each encounter batch's vectors and ad copies, and ad
+    // copies into memory. A beacon heard while the resource memory is
+    // empty allocates nothing: a first encounter inserts no last_heard_
+    // entry until there is something to exchange.
+    {Method::kResourceExchange, 140.0},
 };
 
 struct RunCase {

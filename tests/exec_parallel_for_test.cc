@@ -1,91 +1,25 @@
 // Copyright (c) 2026 madnet authors. All rights reserved.
 //
-// ThreadPool / ParallelFor contract tests: FIFO draining, exception
-// propagation through Wait(), nested-submit safety, inline execution at
+// ParallelFor contract tests: exception propagation, inline execution at
 // jobs=1, exactly-once index coverage, and the nested-region contract (a
 // ParallelFor inside a worker shares the outermost call's workers).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "exec/parallel_for.h"
-#include "exec/thread_pool.h"
 
 namespace madnet::exec {
 namespace {
-
-TEST(ThreadPoolTest, SingleWorkerRunsTasksInSubmissionOrder) {
-  ThreadPool pool(1);
-  std::vector<int> order;
-  std::mutex mutex;
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([i, &order, &mutex] {
-      std::lock_guard<std::mutex> lock(mutex);
-      order.push_back(i);
-    });
-  }
-  pool.Wait();
-  std::vector<int> expected(100);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(order, expected);
-}
-
-TEST(ThreadPoolTest, ThreadCountIsClampedToAtLeastOne) {
-  ThreadPool pool(-3);
-  EXPECT_EQ(pool.thread_count(), 1);
-  std::atomic<int> ran{0};
-  pool.Submit([&ran] { ++ran; });
-  pool.Wait();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ThreadPoolTest, WaitRethrowsFirstTaskException) {
-  ThreadPool pool(2);
-  pool.Submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  // The pool stays usable after the exception is consumed.
-  std::atomic<int> ran{0};
-  pool.Submit([&ran] { ++ran; });
-  pool.Wait();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ThreadPoolTest, NestedSubmitsCompleteBeforeWaitReturns) {
-  ThreadPool pool(3);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&pool, &done] {
-      // A task fanning out follow-up work from inside the pool must not
-      // deadlock, and Wait() must cover the children too.
-      pool.Submit([&pool, &done] {
-        pool.Submit([&done] { ++done; });
-        ++done;
-      });
-      ++done;
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(done.load(), 30);
-}
-
-TEST(ThreadPoolTest, WaitIsReusableAcrossBatches) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int batch = 0; batch < 3; ++batch) {
-    for (int i = 0; i < 20; ++i) pool.Submit([&count] { ++count; });
-    pool.Wait();
-    EXPECT_EQ(count.load(), (batch + 1) * 20);
-  }
-}
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   const size_t n = 1000;
@@ -228,9 +162,11 @@ TEST(ParallelForTest, ZeroIterationsIsANoOp) {
 TEST(ParallelForTest, ResolveJobsMapsAutoToHardware) {
   EXPECT_EQ(ResolveJobs(3), 3);
   EXPECT_EQ(ResolveJobs(1), 1);
-  EXPECT_EQ(ResolveJobs(0), ThreadPool::HardwareConcurrency());
-  EXPECT_EQ(ResolveJobs(-1), ThreadPool::HardwareConcurrency());
-  EXPECT_GE(ThreadPool::HardwareConcurrency(), 1);
+  const int hardware =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  EXPECT_EQ(ResolveJobs(0), hardware);
+  EXPECT_EQ(ResolveJobs(-1), hardware);
+  EXPECT_EQ(MaxJobs(), 4 * hardware);
 }
 
 }  // namespace

@@ -47,7 +47,7 @@ class MediumPerfTest : public ::testing::Test {
                                           double radius) const {
     std::vector<NodeId> result;
     const double r2 = radius * radius;
-    for (NodeId id : medium_->node_ids()) {
+    for (NodeId id = 0; id < medium_->node_count(); ++id) {
       if (!medium_->IsOnline(id)) continue;
       if (DistanceSquared(medium_->PositionOf(id), center) <= r2) {
         result.push_back(id);

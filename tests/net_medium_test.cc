@@ -3,7 +3,9 @@
 #include "net/medium.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -158,6 +160,19 @@ TEST_F(MediumTest, DuplicateNodeIdRejected) {
   Stationary extra({1.0, 1.0});
   EXPECT_EQ(medium_->AddNode(0, &extra).code(),
             Status::Code::kAlreadyExists);
+}
+
+TEST_F(MediumTest, NonDenseNodeIdRejected) {
+  // A node id is its dense index: after ids 0 and 1, only 2 is accepted.
+  Build({{0.0, 0.0}, {10.0, 0.0}});
+  Stationary extra({1.0, 1.0});
+  const Status skipped = medium_->AddNode(3, &extra);
+  EXPECT_EQ(skipped.code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(skipped.message().find("expected id 2"), std::string::npos)
+      << skipped.message();
+  EXPECT_EQ(medium_->node_count(), 2u);
+  EXPECT_TRUE(medium_->AddNode(2, &extra).ok());
+  EXPECT_EQ(medium_->node_count(), 3u);
 }
 
 TEST_F(MediumTest, NullMobilityRejected) {
@@ -447,10 +462,85 @@ TEST(MediumMovingTest, StaleIndexStillFindsMovingNodes) {
   EXPECT_GT(checks, 200);
 }
 
+TEST(MediumOracleTest, EveryBroadcastReachesExactlyTheBruteForceDisc) {
+  // Inside a run, with the index refreshed lazily, every frame must reach
+  // exactly the nodes other than its sender within range of its origin at
+  // send time. 300 random-waypoint nodes at Table-II density (1000 peers
+  // per 5000 m square) and speeds beacon about once a second for 120 s,
+  // with no loss, collisions or churn, so every scheduled receiver
+  // receives. The reference is an O(N^2) scan of the mobility models.
+  constexpr int kNodes = 300;
+  constexpr double kSeconds = 120.0;
+  const double side = 5000.0 * std::sqrt(kNodes / 1000.0);
+  for (double reindex_interval_s : {0.25, 1.0, 4.0}) {
+    SCOPED_TRACE(reindex_interval_s);
+    Simulator sim;
+    Medium::Options options;
+    options.reindex_interval_s = reindex_interval_s;
+    Medium medium(options, &sim, Rng(11));
+    RandomWaypoint::Options waypoint;
+    waypoint.area = Rect{{0.0, 0.0}, {side, side}};
+    std::vector<std::unique_ptr<RandomWaypoint>> models;
+    // expected[s] and received[s]: the receivers of tx seq s.
+    std::vector<std::vector<NodeId>> expected(1);
+    std::vector<std::vector<NodeId>> received(1);
+    for (NodeId id = 0; id < kNodes; ++id) {
+      models.push_back(std::make_unique<RandomWaypoint>(waypoint, Rng(id)));
+      ASSERT_TRUE(medium.AddNode(id, models.back().get()).ok());
+      ASSERT_TRUE(medium
+                      .SetReceiver(id,
+                                   [&](const Packet& packet, NodeId, NodeId to) {
+                                     const uint64_t seq =
+                                         medium.delivering_tx_seq();
+                                     EXPECT_EQ(seq, packet.ad_key);
+                                     received[seq].push_back(to);
+                                   })
+                      .ok());
+    }
+    medium.SetBroadcastObserver(
+        [&](NodeId from, const Packet& packet, const Vec2& origin) {
+          ASSERT_EQ(packet.ad_key, expected.size());
+          const double r2 = options.range_m * options.range_m;
+          std::vector<NodeId>& disc = expected.emplace_back();
+          for (NodeId id = 0; id < kNodes; ++id) {
+            if (id != from &&
+                DistanceSquared(models[id]->PositionAt(sim.Now()), origin) <=
+                    r2) {
+              disc.push_back(id);
+            }
+          }
+          received.emplace_back();
+        });
+    Rng timing(23);
+    uint64_t next_key = 1;
+    for (NodeId id = 0; id < kNodes; ++id) {
+      for (double t = timing.Uniform(0.0, 1.0); t < kSeconds;
+           t += timing.Uniform(0.9, 1.1)) {
+        sim.ScheduleAt(t, [&medium, &next_key, id] {
+          Packet beacon = MakePacket(0, 20);
+          beacon.ad_key = next_key++;  // Equals the tx seq it will get.
+          ASSERT_TRUE(medium.Broadcast(id, beacon).ok());
+        });
+      }
+    }
+    sim.Run();
+    ASSERT_EQ(received.size(), expected.size());
+    uint64_t deliveries = 0;
+    for (size_t seq = 1; seq < expected.size(); ++seq) {
+      std::sort(received[seq].begin(), received[seq].end());
+      EXPECT_EQ(received[seq], expected[seq]) << "tx seq " << seq;
+      deliveries += expected[seq].size();
+    }
+    EXPECT_GT(expected.size(), 35'000u);
+    EXPECT_EQ(medium.stats().deliveries, deliveries);
+    EXPECT_GT(deliveries, 100'000u);
+  }
+}
+
 TEST(MediumVelocityTest, VelocityOfMatchesTheModelBitForBit) {
-  // VelocityOf answers from the mirrored leg strictly inside it and asks
-  // the model elsewhere; both must equal the model's VelocityAt exactly,
-  // at interior instants, at leg boundaries and during pauses.
+  // VelocityOf must equal the model's VelocityAt exactly, at interior
+  // instants, at leg boundaries and during pauses, after the position
+  // query that moves the model's cursor leg.
   Simulator sim;
   Medium medium(Medium::Options{}, &sim, Rng(5));
   RandomWaypoint::Options waypoint;
@@ -478,9 +568,9 @@ TEST(MediumVelocityTest, VelocityOfMatchesTheModelBitForBit) {
     sim.ScheduleAt(t, [&, t] {
       for (int i = 0; i < n; ++i) {
         const NodeId id = static_cast<NodeId>(i);
-        (void)medium.PositionOf(id);  // Refreshes the leg mirror.
+        (void)medium.PositionOf(id);  // Moves the model's cursor leg.
         const Vec2 got = medium.VelocityOf(id);
-        // The twin sees the calls the medium used to make.
+        // The twin sees the same calls the medium makes.
         (void)twins[i]->PositionAt(t);
         const Vec2 expected = twins[i]->VelocityAt(t);
         EXPECT_EQ(got.x, expected.x) << "node " << i << " t=" << t;

@@ -211,7 +211,7 @@ TEST(ScenarioTest, AccessorsExposeParts) {
     EXPECT_NE(scenario.protocol(id), nullptr);
     EXPECT_NE(scenario.mobility(id), nullptr);
   }
-  EXPECT_EQ(scenario.medium()->node_ids().size(), 6u);
+  EXPECT_EQ(scenario.medium()->node_count(), 6u);
 }
 
 TEST(ScenarioTest, AlternativeMobilityModelsRun) {
