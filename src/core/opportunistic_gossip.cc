@@ -136,7 +136,7 @@ void OpportunisticGossip::ArmRound() {
 }
 
 void OpportunisticGossip::ScheduleEntry(uint64_t key, CacheEntry* entry) {
-  context_.simulator->Cancel(entry->timer);  // No-op if none is pending.
+  MADNET_DCHECK_EQ(entry->timer, sim::kInvalidEventId);
   entry->timer = context_.simulator->ScheduleAt(
       entry->next_gossip_time, [this, key]() { EntryTimerFired(key); });
 }
@@ -249,7 +249,10 @@ void OpportunisticGossip::OnReceive(const net::Packet& packet,
           context_.trace->Suppress(Now(), context_.self, key, "postpone",
                                    interval);
         }
-        ScheduleEntry(key, entry);
+        // Under Opt-2 every cached entry has its timer pending.
+        entry->timer = context_.simulator->Reschedule(
+            entry->timer, entry->next_gossip_time);
+        MADNET_DCHECK_NE(entry->timer, sim::kInvalidEventId);
       }
     }
     return;

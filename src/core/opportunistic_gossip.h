@@ -156,7 +156,8 @@ class OpportunisticGossip : public Protocol {
   /// Per-entry timer fired (Optimization 2 path).
   void EntryTimerFired(uint64_t key);
 
-  /// (Re)schedules an entry's timer at entry->next_gossip_time.
+  /// Schedules the timer of an entry that has none pending at
+  /// entry->next_gossip_time (a pending one is moved with Reschedule).
   void ScheduleEntry(uint64_t key, CacheEntry* entry);
 
   /// Inserts a received/issued ad into the cache, handling eviction and

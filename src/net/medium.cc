@@ -150,11 +150,14 @@ double Medium::RefreshIndex() const {
     }
     index_time_ = now;
   }
-  // Grid positions are up to (now - base_time_) old; both endpoints of a
-  // distance check may each have moved max_speed * staleness, so a query
-  // enlarged by twice that is a guaranteed superset.
+  // Grid positions are up to (now - base_time_) old. The query centre is
+  // a given point, not an indexed position, so only the candidate's drift
+  // counts: a node within radius of the centre now was within radius +
+  // max_speed * staleness of it at the build, and that enlarged query is
+  // a guaranteed superset (and the tightest one: a node closing head-on
+  // at max_speed needs all of it).
   MADNET_DCHECK_GE(now, base_time_);  // Slack must be >= 0.
-  return 2.0 * options_.max_speed_mps * (now - base_time_);
+  return options_.max_speed_mps * (now - base_time_);
 }
 
 void Medium::SortAsSnapshot(const Vec2& center, double radius) const {
@@ -164,7 +167,7 @@ void Medium::SortAsSnapshot(const Vec2& center, double radius) const {
   // walks only this cell box and keeps only points passing this
   // indexed-distance check. Both are applied so the result matches it
   // even where rounding puts a point of the disc's rim outside the box.
-  const double index_radius = radius + 2.0 * reach;
+  const double index_radius = radius + reach;
   const double index_r2 = index_radius * index_radius;
   const int64_t lo_cx = index_.CellCoord(center.x - index_radius);
   const int64_t hi_cx = index_.CellCoord(center.x + index_radius);

@@ -3,7 +3,6 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "util/logging.h"
@@ -67,31 +66,29 @@ void EventQueue::Place(const Entry& entry) {
   }
 }
 
+bool EventQueue::Refresh(Entry* entry) {
+  if ((entry->slot & kRunBit) != 0) return true;
+  Slot& slot = slots_[entry->slot];
+  if (slot.seq == entry->seq) return true;
+  // Cancelled (the slot is free or has a new owner), or rescheduled.
+  if (slot.filed != entry->seq) return false;
+  slot.filed = slot.seq;
+  entry->when = slot.when;
+  entry->seq = slot.seq;
+  return true;
+}
+
 void EventQueue::RedistributeOverflow() {
-  std::vector<Entry> keep;
-  int64_t new_min = std::numeric_limits<int64_t>::max();
-  for (const Entry& entry : overflow_) {
-    if (state_[entry.seq - 1] == kCancelled) {
-      state_[entry.seq - 1] = kDone;
-      TakeSlot(entry.slot);
-      continue;
-    }
-    const int64_t e = EpochOf(entry.when);
-    if (e <= cur_epoch_) {
-      HeapPush(entry);  // Defensive; the window never passes overflow.
-    } else if (static_cast<uint64_t>(e) - static_cast<uint64_t>(cur_epoch_) <
-               static_cast<uint64_t>(kRingSize)) {
-      ring_[static_cast<uint64_t>(e) & (kRingSize - 1)].push_back(entry);
-      ++ring_count_;
-    } else {
-      // Only events scheduled beyond the ring window land here, and the
-      // epoch advance that triggers redistribution is rare by construction.
-      keep.push_back(entry);
-      new_min = std::min(new_min, e);
-    }
+  // Place may append to overflow_, so walk the entries from the scratch
+  // vector; both keep their capacity.
+  overflow_scratch_.swap(overflow_);
+  min_overflow_epoch_ = std::numeric_limits<int64_t>::max();
+  for (Entry entry : overflow_scratch_) {
+    // Entries that stay beyond the ring window go back to overflow; the
+    // epoch advance that triggers redistribution is rare by construction.
+    if (Refresh(&entry)) Place(entry);
   }
-  overflow_.swap(keep);
-  min_overflow_epoch_ = new_min;
+  overflow_scratch_.clear();
 }
 
 void EventQueue::AdvanceEpoch() {
@@ -126,14 +123,17 @@ void EventQueue::AdvanceEpoch() {
     std::vector<Entry>& bucket =
         ring_[static_cast<uint64_t>(ring_epoch) & (kRingSize - 1)];
     ring_count_ -= bucket.size();
-    for (const Entry& entry : bucket) {
-      // Cancelled entries are reaped here instead of being sifted through
-      // the near heap just to be thrown away at the top.
-      if (state_[entry.seq - 1] == kCancelled) {
-        state_[entry.seq - 1] = kDone;
-        TakeSlot(entry.slot);
-      } else {
+    for (Entry entry : bucket) {
+      // Tombstones are dropped here instead of being sifted through the
+      // near heap just to be thrown away at the top. A rescheduled entry
+      // moves on to its current key's epoch (never into this bucket: the
+      // ring holds epochs up to cur_epoch_ + kRingSize - 1).
+      const uint32_t seq = entry.seq;
+      if (!Refresh(&entry)) continue;
+      if (entry.seq == seq) {
         HeapPush(entry);
+      } else {
+        Place(entry);
       }
     }
     bucket.clear();
@@ -144,11 +144,20 @@ void EventQueue::AdvanceEpoch() {
 bool EventQueue::SettleTop() {
   for (;;) {
     if (!near_.empty()) {
-      const Entry& top = near_.front();
-      if (state_[top.seq - 1] != kCancelled) return true;
-      state_[top.seq - 1] = kDone;
-      TakeSlot(top.slot);  // Frees the cancelled callback now.
-      HeapPop();
+      Entry top = near_.front();
+      const uint32_t seq = top.seq;
+      if (!Refresh(&top)) {
+        HeapPop();  // A tombstone; Cancel already freed its slot.
+      } else if (top.seq == seq) {
+        return true;
+      } else if (EpochOf(top.when) <= cur_epoch_) {
+        // Rescheduled within this epoch: its key is no earlier than the
+        // root it replaces.
+        SiftDownFromRoot(top);
+      } else {
+        HeapPop();
+        Place(top);
+      }
       continue;
     }
     if (ring_count_ == 0 && overflow_.empty()) return false;
@@ -156,25 +165,40 @@ bool EventQueue::SettleTop() {
   }
 }
 
+uint32_t EventQueue::NextSequences(uint32_t n) {
+  // Checked in every build mode: a wrapped sequence would break FIFO ties
+  // and could make a dead id live again.
+  if (next_seq_ + n - 1 > kMaxSequence) [[unlikely]] {
+    internal::DcheckFail(__FILE__, __LINE__,
+                         "EventQueue issued more than kMaxSequence "
+                         "(2^32 - 1) events");
+  }
+  const uint32_t first = static_cast<uint32_t>(next_seq_);
+  next_seq_ += n;
+  return first;
+}
+
 EventId EventQueue::Push(Time when, Callback callback) {
   MADNET_DCHECK(when == when);  // NaN keys would corrupt the heap order.
   MADNET_DCHECK(callback != nullptr);
-  const EventId id = next_seq_++;
-  uint32_t slot;
+  const uint32_t seq = NextSequences(1);
+  uint32_t index;
   if (!free_slots_.empty()) {
-    slot = free_slots_.back();
+    index = free_slots_.back();
     free_slots_.pop_back();
-    slots_[slot] = std::move(callback);
   } else {
-    slot = static_cast<uint32_t>(slots_.size());
-    slots_.push_back(std::move(callback));
+    index = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
   }
-  MADNET_DCHECK_LT(slot, kRunBit);
-  state_.push_back(kPending);  // state_[id - 1].
-  MADNET_DCHECK_LE(id, std::numeric_limits<uint32_t>::max());
-  Place(Entry{when, static_cast<uint32_t>(id), slot});
+  MADNET_DCHECK_LT(index, kRunBit);
+  Slot& slot = slots_[index];
+  slot.callback = std::move(callback);
+  slot.when = when;
+  slot.seq = seq;
+  slot.filed = seq;
+  Place(Entry{when, seq, index});
   ++live_count_;
-  return id;
+  return uint64_t{index} << 32 | seq;
 }
 
 EventId EventQueue::Push(Time when, Firing&& firing) {
@@ -185,14 +209,7 @@ EventId EventQueue::Push(Time when, Firing&& firing) {
 EventId EventQueue::PushRun(const Time* when, uint32_t n, RunCallback fire) {
   if (n == 0) return kInvalidEventId;
   MADNET_DCHECK(fire != nullptr);
-  const EventId first = next_seq_;
-  next_seq_ += n;
-  MADNET_DCHECK_LE(next_seq_ - 1, std::numeric_limits<uint32_t>::max());
-  // Grow to the power-of-two capacity n push_backs would reach: resize
-  // alone would seed capacities from run sizes and raise peak memory.
-  const size_t needed = state_.size() + n;
-  if (needed > state_.capacity()) state_.reserve(std::bit_ceil(needed));
-  state_.resize(needed, kRunItem);
+  const uint32_t first = NextSequences(n);
   uint32_t index;
   if (!free_runs_.empty()) {
     index = free_runs_.back();
@@ -215,7 +232,7 @@ EventId EventQueue::PushRun(const Time* when, uint32_t n, RunCallback fire) {
               return a.when < b.when || (a.when == b.when && a.index < b.index);
             });
   run.next = 0;
-  run.first_seq = static_cast<uint32_t>(first);
+  run.first_seq = first;
   run.fire = std::move(fire);
   Place(Entry{items[0].when, run.first_seq + items[0].index, kRunBit | index});
   live_count_ += n;
@@ -241,24 +258,43 @@ void EventQueue::AdvanceRun(uint32_t run) {
   }
 }
 
+EventQueue::Slot* EventQueue::LiveSlot(EventId id) {
+  // A run item's id is its bare sequence, which names slot 0 but never
+  // matches its owner: sequences are unique.
+  const uint32_t seq = static_cast<uint32_t>(id);
+  const uint64_t index = id >> 32;
+  if (seq == 0 || index >= slots_.size()) return nullptr;
+  Slot& slot = slots_[index];
+  return slot.seq == seq ? &slot : nullptr;
+}
+
 bool EventQueue::Cancel(EventId id) {
-  // Only ids that were pushed and have neither run nor been cancelled are
-  // cancellable. The entry stays put as a tombstone; its slot is reclaimed
-  // when the entry reaches the top (or is migrated out of its bucket).
-  if (id == kInvalidEventId || id >= next_seq_) return false;
-  uint8_t& state = state_[id - 1];
-  if (state != kPending) return false;
-  state = kCancelled;
+  if (LiveSlot(id) == nullptr) return false;
+  // The queued entry stays put as a tombstone until it surfaces.
+  TakeSlot(static_cast<uint32_t>(id >> 32));
   --live_count_;
   return true;
 }
 
-EventQueue::Callback EventQueue::TakeSlot(uint32_t slot) {
-  MADNET_DCHECK_LT(slot, slots_.size());
-  MADNET_DCHECK(slots_[slot] != nullptr);  // Double-free of a slot.
-  Callback callback = std::move(slots_[slot]);
-  slots_[slot] = nullptr;
-  free_slots_.push_back(slot);
+EventId EventQueue::Reschedule(EventId id, Time when) {
+  Slot* slot = LiveSlot(id);
+  if (slot == nullptr) return kInvalidEventId;
+  // An earlier key could pop before the entry that carries it surfaces.
+  MADNET_DCHECK(when >= slot->when);
+  slot->when = when;
+  slot->seq = NextSequences(1);
+  return (id >> 32) << 32 | slot->seq;
+}
+
+EventQueue::Callback EventQueue::TakeSlot(uint32_t index) {
+  MADNET_DCHECK_LT(index, slots_.size());
+  Slot& slot = slots_[index];
+  MADNET_DCHECK_NE(slot.seq, 0u);  // Double-free of a slot.
+  Callback callback = std::move(slot.callback);
+  slot.callback = nullptr;
+  slot.seq = 0;
+  slot.filed = 0;
+  free_slots_.push_back(index);
   return callback;
 }
 
@@ -281,23 +317,20 @@ std::pair<Time, EventQueue::Firing> EventQueue::Pop() {
   (void)live;
   const Entry top = near_.front();  // Trivially copyable.
   // Heap integrity: extraction order is non-decreasing in time, and the
-  // entry leaving the heap must still be pending (tombstones were reaped by
-  // SettleTop above, and ids never re-enter the queue).
+  // entry leaving the heap must still be pending (SettleTop dropped the
+  // tombstones and re-filed the rescheduled entries above).
   MADNET_DCHECK_GE(top.when, last_pop_time_);
   last_pop_time_ = top.when;
   --live_count_;
   if ((top.slot & kRunBit) != 0) {
-    MADNET_DCHECK_EQ(state_[top.seq - 1], kRunItem);
-    state_[top.seq - 1] = kDone;
     const uint32_t run = top.slot & ~kRunBit;
     const Run& record = run_pool_[run];
     const uint32_t item = record.items[record.next].index;
     AdvanceRun(run);
     return {top.when, Firing(&record.fire, item)};
   }
-  MADNET_DCHECK_EQ(state_[top.seq - 1], kPending);
+  MADNET_DCHECK_EQ(slots_[top.slot].seq, top.seq);
   HeapPop();
-  state_[top.seq - 1] = kDone;
   return {top.when, Firing(TakeSlot(top.slot))};
 }
 
@@ -317,9 +350,8 @@ void EventQueue::Clear() {
     free_runs_.push_back(i);
   }
   retired_run_ = kNoRun;
-  // Outstanding ids become permanently non-cancellable (they neither run
-  // nor linger); ids keep growing across Clear so old handles stay dead.
-  std::fill(state_.begin(), state_.end(), kDone);
+  // Sequences keep growing across Clear, so old ids never match a slot's
+  // owner again.
   live_count_ = 0;
   last_pop_time_ = std::numeric_limits<Time>::lowest();
 }

@@ -15,26 +15,39 @@
 //    epoch; pushing into a future epoch is an O(1) append with no sift.
 //  - `overflow_`: entries beyond the ring horizon, redistributed lazily.
 // When the near heap drains, the next non-empty bucket is migrated into it
-// (cancelled entries are dropped during migration instead of being sifted).
+// (tombstones are dropped there instead of being sifted; see Lifecycle).
 // Every entry still pops in exact (time, sequence) order: the near heap
 // always contains every pending entry of the earliest non-empty epoch.
 //
 // A *run* is n events pushed together (one broadcast's deliveries, one
-// per receiver): PushRun takes the n consecutive ids that n Push calls
-// would take, sorts its items by (time, id) once, and keeps a single
-// near/ring/overflow entry keyed by its earliest unpopped item plus a
-// single callback. Popping an item re-keys that entry with the next
+// per receiver): PushRun takes the n consecutive sequences that n Push
+// calls would take, sorts its items by (time, sequence) once, and keeps a
+// single near/ring/overflow entry keyed by its earliest unpopped item plus
+// a single callback. Popping an item re-keys that entry with the next
 // item (a sift-down from the root that usually stops at once, or a move
-// to the item's later epoch). Every item keeps the (time, id) key a plain
-// Push would have given it, so pop order is the same as if each had been
-// pushed alone. Run items cannot be cancelled.
+// to the item's later epoch). Every item keeps the (time, sequence) key a
+// plain Push would have given it, so pop order is the same as if each had
+// been pushed alone. Run items cannot be cancelled; an item's id is its
+// bare sequence.
 //
-// Entries are 16-byte trivially-copyable keys so sift operations are
-// memcpys, callbacks live in a recycled slot pool (plain events) or a
-// recycled run pool rather than inside the heap, and event lifecycle
-// (pending / ran / cancelled) is a flat byte-per-id vector indexed by the
-// monotonically increasing sequence number — no hash-set insert+erase per
-// event.
+// Lifecycle. Entries are 16-byte trivially-copyable keys, so sifts are
+// memcpys. A plain event's callback lives in a recycled slot record that
+// also holds the sequence of the event that currently owns the slot; an
+// EventId is that slot's index (high 32 bits) and the event's sequence
+// (low 32 bits). An id is live iff its slot's owner is its sequence, so
+// Cancel frees the slot (and the callback) at once and a queued entry
+// whose sequence no longer owns its slot is a tombstone, dropped when it
+// reaches the top or is migrated. Reschedule writes the next sequence
+// and a time no earlier than the event's own into its slot record only;
+// the entry already queued is re-filed under that key when it reaches the
+// top or is migrated, which happens no later than the new key would pop.
+// Nothing is kept per issued id, so the queue's memory is proportional to
+// its pending entries, not to the length of the run.
+//
+// Sequences are 32 bits wide and never reused, so one queue issues at
+// most kMaxSequence events (plain pushes, run items and reschedules
+// together, over its whole life, Clear included); the next one aborts
+// in every build mode.
 
 #ifndef MADNET_SIM_EVENT_QUEUE_H_
 #define MADNET_SIM_EVENT_QUEUE_H_
@@ -52,7 +65,9 @@ namespace madnet::sim {
 /// Simulated time, in seconds.
 using Time = double;
 
-/// Opaque handle to a scheduled event; used to cancel it.
+/// Handle to a scheduled event; used to cancel or reschedule it. Its low
+/// 32 bits are the event's sequence (its FIFO tie-break); the rest is
+/// opaque.
 using EventId = uint64_t;
 
 /// Sentinel returned for operations that could not produce an event.
@@ -101,14 +116,22 @@ class EventQueue {
   EventId Push(Time when, Firing&& firing);
 
   /// Schedules `fire(i)` at `when[i]` for each i < n, exactly as n Push
-  /// calls in index order would (same ids, same pop order), behind one
-  /// queue entry. Returns the first id (item i has id first + i), or
-  /// kInvalidEventId when n == 0. Run items cannot be cancelled.
+  /// calls in index order would (same sequences, same pop order), behind
+  /// one queue entry. Returns the first item's id (item i has id first +
+  /// i), or kInvalidEventId when n == 0. Run items cannot be cancelled.
   EventId PushRun(const Time* when, uint32_t n, RunCallback fire);
 
-  /// Cancels a pending event. Returns false if the event already ran, was
-  /// already cancelled, never existed, or is a run item.
+  /// Cancels a pending event and destroys its callback. Returns false if
+  /// the event already ran, was already cancelled or rescheduled, never
+  /// existed, or is a run item.
   bool Cancel(EventId id);
+
+  /// Moves a pending plain event to `when`, no earlier than its current
+  /// time: exactly Cancel(id) followed by a Push of the same callback (it
+  /// takes the next sequence), but without moving the callback or touching
+  /// the calendar now. Returns the event's new id, or kInvalidEventId if
+  /// `id` is not a pending plain event (as Cancel would return false).
+  EventId Reschedule(EventId id, Time when);
 
   /// True iff no runnable event is pending.
   bool Empty() const { return live_count_ == 0; }
@@ -124,18 +147,29 @@ class EventQueue {
   std::pair<Time, Firing> Pop();
 
   /// Drops every pending event. Not to be called from inside a run's
-  /// callback (it destroys run callbacks).
+  /// callback (it destroys run callbacks). Ids issued before stay dead.
   void Clear();
+
+  /// The largest sequence a queue issues (2^32 - 1); see the header
+  /// comment.
+  static constexpr uint64_t kMaxSequence = 0xFFFFFFFFu;
 
  private:
   struct Entry {
     Time when;
-    // Tie-break: FIFO among same-time events; doubles as id. Narrowed to 32
-    // bits so an entry is 16 bytes and a 4-ary node's children share one
-    // cache line. Safe: state_ grows one byte per id, so a queue would need
-    // > 4 GiB of lifecycle bytes before ids could wrap (DCHECKed in Push).
+    // Tie-break: FIFO among same-time events. 32 bits (kMaxSequence) so
+    // an entry is 16 bytes and a 4-ary node's children share one cache
+    // line.
     uint32_t seq;
     uint32_t slot;  // Index into slots_, or kRunBit | index into run_pool_.
+  };
+  /// A plain event's callback and key. The slot is free while seq is 0.
+  struct Slot {
+    Callback callback;
+    Time when = 0.0;    // Current key: (when, seq).
+    uint32_t seq = 0;   // Sequence of the event that owns the slot.
+    uint32_t filed = 0;  // Sequence of the queue entry that carries it,
+                         // older than seq after a Reschedule.
   };
   static constexpr uint32_t kRunBit = 0x80000000u;
   static constexpr uint32_t kNoRun = 0xFFFFFFFFu;
@@ -197,13 +231,18 @@ class EventQueue {
   /// epoch); after the last item the entry leaves and the record retires.
   void AdvanceRun(uint32_t run);
 
-  /// Ensures near_[0] is the earliest live entry: reaps tombstones and
-  /// migrates epochs forward as the near heap drains. Returns false when no
-  /// runnable entry exists anywhere.
+  /// Brings a queued entry up to date with its slot: true if it is live
+  /// (re-keyed first if its event was rescheduled), false if it is a
+  /// tombstone to drop. Run entries are always live.
+  bool Refresh(Entry* entry);
+
+  /// Ensures near_[0] is the earliest live entry: drops tombstones,
+  /// re-files rescheduled entries and migrates epochs forward as the near
+  /// heap drains. Returns false when no runnable entry exists anywhere.
   bool SettleTop();
 
   /// Moves the next non-empty epoch's entries into the empty near heap,
-  /// dropping cancelled entries. Requires pending entries in ring/overflow.
+  /// dropping tombstones. Requires pending entries in ring/overflow.
   void AdvanceEpoch();
 
   /// Re-buckets overflow entries against the current window: due entries
@@ -211,13 +250,13 @@ class EventQueue {
   /// min_overflow_epoch_.
   void RedistributeOverflow();
 
-  // Lifecycle of an event id (state_[id - 1]).
-  enum : uint8_t { kPending = 0, kDone = 1 };  // Done = ran, cancelled+
-                                               // reaped, or cleared.
-  enum : uint8_t { kCancelled = 2 };           // Cancelled, still in heap.
-  enum : uint8_t { kRunItem = 3 };  // Pending run item (not cancellable).
+  /// Takes the next `n` sequences; aborts past kMaxSequence.
+  uint32_t NextSequences(uint32_t n);
 
-  /// Returns the callback slot `slot` to the free pool.
+  /// The slot `id` names if `id` is a pending plain event, else nullptr.
+  Slot* LiveSlot(EventId id);
+
+  /// Frees slot `slot`, returning its callback.
   Callback TakeSlot(uint32_t slot);
 
   std::vector<Entry> near_;  // Current epoch: 4-ary min-heap on Before().
@@ -228,16 +267,16 @@ class EventQueue {
   // Smallest epoch of any overflow entry (max() when overflow_ is empty).
   // AdvanceEpoch must pull overflow back in before advancing past it.
   int64_t min_overflow_epoch_ = std::numeric_limits<int64_t>::max();
-  std::vector<Callback> slots_;       // Callback storage, heap-independent.
+  std::vector<Entry> overflow_scratch_;  // RedistributeOverflow's input.
+  std::vector<Slot> slots_;           // Plain events' callbacks and keys.
   std::vector<uint32_t> free_slots_;  // Recyclable indices into slots_.
-  std::vector<uint8_t> state_;        // Per-id lifecycle, indexed by id - 1.
   std::deque<Run> run_pool_;  // Run records; a deque so a record stays
                               // put while its callback runs.
   std::vector<uint32_t> free_runs_;  // Recyclable indices into run_pool_.
   // The run whose last item popped most recently. Its callback may still
   // be running, so the record is recycled at the next Pop, not at once.
   uint32_t retired_run_ = kNoRun;
-  uint64_t next_seq_ = 1;  // 0 is kInvalidEventId.
+  uint64_t next_seq_ = 1;  // 0 is never a live sequence.
   size_t live_count_ = 0;
   // Timestamp of the most recent Pop; Pop DCHECKs that extraction times
   // never move backwards (heap-integrity invariant).

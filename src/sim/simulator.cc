@@ -17,6 +17,11 @@ EventId Simulator::ScheduleAt(Time when, EventQueue::Callback callback) {
   return queue_.Push(when, std::move(callback));
 }
 
+EventId Simulator::Reschedule(EventId id, Time when) {
+  if (when < now_) when = now_;
+  return queue_.Reschedule(id, when);
+}
+
 EventId Simulator::ScheduleRunAt(std::span<Time> when,
                                  EventQueue::RunCallback fire) {
   for (Time& t : when) {

@@ -45,8 +45,17 @@ class Simulator {
   /// the first item's id, or kInvalidEventId for an empty span.
   EventId ScheduleRunAt(std::span<Time> when, EventQueue::RunCallback fire);
 
-  /// Cancels a pending event; false if it already ran or was cancelled.
+  /// Cancels a pending event; false if it already ran or was cancelled,
+  /// or if Reschedule replaced `id`.
   bool Cancel(EventId id) { return queue_.Cancel(id); }
+
+  /// Moves a pending plain event to absolute time `when` (clamped to
+  /// Now()), which must not be earlier than its current time. Same as
+  /// Cancel plus ScheduleAt of the same callback, including the new id's
+  /// place among same-time events, but the callback stays where it is
+  /// (EventQueue::Reschedule). Returns the new id, or kInvalidEventId if
+  /// `id` was not pending.
+  EventId Reschedule(EventId id, Time when);
 
   /// Executes the single earliest pending event. Returns false if none.
   bool Step();

@@ -2,15 +2,20 @@
 //
 // Heap allocations on the per-event paths, counted instead of guessed.
 // This binary replaces the global operator new/delete with a counter that
-// forwards to malloc/free (so ASan still sees every block), and measures
+// forwards to malloc/free (so ASan still sees every block) and also keeps
+// the live bytes (malloc_usable_size of each block). It measures
 // steady-state windows, each after a warm-up:
 //
-//   * Substrate: the event queue under a hold model (plain events and
-//     PushRun runs), Medium broadcast fan-out over stationary nodes (ideal
-//     with loss and collisions, and CSMA), and mobility cursor queries
-//     inside already-generated legs. The first two may allocate at most
-//     once per 100,000 events (amortized growth of pools that already
-//     cover the steady-state population); the cursor never.
+//   * Substrate: the event queue under a hold model (plain events, PushRun
+//     runs, cancels and reschedules), Medium broadcast fan-out over
+//     stationary nodes (ideal with loss and collisions, and CSMA), and
+//     mobility cursor queries inside already-generated legs. The first two
+//     may allocate at most once per 100,000 events (amortized growth of
+//     pools that already cover the steady-state population); the cursor
+//     never. The queue's live bytes must not grow with run length.
+//   * Soak: the faulted marketplace at 10x its sim_time, with a jammer
+//     window added. Pending events, live bytes and the frame arena must
+//     stay bounded.
 //   * Whole runs: the 1000-peer Table-II run of each method, ideal and
 //     CSMA, from issue + 100 s to sim_time - 1 s, against a per-method
 //     ceiling of allocations per 1000 events. The comment on each ceiling
@@ -18,6 +23,7 @@
 //
 // It is its own binary because the replacement is global.
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cstdio>
@@ -29,17 +35,36 @@
 #include <string>
 #include <vector>
 
+#include <malloc.h>
+
 #include <gtest/gtest.h>
 
 #include "mobility/constant_velocity.h"
 #include "mobility/random_waypoint.h"
 #include "net/medium.h"
+#include "scenario/multi_ad.h"
 #include "scenario/scenario.h"
 #include "sim/simulator.h"
 #include "util/random.h"
 
 namespace {
 std::atomic<uint64_t> g_allocations{0};
+std::atomic<int64_t> g_live_bytes{0};
+
+void* Counted(void* block) {
+  if (block == nullptr) throw std::bad_alloc();
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_live_bytes.fetch_add(static_cast<int64_t>(malloc_usable_size(block)),
+                         std::memory_order_relaxed);
+  return block;
+}
+
+void Release(void* block) {
+  if (block == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(block)),
+                         std::memory_order_relaxed);
+  std::free(block);
+}
 }  // namespace
 
 // The replaceable forms every other form forwards to (libstdc++'s array
@@ -49,25 +74,19 @@ std::atomic<uint64_t> g_allocations{0};
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 #endif
 void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
-  throw std::bad_alloc();
+  return Counted(std::malloc(size == 0 ? 1 : size));
 }
 void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
   const std::size_t a = static_cast<std::size_t>(align);
-  if (void* block = std::aligned_alloc(a, (size + a - 1) / a * a)) {
-    return block;
-  }
-  throw std::bad_alloc();
+  return Counted(std::aligned_alloc(a, (size + a - 1) / a * a));
 }
-void operator delete(void* block) noexcept { std::free(block); }
-void operator delete(void* block, std::size_t) noexcept { std::free(block); }
+void operator delete(void* block) noexcept { Release(block); }
+void operator delete(void* block, std::size_t) noexcept { Release(block); }
 void operator delete(void* block, std::align_val_t) noexcept {
-  std::free(block);
+  Release(block);
 }
 void operator delete(void* block, std::size_t, std::align_val_t) noexcept {
-  std::free(block);
+  Release(block);
 }
 
 namespace madnet {
@@ -78,6 +97,8 @@ using sim::Time;
 uint64_t Allocations() {
   return g_allocations.load(std::memory_order_relaxed);
 }
+
+int64_t LiveBytes() { return g_live_bytes.load(std::memory_order_relaxed); }
 
 /// Allocations and executed events over one window of a simulator's run.
 struct Window {
@@ -112,41 +133,75 @@ void RunEvents(sim::Simulator* sim, uint64_t count) {
   for (uint64_t i = 0; i < count; ++i) sim->Step();
 }
 
-/// A hold model over the simulator: every plain event re-arms itself a
-/// random delay ahead, and every fifth one also schedules a run of eight
-/// items a few milliseconds ahead, as a broadcast schedules its deliveries.
+/// A hold model over the simulator with a constant number of pending
+/// plain events. Each of `population` chains re-arms itself a random delay
+/// ahead and keeps one timer pending, as a gossip peer keeps one per
+/// cached ad. A chain event also schedules, with some probability, a run
+/// of eight items a few milliseconds ahead (a broadcast's deliveries), a
+/// postponement of its timer (Reschedule), or a cancel and fresh push of
+/// it (an eviction and insertion).
 class HoldModel {
  public:
-  explicit HoldModel(int population) {
+  explicit HoldModel(int population)
+      : timers_(static_cast<size_t>(population)) {
     for (int i = 0; i < population; ++i) {
-      sim_.Schedule(rng_.Uniform(0.0, 10.0), [this] { Hold(); });
+      sim_.Schedule(rng_.Uniform(0.0, 10.0), [this, i] { Hold(i); });
+      ArmTimer(i);
     }
   }
 
   sim::Simulator sim_;
 
  private:
-  void Hold() {
-    sim_.Schedule(rng_.Uniform(0.0, 10.0), [this] { Hold(); });
-    if (rng_.Bernoulli(0.2)) {
+  struct Timer {
+    sim::EventId id = sim::kInvalidEventId;
+    Time when = 0.0;
+  };
+
+  void Hold(int i) {
+    sim_.Schedule(rng_.Uniform(0.0, 10.0), [this, i] { Hold(i); });
+    const double draw = rng_.NextDouble();
+    if (draw < 0.2) {
       for (Time& t : when_) t = sim_.Now() + rng_.Uniform(0.5e-3, 2.0e-3);
-      sim_.ScheduleRunAt(when_, [this](uint32_t i) { fired_ += i; });
+      sim_.ScheduleRunAt(when_, [this](uint32_t item) { fired_ += item; });
+    } else if (draw < 0.6) {
+      Timer& timer = timers_[static_cast<size_t>(i)];
+      timer.when += rng_.Uniform(0.0, 5.0);
+      timer.id = sim_.Reschedule(timer.id, timer.when);
+      EXPECT_NE(timer.id, sim::kInvalidEventId);
+    } else if (draw < 0.7) {
+      EXPECT_TRUE(sim_.Cancel(timers_[static_cast<size_t>(i)].id));
+      ArmTimer(i);
     }
   }
 
+  void ArmTimer(int i) {
+    Timer& timer = timers_[static_cast<size_t>(i)];
+    timer.when = sim_.Now() + rng_.Uniform(0.0, 10.0);
+    timer.id = sim_.ScheduleAt(timer.when, [this, i] { ArmTimer(i); });
+  }
+
   Rng rng_{17};
+  std::vector<Timer> timers_;
   std::vector<Time> when_ = std::vector<Time>(8);
   uint64_t fired_ = 0;
 };
 
 TEST(AllocBudgetTest, EventQueueHoldModel) {
   HoldModel model(2000);
-  RunEvents(&model.sim_, 1'000'000);  // Warm-up: pools reach the population.
+  RunEvents(&model.sim_, 2'000'000);  // Warm-up: pools reach the population.
+  const int64_t live_bytes = LiveBytes();
   Window window;
   window.Begin(model.sim_);
   RunEvents(&model.sim_, 2'000'000);
   window.End(model.sim_);
   ExpectSubstrateBudget(window);
+  // Memory follows the pending events, not the events run so far.
+  EXPECT_LE(LiveBytes(), live_bytes + 4096)
+      << "live bytes after 2M events: " << live_bytes;
+  std::printf("live bytes: %lld after 2M events, %lld after 4M\n",
+              static_cast<long long>(live_bytes),
+              static_cast<long long>(LiveBytes()));
 }
 
 /// Stationary nodes in a square, each broadcasting one shared immutable
@@ -233,6 +288,111 @@ TEST(AllocBudgetTest, MobilityCursorInsideGeneratedLegs) {
   }
   EXPECT_EQ(Allocations() - before, 0u);
   EXPECT_NE(sum.x, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Soak.
+
+/// One sample of a soak run.
+struct SoakSample {
+  size_t pending = 0;
+  int64_t live_bytes = 0;
+  uint64_t arena_frames_peak = 0;
+  size_t receipts = 0;  // First receipts of an ad by a peer, all ads.
+  size_t legs = 0;      // Mobility legs held (vector capacities).
+};
+
+// What a run keeps by design for each first receipt, until it reports:
+// a first-receipt hash node with its bucket share (stats::DeliveryLog)
+// and a seen-set entry with vector slack (OpportunisticGossip), about
+// 77 bytes measured over this soak.
+constexpr int64_t kBytesPerReceipt = 80;
+
+TEST(AllocBudgetTest, FaultedMarketplaceSoakStaysBounded) {
+  // The faulted marketplace (churn with crashes, loss episodes) at 10x its
+  // sim_time, plus a jammer over the market centre from 40% to 55% of the
+  // run. Ten times the ads, issued at a spacing that keeps about five
+  // live at any time, so the load is steady from the first 10% on.
+  scenario::MultiAdConfig config;
+  ASSERT_TRUE(scenario::LoadMultiAdConfigFile(
+                  MADNET_SCENARIO_DIR "/marketplace_zipf_faulted.cfg", &config)
+                  .ok());
+  const double sim_time = 10.0 * config.base.sim_time_s;
+  config.base.sim_time_s = sim_time;
+  config.num_ads *= 10;
+  config.issue_spacing_s = (sim_time - config.first_issue_s) / config.num_ads;
+  const double side = config.base.area_size_m;
+  config.base.fault.outage_rect =
+      Rect{{side / 3, side / 3}, {2 * side / 3, 2 * side / 3}};
+  config.base.fault.outage_start_s = 0.40 * sim_time;
+  config.base.fault.outage_end_s = 0.55 * sim_time;
+  ASSERT_TRUE(config.Validate().ok());
+  ASSERT_LT(config.issue_spacing_s, config.ad_duration_s);
+
+  scenario::Scenario scenario(config);
+  sim::Simulator* sim = scenario.simulator();
+  std::vector<SoakSample> samples(11);  // samples[k]: at k * 10%.
+  for (size_t k = 1; k <= 10; ++k) {
+    sim->ScheduleAt(0.1 * static_cast<double>(k) * sim_time,
+                    [&samples, &scenario, sim, k] {
+      SoakSample& sample = samples[k];
+      sample.pending = sim->PendingEvents();
+      sample.live_bytes = LiveBytes();
+      sample.arena_frames_peak = scenario.medium()->stats().arena_frames_peak;
+      for (const scenario::IssuedAd& ad : scenario.ads()) {
+        if (ad.key == 0) continue;  // Not issued yet.
+        sample.receipts += scenario.delivery_log()->ReceiverCount(ad.key);
+      }
+      const int nodes = scenario.num_issuers() + scenario.num_peers();
+      for (int id = 0; id < nodes; ++id) {
+        sample.legs += scenario.mobility(static_cast<net::NodeId>(id))
+                           ->legs()
+                           .capacity();
+      }
+    });
+  }
+  const scenario::RunResult result = scenario.Run();
+  EXPECT_GT(result.net.deliveries, 0u);
+  EXPECT_GT(result.net.dropped_jammed, 0u);
+  EXPECT_GT(result.net.dropped_offline, 0u);
+
+  // Peaks over the 10-50% window (k = 1..5) and over the last half.
+  SoakSample first;
+  size_t last_pending = 0;
+  for (size_t k = 1; k <= 10; ++k) {
+    const SoakSample& sample = samples[k];
+    std::printf(
+        "%3zu%%: %zu pending, %lld live bytes, arena peak %llu, %zu "
+        "receipts, %zu legs\n",
+        10 * k, sample.pending, static_cast<long long>(sample.live_bytes),
+        static_cast<unsigned long long>(sample.arena_frames_peak),
+        sample.receipts, sample.legs);
+    if (k <= 5) {
+      first.pending = std::max(first.pending, sample.pending);
+      first.live_bytes = std::max(first.live_bytes, sample.live_bytes);
+    } else {
+      last_pending = std::max(last_pending, sample.pending);
+    }
+  }
+  // The calendar and the frame arena follow the load, which is steady.
+  EXPECT_LE(last_pending, first.pending * 11 / 10);
+  EXPECT_LE(samples[10].arena_frames_peak,
+            samples[5].arena_frames_peak * 11 / 10);
+  // Live bytes may grow by the records the run keeps for its report
+  // (first receipts and trajectory legs) and by 10% of the first window's
+  // peak, but not with the events run.
+  const SoakSample& mid = samples[5];
+  for (size_t k = 6; k <= 10; ++k) {
+    const SoakSample& sample = samples[k];
+    const int64_t records =
+        kBytesPerReceipt *
+            static_cast<int64_t>(sample.receipts - mid.receipts) +
+        static_cast<int64_t>(sizeof(mobility::Leg) *
+                             (sample.legs - mid.legs));
+    EXPECT_LE(sample.live_bytes - mid.live_bytes,
+              first.live_bytes / 10 + records)
+        << "at " << 10 * k << "%";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -196,6 +196,72 @@ TEST_F(MediumTest, LossProbabilityDropsFraction) {
             static_cast<uint64_t>(sends));
 }
 
+TEST_F(MediumTest, PerLinkLossMatchesTheBinomialOracle) {
+  // Stationary nodes, no collisions: every (sender, in-range receiver)
+  // pair of a broadcast is one Bernoulli(loss) trial. The drops must lie
+  // within 4 sigma of the binomial mean over all trials, and each link's
+  // deliveries within 5 sigma of its own mean (556 links).
+  constexpr int kNodes = 40;
+  constexpr int kRounds = 250;
+  Rng place(41);
+  std::vector<Vec2> positions(kNodes);
+  for (Vec2& position : positions) {
+    position = place.UniformInRect(Rect{{0.0, 0.0}, {600.0, 600.0}});
+  }
+  for (double loss : {0.1, 0.3, 0.7}) {
+    SCOPED_TRACE(loss);
+    Medium::Options options;
+    options.loss_probability = loss;
+    mobilities_.clear();
+    Build(positions, options);
+    // links[from][to]: in range, so one trial per broadcast of `from`.
+    std::vector<std::vector<bool>> links(kNodes, std::vector<bool>(kNodes));
+    uint64_t trials = 0;
+    for (int from = 0; from < kNodes; ++from) {
+      for (int to = 0; to < kNodes; ++to) {
+        links[from][to] =
+            to != from && DistanceSquared(positions[from], positions[to]) <=
+                              options.range_m * options.range_m;
+        if (links[from][to]) trials += kRounds;
+      }
+    }
+    for (int round = 0; round < kRounds; ++round) {
+      for (int from = 0; from < kNodes; ++from) {
+        ASSERT_TRUE(
+            medium_->Broadcast(static_cast<NodeId>(from), MakePacket(round))
+                .ok());
+      }
+    }
+    sim_.Run();
+    const double mean = loss * static_cast<double>(trials);
+    const double sigma =
+        std::sqrt(static_cast<double>(trials) * loss * (1.0 - loss));
+    const double dropped = static_cast<double>(medium_->stats().dropped_loss);
+    EXPECT_NEAR(dropped, mean, 4.0 * sigma) << trials << " trials";
+    EXPECT_EQ(medium_->stats().dropped_loss + medium_->stats().deliveries,
+              trials);
+    std::vector<std::vector<int>> delivered(kNodes, std::vector<int>(kNodes));
+    for (int to = 0; to < kNodes; ++to) {
+      for (const auto& [from, value] : received_[to]) ++delivered[from][to];
+    }
+    const double link_mean = (1.0 - loss) * kRounds;
+    const double link_sigma = std::sqrt(kRounds * loss * (1.0 - loss));
+    int link_count = 0;
+    for (int from = 0; from < kNodes; ++from) {
+      for (int to = 0; to < kNodes; ++to) {
+        if (!links[from][to]) {
+          EXPECT_EQ(delivered[from][to], 0);
+          continue;
+        }
+        ++link_count;
+        EXPECT_NEAR(delivered[from][to], link_mean, 5.0 * link_sigma)
+            << "link " << from << " -> " << to;
+      }
+    }
+    EXPECT_GT(link_count, 500);
+  }
+}
+
 TEST_F(MediumTest, CollisionsDropOverlappingFrames) {
   Medium::Options options;
   options.enable_collisions = true;
@@ -460,6 +526,46 @@ TEST(MediumMovingTest, StaleIndexStillFindsMovingNodes) {
   }
   sim.Run();
   EXPECT_GT(checks, 200);
+}
+
+TEST(MediumOracleTest, IndexSlackCoversANodeClosingHeadOnAtMaxSpeed) {
+  // The worst case for the grid's staleness slack: a node moving straight
+  // at the query centre at max_speed_mps, queried at the last instant the
+  // grid built at t = 0 is still used (reindex_interval_s). It started
+  // range + max_speed * staleness - 1e-6 m away, so it is 1e-6 m inside
+  // range now (the margin absorbs rounding, as in SortAsSnapshot), and
+  // only a slack of the full drift finds it.
+  Medium::Options options;
+  options.range_m = 250.0;
+  options.max_speed_mps = 20.0;
+  options.reindex_interval_s = 2.0;
+  const double staleness = options.reindex_interval_s;
+  const double start =
+      options.range_m + options.max_speed_mps * staleness - 1e-6;
+  const Vec2 center{1500.0, 1500.0};
+  const Rect area{{0.0, 0.0}, {3000.0, 3000.0}};
+  for (double angle : {0.0, 0.7, 1.5707963267948966, 2.5, 3.9}) {
+    SCOPED_TRACE(angle);
+    Simulator sim;
+    Medium medium(options, &sim, Rng(13));
+    const Vec2 direction{std::cos(angle), std::sin(angle)};
+    Stationary sender(center);
+    ConstantVelocity closing(area, center + direction * start,
+                             direction * -options.max_speed_mps);
+    ASSERT_TRUE(medium.AddNode(0, &sender).ok());
+    ASSERT_TRUE(medium.AddNode(1, &closing).ok());
+    // Builds the grid at t = 0; the node is still out of range.
+    EXPECT_EQ(medium.NeighborsOf(center, options.range_m),
+              (std::vector<NodeId>{0}));
+    sim.RunUntil(staleness);
+    ASSERT_EQ(sim.Now(), staleness);
+    ASSERT_LT(Distance(closing.PositionAt(staleness), center),
+              options.range_m);
+    std::vector<NodeId> found = medium.NeighborsOf(center, options.range_m);
+    std::sort(found.begin(), found.end());
+    EXPECT_EQ(found, (std::vector<NodeId>{0, 1}));
+    EXPECT_EQ(medium.stats().index_rebuilds, 1u);  // Still the t = 0 grid.
+  }
 }
 
 TEST(MediumOracleTest, EveryBroadcastReachesExactlyTheBruteForceDisc) {
