@@ -6,6 +6,7 @@
 // component starts spanning most of the network — below it, flooding has
 // no multi-hop path to most peers and only store-&-forward (gossip) works.
 
+#include <memory>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -44,8 +45,8 @@ void Run(const bench::BenchEnv& env) {
     int samples = 0;
     for (int seed = 0; seed < std::max(2, env.reps); ++seed) {
       std::vector<std::unique_ptr<mobility::RandomWaypoint>> models;
-      mobility::RandomWaypoint::Options options;
-      options.area = area;
+      auto options = std::make_shared<mobility::RandomWaypoint::Options>();
+      options->area = area;
       for (int i = 0; i < n; ++i) {
         models.push_back(std::make_unique<mobility::RandomWaypoint>(
             options, Rng(seed * 100000 + i)));

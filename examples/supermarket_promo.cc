@@ -149,7 +149,6 @@ int main() {
 
   stats::Histogram histogram(0.0, 120.0, 12);
   for (const auto& [id, transit] : walkers.transits()) {
-    if (!transit.Passed()) continue;
     const double receipt = log.FirstReceipt(ad_key, id);
     if (receipt >= 0.0 && receipt <= transit.LastExit()) {
       histogram.Add(std::max(0.0, receipt - transit.FirstEnter()));

@@ -10,16 +10,23 @@
 namespace madnet::core {
 
 InterestProfile::InterestProfile(std::vector<std::string> keywords) {
-  for (auto& keyword : keywords) keywords_.insert(std::move(keyword));
+  for (const std::string& keyword : keywords) Add(keyword);
+}
+
+void InterestProfile::Add(const std::string& keyword) {
+  if (!Contains(keyword)) keywords_.push_back(keyword);
+}
+
+bool InterestProfile::Contains(const std::string& keyword) const {
+  return std::find(keywords_.begin(), keywords_.end(), keyword) !=
+         keywords_.end();
 }
 
 bool InterestProfile::Matches(const AdContent& content) const {
   if (keywords_.empty()) return false;
-  if (!content.category.empty() && keywords_.count(content.category) != 0) {
-    return true;
-  }
+  if (!content.category.empty() && Contains(content.category)) return true;
   for (const auto& keyword : content.keywords) {
-    if (keywords_.count(keyword) != 0) return true;
+    if (Contains(keyword)) return true;
   }
   return false;
 }

@@ -10,7 +10,6 @@
 #define MADNET_CORE_INTEREST_H_
 
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "core/advertisement.h"
@@ -18,16 +17,18 @@
 
 namespace madnet::core {
 
-/// A user's interests: a set of keywords.
+/// A user's interests: a set of keywords, held as a small vector (a profile
+/// has 1-3 keywords, so a linear scan is enough, and an empty profile owns
+/// no heap block).
 class InterestProfile {
  public:
   InterestProfile() = default;
 
-  /// Builds a profile from explicit keywords.
+  /// Builds a profile from explicit keywords; duplicates are dropped.
   explicit InterestProfile(std::vector<std::string> keywords);
 
-  /// Adds one keyword.
-  void Add(const std::string& keyword) { keywords_.insert(keyword); }
+  /// Adds one keyword; a keyword already in the profile is ignored.
+  void Add(const std::string& keyword);
 
   /// The paper's Match(ad, I) predicate: true iff the ad's category or any
   /// ad keyword is among this user's interest keywords.
@@ -36,12 +37,10 @@ class InterestProfile {
   /// Number of interest keywords.
   size_t Size() const { return keywords_.size(); }
 
-  bool Contains(const std::string& keyword) const {
-    return keywords_.count(keyword) != 0;
-  }
+  bool Contains(const std::string& keyword) const;
 
  private:
-  std::unordered_set<std::string> keywords_;
+  std::vector<std::string> keywords_;  // Distinct, in insertion order.
 };
 
 /// Synthesizes interest profiles over a closed keyword universe with a

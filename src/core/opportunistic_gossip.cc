@@ -9,31 +9,39 @@
 
 namespace madnet::core {
 
+OpportunisticGossip::OpportunisticGossip(
+    ProtocolContext context, std::shared_ptr<const GossipOptions> options,
+    InterestProfile interests)
+    : Protocol(std::move(context)),
+      options_(std::move(options)),
+      dis_m_(options_->dis_m),
+      interests_(std::move(interests)),
+      cache_(options_->cache_capacity) {
+  MADNET_DCHECK(options_->propagation.Valid());
+  MADNET_DCHECK(options_->round_time_s > 0.0);
+}
+
 OpportunisticGossip::OpportunisticGossip(ProtocolContext context,
                                          const GossipOptions& options,
                                          InterestProfile interests)
-    : Protocol(std::move(context)),
-      options_(options),
-      interests_(std::move(interests)),
-      cache_(options.cache_capacity) {
-  MADNET_DCHECK(options.propagation.Valid());
-  MADNET_DCHECK(options.round_time_s > 0.0);
-}
+    : OpportunisticGossip(std::move(context),
+                          std::make_shared<const GossipOptions>(options),
+                          std::move(interests)) {}
 
 void OpportunisticGossip::Start() {
   Protocol::Start();
-  if (options_.dis_m <= 0.0) {
+  if (dis_m_ <= 0.0) {
     // Auto: the velocity constraint's minimum annulus width.
-    options_.dis_m = std::max(
+    dis_m_ = std::max(
         VelocityConstrainedDis(context_.medium->options().max_speed_mps,
-                               options_.round_time_s),
+                               options_->round_time_s),
         1.0);
   }
-  if (!options_.postpone) {
+  if (!options_->postpone) {
     // One global round series, randomly phased: "all peers work
     // asynchronously". ArmRound() schedules its ticks while the cache
     // holds an ad.
-    next_round_ = Now() + context_.rng.Uniform(0.0, options_.round_time_s);
+    next_round_ = Now() + context_.rng.Uniform(0.0, options_->round_time_s);
   }
 }
 
@@ -41,7 +49,7 @@ StatusOr<AdId> OpportunisticGossip::Issue(const AdContent& content,
                                           double radius_m,
                                           double duration_s) {
   Advertisement ad = MakeAdvertisement(content, radius_m, duration_s,
-                                       options_.sketch_options);
+                                       options_->sketch_options);
   const AdId id = ad.id;
   seen_hop_.push_back({id.Key(), 0});  // The issuer's own copy is hop 0.
   net::Packet packet = MakeGossipPacket(ad);
@@ -78,14 +86,14 @@ void OpportunisticGossip::OnRejoin() {
 double OpportunisticGossip::ProbabilityFor(const Advertisement& ad) const {
   const Time age = ad.AgeAt(context_.simulator->Now());
   const double radius_t =
-      RadiusAtAge(ad.radius_m, ad.duration_s, age, options_.propagation);
+      RadiusAtAge(ad.radius_m, ad.duration_s, age, options_->propagation);
   const double distance =
       Distance(context_.medium->PositionOf(context_.self), ad.issue_location);
-  if (options_.annulus && age > options_.bootstrap_age_s) {
-    return AnnulusForwardingProbability(distance, radius_t, options_.dis_m,
-                                        options_.propagation);
+  if (options_->annulus && age > options_->bootstrap_age_s) {
+    return AnnulusForwardingProbability(distance, radius_t, dis_m_,
+                                        options_->propagation);
   }
-  return ForwardingProbability(distance, radius_t, options_.propagation);
+  return ForwardingProbability(distance, radius_t, options_->propagation);
 }
 
 void OpportunisticGossip::RefreshCache() {
@@ -102,7 +110,7 @@ void OpportunisticGossip::RefreshCache() {
 
 void OpportunisticGossip::GossipRound() {
   round_event_ = sim::kInvalidEventId;
-  next_round_ = Now() + options_.round_time_s;
+  next_round_ = Now() + options_->round_time_s;
   // Algorithm 2: refresh all entries' probabilities, then broadcast each
   // entry with its probability.
   RefreshCache();
@@ -130,7 +138,7 @@ void OpportunisticGossip::ArmRound() {
   // instant, after the current event. Such a tie needs a receipt or an
   // issue to land on a random-phase tick, so it has probability zero.
   const Time now = Now();
-  while (next_round_ < now) next_round_ += options_.round_time_s;
+  while (next_round_ < now) next_round_ += options_->round_time_s;
   round_event_ = context_.simulator->ScheduleAt(next_round_,
                                                 [this]() { GossipRound(); });
 }
@@ -162,7 +170,7 @@ void OpportunisticGossip::EntryTimerFired(uint64_t key) {
     context_.trace->Suppress(now, context_.self, key, "bernoulli",
                              entry->probability);
   }
-  entry->next_gossip_time = now + options_.round_time_s;
+  entry->next_gossip_time = now + options_->round_time_s;
   ScheduleEntry(key, entry);
 }
 
@@ -186,13 +194,13 @@ CacheEntry* OpportunisticGossip::InsertAd(Advertisement ad,
   // First gossip of a fresh entry happens within one round, randomly
   // phased (Opt-2 path; without Opt-2 the global round covers it).
   entry.next_gossip_time =
-      Now() + context_.rng.Uniform(0.0, options_.round_time_s);
+      Now() + context_.rng.Uniform(0.0, options_->round_time_s);
 
   sim::EventId evicted_timer = sim::kInvalidEventId;
   CacheEntry* inserted = cache_.Insert(std::move(entry), &evicted_timer);
   context_.simulator->Cancel(evicted_timer);
   if (inserted != nullptr) {
-    if (options_.postpone) {
+    if (options_->postpone) {
       ScheduleEntry(inserted->ad.id.Key(), inserted);
     } else {
       ArmRound();
@@ -231,7 +239,7 @@ void OpportunisticGossip::OnReceive(const net::Packet& packet,
         context_.trace->Enabled(obs::kTraceSketch)) {
       context_.trace->SketchMerge(Now(), context_.self, key);
     }
-    if (options_.postpone) {
+    if (options_->postpone) {
       const Vec2 self_position = Position();
       const Vec2 sender_position = context_.medium->PositionOf(from);
       const double overlap = TransmissionOverlapFraction(
@@ -240,7 +248,7 @@ void OpportunisticGossip::OnReceive(const net::Packet& packet,
       const double angle =
           ApproachAngle(Velocity(), self_position, sender_position);
       const double interval =
-          PostponeInterval(options_.round_time_s, overlap, angle);
+          PostponeInterval(options_->round_time_s, overlap, angle);
       if (interval > 0.0) {
         entry->next_gossip_time += interval;
         ++postpone_count_;
@@ -262,11 +270,11 @@ void OpportunisticGossip::OnReceive(const net::Packet& packet,
   // sketches.
   if (message->ad.ExpiredAt(Now())) return;
   Advertisement ad = message->ad;
-  if (options_.ranking && first_sight) {
+  if (options_->ranking && first_sight) {
     // Algorithm 5: count this user's interest and enlarge R/D if the rank
     // rose. Guarded by first_sight so an evicted-then-re-received ad is
     // not enlarged twice by the same peer.
-    RankAndEnlarge(&ad, interests_, context_.self, options_.ranking_options);
+    RankAndEnlarge(&ad, interests_, context_.self, options_->ranking_options);
   }
   const double probability = ProbabilityFor(ad);
   InsertAd(std::move(ad), probability);

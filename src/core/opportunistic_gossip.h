@@ -27,6 +27,7 @@
 #ifndef MADNET_CORE_OPPORTUNISTIC_GOSSIP_H_
 #define MADNET_CORE_OPPORTUNISTIC_GOSSIP_H_
 
+#include <memory>
 #include <vector>
 
 #include "core/ad_cache.h"
@@ -39,7 +40,7 @@
 namespace madnet::core {
 
 /// Configuration of a gossip peer. All peers of a scenario share one
-/// GossipOptions value.
+/// GossipOptions value (one shared_ptr, not a copy per peer).
 struct GossipOptions {
   PropagationParams propagation;
 
@@ -50,6 +51,7 @@ struct GossipOptions {
   /// Annulus width DIS (Table II: R/4). Setting 0 selects the velocity
   /// constraint's minimum automatically at Start(): DIS = V_max * round
   /// (paper Section III-D: a peer cannot cross more than that per round).
+  /// The options keep the 0; each peer resolves its own width.
   double dis_m = 250.0;
   /// Age below which Optimization 1 still uses the plain probability, so
   /// the initial wave can cross the central disc ("except for the first
@@ -87,7 +89,14 @@ struct GossipOptions {
 /// One gossip peer. Any peer may issue advertisements.
 class OpportunisticGossip : public Protocol {
  public:
-  /// `interests` drives Match() when ranking is enabled.
+  /// `interests` drives Match() when ranking is enabled. `options` is
+  /// shared by every peer of a run and must be non-null.
+  OpportunisticGossip(ProtocolContext context,
+                      std::shared_ptr<const GossipOptions> options,
+                      InterestProfile interests = {});
+
+  /// Convenience form for a peer with options of its own: holds a private
+  /// shared copy of `options`.
   OpportunisticGossip(ProtocolContext context, const GossipOptions& options,
                       InterestProfile interests = {});
 
@@ -117,7 +126,7 @@ class OpportunisticGossip : public Protocol {
 
   /// Read access for tests and examples.
   const AdCache& cache() const { return cache_; }
-  const GossipOptions& options() const { return options_; }
+  const GossipOptions& options() const { return *options_; }
   const InterestProfile& interests() const { return interests_; }
 
   /// Number of times this peer postponed a scheduled gossip (Opt-2).
@@ -169,7 +178,10 @@ class OpportunisticGossip : public Protocol {
   /// broadcast carries hop 1). See Packet::hop / the deliver trace.
   uint32_t RebroadcastHop(uint64_t key) const;
 
-  GossipOptions options_;
+  std::shared_ptr<const GossipOptions> options_;  // Shared per run.
+  /// Annulus width in use: options_->dis_m, or the automatic width Start()
+  /// resolves when that is 0.
+  double dis_m_;
   InterestProfile interests_;
   AdCache cache_;
   /// Next tick of the global round series (phase + k * round_time), and

@@ -9,19 +9,25 @@
 namespace madnet::core {
 
 ResourceExchange::ResourceExchange(ProtocolContext context,
-                                   const Options& options)
-    : Protocol(std::move(context)), options_(options) {
-  MADNET_DCHECK(options.beacon_interval_s > 0.0);
-  MADNET_DCHECK(options.memory_capacity >= 1);
-  MADNET_DCHECK(options.age_weight >= 0.0 && options.distance_weight >= 0.0);
+                                   std::shared_ptr<const Options> options)
+    : Protocol(std::move(context)), options_(std::move(options)) {
+  MADNET_DCHECK(options_->beacon_interval_s > 0.0);
+  MADNET_DCHECK(options_->memory_capacity >= 1);
+  MADNET_DCHECK(options_->age_weight >= 0.0 &&
+                options_->distance_weight >= 0.0);
 }
+
+ResourceExchange::ResourceExchange(ProtocolContext context,
+                                   const Options& options)
+    : ResourceExchange(std::move(context),
+                       std::make_shared<const Options>(options)) {}
 
 void ResourceExchange::Start() {
   Protocol::Start();
   beacon_.payload = std::make_shared<BeaconMessage>();
   beacon_.size_bytes = 16;  // Node id + position.
   // Random phase so beacons across the network do not synchronize.
-  const double phase = context_.rng.Uniform(0.0, options_.beacon_interval_s);
+  const double phase = context_.rng.Uniform(0.0, options_->beacon_interval_s);
   context_.simulator->Schedule(phase, [this]() { BeaconTick(); });
 }
 
@@ -57,7 +63,7 @@ void ResourceExchange::Prune() {
   const Vec2 here = Position();
   for (auto it = memory_.begin(); it != memory_.end();) {
     if (it->second.ExpiredAt(now) ||
-        Relevance(it->second, here, now, options_) <= 0.0) {
+        Relevance(it->second, here, now, *options_) <= 0.0) {
       it = memory_.erase(it);
     } else {
       ++it;
@@ -72,21 +78,21 @@ void ResourceExchange::Store(const Advertisement& ad) {
     return;
   }
   if (ad.ExpiredAt(Now())) return;
-  if (memory_.size() >= options_.memory_capacity) {
+  if (memory_.size() >= options_->memory_capacity) {
     // Evict the least relevant resource if the newcomer beats it.
     const Time now = Now();
     const Vec2 here = Position();
     auto victim = memory_.end();
     double victim_relevance = 2.0;
     for (auto it = memory_.begin(); it != memory_.end(); ++it) {
-      const double relevance = Relevance(it->second, here, now, options_);
+      const double relevance = Relevance(it->second, here, now, *options_);
       if (relevance < victim_relevance) {
         victim_relevance = relevance;
         victim = it;
       }
     }
     if (victim == memory_.end() ||
-        Relevance(ad, here, now, options_) <= victim_relevance) {
+        Relevance(ad, here, now, *options_) <= victim_relevance) {
       return;  // Newcomer is the least relevant: not stored.
     }
     memory_.erase(victim);
@@ -98,7 +104,7 @@ void ResourceExchange::BeaconTick() {
   Prune();
   Broadcast(beacon_);
   ++beacons_sent_;
-  context_.simulator->Schedule(options_.beacon_interval_s,
+  context_.simulator->Schedule(options_->beacon_interval_s,
                                [this]() { BeaconTick(); });
 }
 
@@ -112,7 +118,7 @@ void ResourceExchange::OnEncounter(net::NodeId from) {
   auto it = last_heard_.find(from);
   if (it != last_heard_.end()) {
     const bool is_new_encounter =
-        now - it->second > options_.encounter_timeout_s;
+        now - it->second > options_->encounter_timeout_s;
     it->second = now;
     if (!is_new_encounter) return;
   }
@@ -138,13 +144,13 @@ void ResourceExchange::OnEncounter(net::NodeId from) {
   const Vec2 here = Position();
   std::sort(ranked.begin(), ranked.end(),
             [&](const Advertisement* a, const Advertisement* b) {
-              const double ra = Relevance(*a, here, now, options_);
-              const double rb = Relevance(*b, here, now, options_);
+              const double ra = Relevance(*a, here, now, *options_);
+              const double rb = Relevance(*b, here, now, *options_);
               if (ra != rb) return ra > rb;
               return a->id.Key() < b->id.Key();  // Deterministic ties.
             });
-  if (ranked.size() > options_.exchange_batch) {
-    ranked.resize(options_.exchange_batch);
+  if (ranked.size() > options_->exchange_batch) {
+    ranked.resize(options_->exchange_batch);
   }
 
   std::vector<Advertisement> batch;

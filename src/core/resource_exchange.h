@@ -20,6 +20,7 @@
 #ifndef MADNET_CORE_RESOURCE_EXCHANGE_H_
 #define MADNET_CORE_RESOURCE_EXCHANGE_H_
 
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -57,6 +58,11 @@ class ResourceExchange : public Protocol {
     double distance_weight = 0.5;
   };
 
+  /// `options` is shared by every peer of a run and must be non-null.
+  ResourceExchange(ProtocolContext context,
+                   std::shared_ptr<const Options> options);
+
+  /// Convenience form: holds a private shared copy of `options`.
   ResourceExchange(ProtocolContext context, const Options& options);
 
   /// Starts beaconing and registers with the medium.
@@ -81,7 +87,7 @@ class ResourceExchange : public Protocol {
   uint64_t beacons_sent() const { return beacons_sent_; }
   uint64_t exchanges_sent() const { return exchanges_sent_; }
 
-  const Options& options() const { return options_; }
+  const Options& options() const { return *options_; }
 
  protected:
   void OnReceive(const net::Packet& packet, net::NodeId from) override;
@@ -102,7 +108,7 @@ class ResourceExchange : public Protocol {
   /// least relevant survivor (0 if empty).
   void Prune();
 
-  Options options_;
+  std::shared_ptr<const Options> options_;  // Shared per run.
   std::unordered_map<uint64_t, Advertisement> memory_;
   /// Hop count at first receipt per ad key (0 for ads this node issued).
   /// Survives OnCrash — like DeliveryLog, first-receipt bookkeeping fires

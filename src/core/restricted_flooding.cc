@@ -23,9 +23,14 @@ RestrictedFlooding::AdRecord* RestrictedFlooding::FindRecord(uint64_t key) {
   return nullptr;
 }
 
+RestrictedFlooding::RestrictedFlooding(
+    ProtocolContext context, std::shared_ptr<const Options> options)
+    : Protocol(std::move(context)), options_(std::move(options)) {}
+
 RestrictedFlooding::RestrictedFlooding(ProtocolContext context,
                                        const Options& options)
-    : Protocol(std::move(context)), options_(options) {}
+    : RestrictedFlooding(std::move(context),
+                         std::make_shared<const Options>(options)) {}
 
 StatusOr<AdId> RestrictedFlooding::Issue(const AdContent& content,
                                          double radius_m, double duration_s) {
@@ -49,7 +54,7 @@ void RestrictedFlooding::IssuerRound(uint64_t key) {
   const Time age = state.ad.AgeAt(Now());
   const double radius_limit = RadiusAtAge(state.ad.radius_m,
                                           state.ad.duration_s, age,
-                                          options_.propagation);
+                                          options_->propagation);
   if (radius_limit <= 0.0) {
     // Expired: stop the series and forget the ad.
     issuing_.erase(it);
@@ -61,7 +66,7 @@ void RestrictedFlooding::IssuerRound(uint64_t key) {
   net::Packet packet = MakeFloodPacket(state.ad, state.round, radius_limit);
   packet.hop = 1;  // Issuer frames deliver direct neighbours at hop 1.
   Broadcast(packet);
-  context_.simulator->Schedule(options_.round_time_s,
+  context_.simulator->Schedule(options_->round_time_s,
                                [this, key]() { IssuerRound(key); });
 }
 
@@ -87,7 +92,7 @@ void RestrictedFlooding::OnReceive(const net::Packet& packet,
   if (distance > message->radius_limit) return;
 
   const double jitter =
-      context_.rng.Uniform(0.0, options_.relay_jitter_max_s);
+      context_.rng.Uniform(0.0, options_->relay_jitter_max_s);
   // Copy the packet by value; the payload is shared and immutable. The
   // relayed frame's hop count derives from *this* node's first receipt,
   // so every deliver record satisfies hop == parent's hop + 1 even when

@@ -9,6 +9,7 @@
 #ifndef MADNET_CORE_RESTRICTED_FLOODING_H_
 #define MADNET_CORE_RESTRICTED_FLOODING_H_
 
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -28,6 +29,11 @@ class RestrictedFlooding : public Protocol {
                                      ///< neighbouring rebroadcasts.
   };
 
+  /// `options` is shared by every peer of a run and must be non-null.
+  RestrictedFlooding(ProtocolContext context,
+                     std::shared_ptr<const Options> options);
+
+  /// Convenience form: holds a private shared copy of `options`.
   RestrictedFlooding(ProtocolContext context, const Options& options);
 
   /// Starts periodic flooding of a new ad from this node (the issuer
@@ -65,7 +71,7 @@ class RestrictedFlooding : public Protocol {
   /// The record of `key`, or nullptr if this node never saw the ad.
   AdRecord* FindRecord(uint64_t key);
 
-  Options options_;
+  std::shared_ptr<const Options> options_;  // Shared per run.
   std::unordered_map<uint64_t, IssuingState> issuing_;
   std::vector<AdRecord> records_;  // In first-sight order.
 };

@@ -10,6 +10,7 @@
 #ifndef MADNET_MOBILITY_HOTSPOT_WAYPOINT_H_
 #define MADNET_MOBILITY_HOTSPOT_WAYPOINT_H_
 
+#include <memory>
 #include <vector>
 
 #include "mobility/mobility_model.h"
@@ -39,9 +40,13 @@ class HotspotWaypoint : public MobilityModel {
     std::vector<Hotspot> hotspots;  ///< Must be non-empty if probability>0.
   };
 
+  /// `options` is shared by every peer of a run and must be non-null.
+  HotspotWaypoint(std::shared_ptr<const Options> options, Rng rng);
+
+  /// Convenience form: holds a private shared copy of `options`.
   HotspotWaypoint(const Options& options, Rng rng);
 
-  const Options& options() const { return options_; }
+  const Options& options() const { return *options_; }
 
  protected:
   Leg NextLeg(const Leg* previous) override;
@@ -50,9 +55,11 @@ class HotspotWaypoint : public MobilityModel {
   /// Draws the next destination (hotspot-biased or uniform), inside area.
   Vec2 NextWaypoint();
 
-  Options options_;
+  /// The hotspot a uniform `roll` in [0, 1) selects by weight.
+  const Hotspot& HotspotAt(double roll) const;
+
+  std::shared_ptr<const Options> options_;  // Shared per run.
   Rng rng_;
-  std::vector<double> cumulative_weights_;
   bool pause_next_ = false;
 };
 

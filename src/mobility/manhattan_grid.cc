@@ -3,13 +3,16 @@
 #include "mobility/manhattan_grid.h"
 
 #include <cmath>
+#include <utility>
 
 #include "util/logging.h"
 
 namespace madnet::mobility {
 
-ManhattanGrid::ManhattanGrid(const Options& options, Rng rng)
-    : options_(options), rng_(rng) {
+ManhattanGrid::ManhattanGrid(std::shared_ptr<const Options> options_in,
+                             Rng rng)
+    : options_(std::move(options_in)), rng_(rng) {
+  const Options& options = *options_;
   MADNET_DCHECK(options.block_size_m > 0.0);
   MADNET_DCHECK(options.min_speed_mps > 0.0 &&
                 options.max_speed_mps >= options.min_speed_mps);
@@ -27,6 +30,9 @@ ManhattanGrid::ManhattanGrid(const Options& options, Rng rng)
   MADNET_DCHECK(cols_ >= 2 && rows_ >= 2 && "area too small for the grid");
 }
 
+ManhattanGrid::ManhattanGrid(const Options& options, Rng rng)
+    : ManhattanGrid(std::make_shared<const Options>(options), rng) {}
+
 Vec2 ManhattanGrid::HeadingVector(Heading h) const {
   switch (h) {
     case Heading::kEast: return {1.0, 0.0};
@@ -39,12 +45,12 @@ Vec2 ManhattanGrid::HeadingVector(Heading h) const {
 
 bool ManhattanGrid::InBounds(const Vec2& intersection) const {
   const double eps = 1e-6;
-  return intersection.x >= options_.area.min.x - eps &&
-         intersection.x <= options_.area.min.x +
-                               (cols_ - 1) * options_.block_size_m + eps &&
-         intersection.y >= options_.area.min.y - eps &&
-         intersection.y <= options_.area.min.y +
-                               (rows_ - 1) * options_.block_size_m + eps;
+  return intersection.x >= options_->area.min.x - eps &&
+         intersection.x <= options_->area.min.x +
+                               (cols_ - 1) * options_->block_size_m + eps &&
+         intersection.y >= options_->area.min.y - eps &&
+         intersection.y <= options_->area.min.y +
+                               (rows_ - 1) * options_->block_size_m + eps;
 }
 
 ManhattanGrid::Heading ManhattanGrid::ChooseHeading(const Vec2& at,
@@ -58,20 +64,20 @@ ManhattanGrid::Heading ManhattanGrid::ChooseHeading(const Vec2& at,
   const Heading back = static_cast<Heading>((cur + 2) % 4);
 
   auto feasible = [&](Heading h) {
-    return InBounds(at + HeadingVector(h) * options_.block_size_m);
+    return InBounds(at + HeadingVector(h) * options_->block_size_m);
   };
 
   // Sample by the configured probabilities, then fall through to any
   // feasible direction (boundary handling).
   const double roll = rng_.NextDouble();
   Heading preferred;
-  if (roll < options_.p_straight) {
+  if (roll < options_->p_straight) {
     preferred = straight;
-  } else if (roll < options_.p_straight + options_.p_turn_left) {
+  } else if (roll < options_->p_straight + options_->p_turn_left) {
     preferred = left;
   } else if (roll <
-             options_.p_straight + options_.p_turn_left +
-                 options_.p_turn_right) {
+             options_->p_straight + options_->p_turn_left +
+                 options_->p_turn_right) {
     preferred = right;
   } else {
     preferred = back;
@@ -91,18 +97,18 @@ Leg ManhattanGrid::NextLeg(const Leg* previous) {
     // Start at a uniformly random intersection.
     const int col = static_cast<int>(rng_.NextUint64(cols_));
     const int row = static_cast<int>(rng_.NextUint64(rows_));
-    from = {options_.area.min.x + col * options_.block_size_m,
-            options_.area.min.y + row * options_.block_size_m};
+    from = {options_->area.min.x + col * options_->block_size_m,
+            options_->area.min.y + row * options_->block_size_m};
     heading_ = static_cast<Heading>(rng_.NextUint64(4));
   } else {
     from = previous->to;
   }
 
   heading_ = ChooseHeading(from, heading_);
-  const Vec2 to = from + HeadingVector(heading_) * options_.block_size_m;
+  const Vec2 to = from + HeadingVector(heading_) * options_->block_size_m;
   const double speed =
-      rng_.Uniform(options_.min_speed_mps, options_.max_speed_mps);
-  const Time duration = options_.block_size_m / speed;
+      rng_.Uniform(options_->min_speed_mps, options_->max_speed_mps);
+  const Time duration = options_->block_size_m / speed;
   return Leg{start, start + duration, from, to};
 }
 

@@ -8,6 +8,8 @@
 #ifndef MADNET_MOBILITY_MANHATTAN_GRID_H_
 #define MADNET_MOBILITY_MANHATTAN_GRID_H_
 
+#include <memory>
+
 #include "mobility/mobility_model.h"
 #include "util/random.h"
 
@@ -30,9 +32,13 @@ class ManhattanGrid : public MobilityModel {
     double p_turn_right = 0.25;
   };
 
+  /// `options` is shared by every peer of a run and must be non-null.
+  ManhattanGrid(std::shared_ptr<const Options> options, Rng rng);
+
+  /// Convenience form: holds a private shared copy of `options`.
   ManhattanGrid(const Options& options, Rng rng);
 
-  const Options& options() const { return options_; }
+  const Options& options() const { return *options_; }
 
  protected:
   Leg NextLeg(const Leg* previous) override;
@@ -46,7 +52,7 @@ class ManhattanGrid : public MobilityModel {
   /// Picks the next heading at an intersection, respecting boundaries.
   Heading ChooseHeading(const Vec2& at, Heading current);
 
-  Options options_;
+  std::shared_ptr<const Options> options_;  // Shared per run.
   Rng rng_;
   Heading heading_ = Heading::kEast;
   int cols_ = 0;  // Number of intersections per row.

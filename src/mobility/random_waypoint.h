@@ -8,6 +8,8 @@
 #ifndef MADNET_MOBILITY_RANDOM_WAYPOINT_H_
 #define MADNET_MOBILITY_RANDOM_WAYPOINT_H_
 
+#include <memory>
+
 #include "mobility/mobility_model.h"
 #include "util/random.h"
 
@@ -27,16 +29,20 @@ class RandomWaypoint : public MobilityModel {
   };
 
   /// Creates a model; all randomness (start position, waypoints, speeds,
-  /// pauses) comes deterministically from `rng`.
+  /// pauses) comes deterministically from `rng`. `options` is shared by
+  /// every peer of a run and must be non-null.
+  RandomWaypoint(std::shared_ptr<const Options> options, Rng rng);
+
+  /// Convenience form: holds a private shared copy of `options`.
   RandomWaypoint(const Options& options, Rng rng);
 
-  const Options& options() const { return options_; }
+  const Options& options() const { return *options_; }
 
  protected:
   Leg NextLeg(const Leg* previous) override;
 
  private:
-  Options options_;
+  std::shared_ptr<const Options> options_;  // Shared per run.
   Rng rng_;
   bool pause_next_ = false;  // Alternate travel leg / pause leg.
 };

@@ -51,6 +51,20 @@ Status Medium::AddNode(NodeId id, MobilityModel* mobility) {
   return Status::Ok();
 }
 
+void Medium::Reserve(size_t node_count) {
+  mobility_.reserve(node_count);
+  handlers_.reserve(node_count);
+  online_.reserve(node_count);
+  last_rx_time_.reserve(node_count);
+  last_rx_from_.reserve(node_count);
+  rx_garbled_.reserve(node_count);
+  channel_busy_until_.reserve(node_count);
+  sent_.reserve(node_count);
+  sent_bytes_.reserve(node_count);
+  received_.reserve(node_count);
+  received_bytes_.reserve(node_count);
+}
+
 Status Medium::SetReceiver(NodeId id, ReceiveHandler handler) {
   if (!Known(id)) return Status::NotFound("unknown node id");
   handlers_[id] = std::move(handler);

@@ -128,6 +128,10 @@ class Medium {
   /// is AlreadyExists; a larger one is InvalidArgument.
   Status AddNode(NodeId id, MobilityModel* mobility);
 
+  /// Sizes the per-node arrays for `node_count` nodes, so that many
+  /// AddNode calls neither reallocate nor leave growth slack behind.
+  void Reserve(size_t node_count);
+
   /// Sets the upcall invoked when `id` receives a packet.
   Status SetReceiver(NodeId id, ReceiveHandler handler);
 

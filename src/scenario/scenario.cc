@@ -3,7 +3,9 @@
 #include "scenario/scenario.h"
 
 #include <algorithm>
+#include <functional>
 #include <iterator>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -25,66 +27,119 @@ namespace {
 // A gossip issuer that "goes offline" does so shortly after.
 constexpr double kIssuerOfflineDelay = 1.0;
 
-// Builds one mobile peer's mobility model per `config.mobility` (Random
-// Waypoint / Manhattan grid / hotspot waypoint / constant-velocity highway
-// lanes, with the speed, pause and model-specific fields of `config`).
-std::unique_ptr<mobility::MobilityModel> MakePeerMobility(
-    const ScenarioConfig& config, Rng rng) {
+using PeerMobilityMaker =
+    std::function<std::unique_ptr<mobility::MobilityModel>(Rng)>;
+using ProtocolMaker =
+    std::function<std::unique_ptr<core::Protocol>(core::ProtocolContext)>;
+
+// Returns the maker of one mobile peer's mobility model per
+// `config.mobility` (Random Waypoint / Manhattan grid / hotspot waypoint /
+// constant-velocity highway lanes, with the speed, pause and model-specific
+// fields of `config`). The model's options are built once here and shared
+// by every peer the maker builds; each peer keeps only its own stream.
+PeerMobilityMaker MakePeerMobilityMaker(const ScenarioConfig& config) {
   const Rect area{{0.0, 0.0}, {config.area_size_m, config.area_size_m}};
   const double min_speed = config.mean_speed_mps - config.speed_delta_mps;
   const double max_speed = config.mean_speed_mps + config.speed_delta_mps;
   switch (config.mobility) {
     case Mobility::kManhattanGrid: {
-      mobility::ManhattanGrid::Options options;
-      options.area = area;
-      options.block_size_m = config.manhattan_block_m;
-      options.min_speed_mps = min_speed;
-      options.max_speed_mps = max_speed;
-      return std::make_unique<mobility::ManhattanGrid>(options, rng);
+      auto options = std::make_shared<mobility::ManhattanGrid::Options>();
+      options->area = area;
+      options->block_size_m = config.manhattan_block_m;
+      options->min_speed_mps = min_speed;
+      options->max_speed_mps = max_speed;
+      return [options](Rng rng) {
+        return std::make_unique<mobility::ManhattanGrid>(options, rng);
+      };
     }
     case Mobility::kHotspot: {
-      mobility::HotspotWaypoint::Options options;
-      options.area = area;
-      options.min_speed_mps = min_speed;
-      options.max_speed_mps = max_speed;
-      options.min_pause_s = config.min_pause_s;
-      options.max_pause_s = config.max_pause_s;
-      options.hotspot_probability = config.hotspot_probability;
+      auto options = std::make_shared<mobility::HotspotWaypoint::Options>();
+      options->area = area;
+      options->min_speed_mps = min_speed;
+      options->max_speed_mps = max_speed;
+      options->min_pause_s = config.min_pause_s;
+      options->max_pause_s = config.max_pause_s;
+      options->hotspot_probability = config.hotspot_probability;
       // The issuing location is always an attraction point; extra hotspots
       // are placed deterministically from the scenario seed.
-      options.hotspots.push_back({config.issue_location,
-                                  config.hotspot_sigma_m, 2.0});
+      options->hotspots.push_back({config.issue_location,
+                                   config.hotspot_sigma_m, 2.0});
       Rng placer = Rng(config.seed).Fork(0x484F54);  // "HOT"
       const double margin = config.hotspot_sigma_m;
       for (int i = 0; i < config.hotspot_extra; ++i) {
-        options.hotspots.push_back(
+        options->hotspots.push_back(
             {placer.UniformInRect(Rect{{margin, margin},
                                        {config.area_size_m - margin,
                                         config.area_size_m - margin}}),
              config.hotspot_sigma_m, 1.0});
       }
-      return std::make_unique<mobility::HotspotWaypoint>(options, rng);
+      return [options](Rng rng) {
+        return std::make_unique<mobility::HotspotWaypoint>(options, rng);
+      };
     }
-    case Mobility::kHighway: {
-      // Vehicular strip: a fixed lane (the start y) and a constant speed
-      // along x, reflecting at the arena walls. Draw order (position,
-      // speed, direction) is part of the determinism contract.
-      const Vec2 start = rng.UniformInRect(area);
-      const double speed = rng.Uniform(min_speed, max_speed);
-      const double direction = rng.Uniform(0.0, 1.0) < 0.5 ? -1.0 : 1.0;
-      return std::make_unique<mobility::ConstantVelocity>(
-          area, start, Vec2{direction * speed, 0.0});
-    }
+    case Mobility::kHighway:
+      return [area, min_speed, max_speed](Rng rng) {
+        // Vehicular strip: a fixed lane (the start y) and a constant speed
+        // along x, reflecting at the arena walls. Draw order (position,
+        // speed, direction) is part of the determinism contract.
+        const Vec2 start = rng.UniformInRect(area);
+        const double speed = rng.Uniform(min_speed, max_speed);
+        const double direction = rng.Uniform(0.0, 1.0) < 0.5 ? -1.0 : 1.0;
+        return std::make_unique<mobility::ConstantVelocity>(
+            area, start, Vec2{direction * speed, 0.0});
+      };
     case Mobility::kRandomWaypoint:
       break;
   }
-  mobility::RandomWaypoint::Options options;
-  options.area = area;
-  options.min_speed_mps = min_speed;
-  options.max_speed_mps = max_speed;
-  options.min_pause_s = config.min_pause_s;
-  options.max_pause_s = config.max_pause_s;
-  return std::make_unique<mobility::RandomWaypoint>(options, rng);
+  auto options = std::make_shared<mobility::RandomWaypoint::Options>();
+  options->area = area;
+  options->min_speed_mps = min_speed;
+  options->max_speed_mps = max_speed;
+  options->min_pause_s = config.min_pause_s;
+  options->max_pause_s = config.max_pause_s;
+  return [options](Rng rng) {
+    return std::make_unique<mobility::RandomWaypoint>(options, rng);
+  };
+}
+
+// Returns the maker of one node's protocol instance per `config.method`.
+// As above, the method's options (and the interest generator) are built
+// once and shared by every node.
+ProtocolMaker MakeProtocolMaker(const ScenarioConfig& config) {
+  if (config.method == Method::kFlooding) {
+    auto options =
+        std::make_shared<const core::RestrictedFlooding::Options>(
+            config.flooding);
+    return [options](core::ProtocolContext context) {
+      return std::make_unique<core::RestrictedFlooding>(std::move(context),
+                                                        options);
+    };
+  }
+  if (config.method == Method::kResourceExchange) {
+    auto options =
+        std::make_shared<const core::ResourceExchange::Options>(
+            config.exchange);
+    return [options](core::ProtocolContext context) {
+      return std::make_unique<core::ResourceExchange>(std::move(context),
+                                                      options);
+    };
+  }
+  auto options = std::make_shared<const core::GossipOptions>(config.gossip);
+  std::shared_ptr<const core::InterestGenerator> generator;
+  if (config.assign_interests) {
+    generator =
+        std::make_shared<const core::InterestGenerator>(
+            config.interest_options);
+  }
+  return [options, generator](core::ProtocolContext context) {
+    core::InterestProfile interests;
+    if (generator != nullptr) {
+      Rng interest_rng = context.rng.Fork(0x494E54);  // "INT"
+      interests = generator->Sample(&interest_rng);
+    }
+    return std::make_unique<core::OpportunisticGossip>(
+        std::move(context), options, std::move(interests));
+  };
 }
 
 }  // namespace
@@ -166,27 +221,36 @@ Scenario::Scenario(Plan plan, obs::RunContext* obs)
         std::make_unique<mobility::Stationary>(issue.location));
   }
   // Nodes K..K+N-1: mobile peers.
+  const PeerMobilityMaker make_peer_mobility = MakePeerMobilityMaker(config_);
   for (int i = 0; i < config_.num_peers; ++i) {
     // Per-peer mobility streams fork label first_peer_mobility + i. These
     // stay below the per-node protocol labels 0x20000 + id only for fewer
     // than 65,536 peers; beyond that, single-ad peer i shares node
     // (i - 65,535)'s protocol stream, as Fork is a pure function of
-    // (parent state, label). The fix changes streams: ROADMAP item 6.
-    mobilities_.push_back(MakePeerMobility(
-        config_,
+    // (parent state, label). The fix changes streams: ROADMAP item 5.
+    mobilities_.push_back(make_peer_mobility(
         // NOLINTNEXTLINE(madnet-rng-fork-label): 0x10000+i, unique if N<65536.
         root.Fork(plan.streams.first_peer_mobility + i)));
   }
 
+  medium_->Reserve(static_cast<size_t>(node_count));
   for (net::NodeId id = 0; id < static_cast<net::NodeId>(node_count); ++id) {
     Status added = medium_->AddNode(id, mobilities_[id].get());
     MADNET_DCHECK(added.ok());
   }
+  const ProtocolMaker make_protocol = MakeProtocolMaker(config_);
   for (net::NodeId id = 0; id < static_cast<net::NodeId>(node_count); ++id) {
+    core::ProtocolContext context;
+    context.simulator = &simulator_;
+    context.medium = medium_.get();
+    context.self = id;
+    context.delivery_log = &delivery_log_;
     // Per-node protocol streams fork label 0x20000 + id. They are distinct
     // from the peer mobility labels only below 65,536 peers (see above).
     // NOLINTNEXTLINE(madnet-rng-fork-label): 0x20000+node, unique if N<65536.
-    protocols_.push_back(MakeProtocol(id, root.Fork(0x20000 + id)));
+    context.rng = root.Fork(0x20000 + id);
+    context.trace = obs_ != nullptr ? &obs_->trace : nullptr;
+    protocols_.push_back(make_protocol(std::move(context)));
     protocols_.back()->Start();
   }
 
@@ -224,34 +288,6 @@ Scenario::~Scenario() {
     obs::UnregisterCrashDump(recorder_.get());
     obs_->trace.SetFlightRecorder(nullptr);
   }
-}
-
-std::unique_ptr<core::Protocol> Scenario::MakeProtocol(net::NodeId id,
-                                                       Rng rng) {
-  core::ProtocolContext context;
-  context.simulator = &simulator_;
-  context.medium = medium_.get();
-  context.self = id;
-  context.delivery_log = &delivery_log_;
-  context.rng = rng;
-  context.trace = obs_ != nullptr ? &obs_->trace : nullptr;
-
-  if (config_.method == Method::kFlooding) {
-    return std::make_unique<core::RestrictedFlooding>(std::move(context),
-                                                      config_.flooding);
-  }
-  if (config_.method == Method::kResourceExchange) {
-    return std::make_unique<core::ResourceExchange>(std::move(context),
-                                                    config_.exchange);
-  }
-  core::InterestProfile interests;
-  if (config_.assign_interests) {
-    core::InterestGenerator generator(config_.interest_options);
-    Rng interest_rng = rng.Fork(0x494E54);  // "INT"
-    interests = generator.Sample(&interest_rng);
-  }
-  return std::make_unique<core::OpportunisticGossip>(
-      std::move(context), config_.gossip, std::move(interests));
 }
 
 RunResult Scenario::Run() {

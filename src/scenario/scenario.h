@@ -177,9 +177,6 @@ class Scenario {
   /// The one assembly path behind both public constructors.
   Scenario(Plan plan, obs::RunContext* obs);
 
-  /// Creates the protocol instance for one node per config_.method.
-  std::unique_ptr<core::Protocol> MakeProtocol(net::NodeId id, Rng rng);
-
   /// Snapshots the finished run's counters and reports into obs_->metrics.
   void CaptureMetrics(const RunResult& result);
 

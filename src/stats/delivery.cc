@@ -11,11 +11,11 @@ AreaTracker::AreaTracker(const Circle& area, Time window_start,
     : area_(area), window_start_(window_start), window_end_(window_end) {}
 
 void AreaTracker::Observe(NodeId id, MobilityModel* mobility) {
+  ++observed_count_;
   Transit transit;
   transit.intervals =
       mobility->CrossingsWithin(area_, window_start_, window_end_);
-  if (transit.Passed()) ++passed_count_;
-  transits_[id] = std::move(transit);
+  if (transit.Passed()) transits_[id] = std::move(transit);
 }
 
 const Transit* AreaTracker::TransitOf(NodeId id) const {
@@ -46,7 +46,6 @@ DeliveryReport ComputeDeliveryReport(const AreaTracker& tracker,
                                      const DeliveryLog& log, AdKey ad) {
   DeliveryReport report;
   for (const auto& [peer, transit] : tracker.transits()) {
-    if (!transit.Passed()) continue;
     ++report.peers_passed;
     const Time receipt = log.FirstReceipt(ad, peer);
     if (receipt < 0.0 || receipt > transit.LastExit()) continue;

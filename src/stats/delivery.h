@@ -62,22 +62,26 @@ class AreaTracker {
   /// matters in the final moments before expiry (see DESIGN.md).
   AreaTracker(const Circle& area, Time window_start, Time window_end);
 
-  /// Computes and stores the transit of `id` moving along `mobility`.
+  /// Computes the transit of `id` moving along `mobility`, and stores it
+  /// if the peer passed through the area. Observe each peer once.
   void Observe(NodeId id, MobilityModel* mobility);
 
-  /// The transit of an observed peer; nullptr if never observed.
+  /// The transit of a peer that passed; nullptr if it never entered the
+  /// area in the window, or was never observed.
   const Transit* TransitOf(NodeId id) const;
 
   /// Number of observed peers that passed through the area.
-  size_t PassedCount() const { return passed_count_; }
+  size_t PassedCount() const { return transits_.size(); }
 
-  /// Number of peers observed.
-  size_t ObservedCount() const { return transits_.size(); }
+  /// Number of peers observed, passers or not.
+  size_t ObservedCount() const { return observed_count_; }
 
-  /// All observed transits, keyed by peer, in ascending id order.
-  /// Ordered on purpose: ComputeDeliveryReport folds floating-point sums
-  /// over this map, and aggregation paths must iterate deterministically
-  /// (see docs/STATIC_ANALYSIS.md, rule madnet-unordered-iteration).
+  /// The transits of the peers that passed, keyed by peer, in ascending id
+  /// order. A peer that never entered has no entry: in a city-sized run
+  /// that is almost every peer. Ordered on purpose: ComputeDeliveryReport
+  /// folds floating-point sums over this map, and aggregation paths must
+  /// iterate deterministically (see docs/STATIC_ANALYSIS.md, rule
+  /// madnet-unordered-iteration).
   const std::map<NodeId, Transit>& transits() const { return transits_; }
 
   const Circle& area() const { return area_; }
@@ -88,8 +92,8 @@ class AreaTracker {
   Circle area_;
   Time window_start_;
   Time window_end_;
-  std::map<NodeId, Transit> transits_;
-  size_t passed_count_ = 0;
+  std::map<NodeId, Transit> transits_;  // Passers only.
+  size_t observed_count_ = 0;
 };
 
 /// Records the first time each peer received each advertisement. Implements

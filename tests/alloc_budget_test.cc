@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdint>
 #include <cstdlib>
@@ -50,12 +51,19 @@
 namespace {
 std::atomic<uint64_t> g_allocations{0};
 std::atomic<int64_t> g_live_bytes{0};
+std::atomic<int64_t> g_peak_live_bytes{0};  // High-water mark of the above.
 
 void* Counted(void* block) {
   if (block == nullptr) throw std::bad_alloc();
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  g_live_bytes.fetch_add(static_cast<int64_t>(malloc_usable_size(block)),
-                         std::memory_order_relaxed);
+  const int64_t live =
+      g_live_bytes.fetch_add(static_cast<int64_t>(malloc_usable_size(block)),
+                             std::memory_order_relaxed) +
+      static_cast<int64_t>(malloc_usable_size(block));
+  int64_t peak = g_peak_live_bytes.load(std::memory_order_relaxed);
+  while (live > peak && !g_peak_live_bytes.compare_exchange_weak(
+                            peak, live, std::memory_order_relaxed)) {
+  }
   return block;
 }
 
@@ -99,6 +107,15 @@ uint64_t Allocations() {
 }
 
 int64_t LiveBytes() { return g_live_bytes.load(std::memory_order_relaxed); }
+
+/// Restarts the high-water mark at the current live bytes.
+void ResetPeakLiveBytes() {
+  g_peak_live_bytes.store(LiveBytes(), std::memory_order_relaxed);
+}
+
+int64_t PeakLiveBytes() {
+  return g_peak_live_bytes.load(std::memory_order_relaxed);
+}
 
 /// Allocations and executed events over one window of a simulator's run.
 struct Window {
@@ -393,6 +410,65 @@ TEST(AllocBudgetTest, FaultedMarketplaceSoakStaysBounded) {
               first.live_bytes / 10 + records)
         << "at " << 10 * k << "%";
   }
+}
+
+// ---------------------------------------------------------------------------
+// Bytes per peer.
+
+// Live heap bytes per node of a run at city scale, after construction and
+// at the high-water mark of the whole run (events and aggregation). Each
+// ceiling is the measured value plus about 3%.
+//
+// 464 B after construction (glibc usable sizes, seed 1000):
+//   * the OpportunisticGossip object, 248 B: the protocol base (vtable and
+//     context: simulator, medium, log, trace, own id, own 32-byte random
+//     stream) 88, a shared pointer to the run's one GossipOptions 16, the
+//     resolved annulus width 8, an empty interest profile 24, the empty ad
+//     cache 56, round state and counters 32, the seen-ad list 24;
+//   * the RandomWaypoint object, 104 B (96 requested): the leg list and
+//     cursor 40, a shared pointer to the run's one Options 16, the random
+//     stream 32, the pause flag 8;
+//   * the medium's per-node arrays, 94 B (sized by Medium::Reserve, so
+//     without growth slack), and the scenario's two owner arrays, 16 B.
+// The peak, 646 B, adds the trajectory legs (56 B: one 48-byte leg per
+// peer in 200 s), the spatial grid's per-node arrays and their rebuild
+// scratch (about 67 B), the cache entries and sketches of the 4.5% of
+// peers the ad reached (about 29 B), the event queue and, during
+// aggregation, one transit per peer that crossed the ad's area.
+constexpr double kBytesPerNodeBuilt = 478.0;
+constexpr double kBytesPerNodePeak = 666.0;
+
+TEST(AllocBudgetTest, BytesPerPeerAtMetroDensity) {
+  // perfbench's metro workload scaled to 20k peers: pure gossip at Table II
+  // density (300 peers per 5 km square), a 5 km ad at the centre, 200 s.
+  scenario::ScenarioConfig config;
+  config.method = scenario::Method::kGossip;
+  config.num_peers = 20'000;
+  config.area_size_m = 5000.0 * std::sqrt(config.num_peers / 300.0);
+  config.issue_location = {config.area_size_m / 2, config.area_size_m / 2};
+  config.initial_radius_m = 5000.0;
+  config.issue_time_s = 5.0;
+  config.sim_time_s = 200.0;
+  config.seed = 1000;
+  ASSERT_TRUE(config.Validate().ok());
+  const double nodes = config.num_peers + 1;
+
+  const int64_t before = LiveBytes();
+  ResetPeakLiveBytes();
+  scenario::Scenario scenario(config);
+  const double built = static_cast<double>(LiveBytes() - before) / nodes;
+  const scenario::RunResult result = scenario.Run();
+  const double peak = static_cast<double>(PeakLiveBytes() - before) / nodes;
+  size_t legs = 0;
+  for (net::NodeId id = 0; id < nodes; ++id) {
+    legs += scenario.mobility(id)->legs().capacity();
+  }
+  EXPECT_GT(result.report.peers_delivered, 0u);
+  EXPECT_LE(built, kBytesPerNodeBuilt);
+  EXPECT_LE(peak, kBytesPerNodePeak);
+  std::printf(
+      "bytes per node: %.1f after construction, %.1f peak; legs %.1f\n",
+      built, peak, static_cast<double>(legs * sizeof(mobility::Leg)) / nodes);
 }
 
 // ---------------------------------------------------------------------------

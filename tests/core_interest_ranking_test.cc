@@ -1,6 +1,10 @@
 // Copyright (c) 2026 madnet authors. All rights reserved.
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -41,6 +45,26 @@ TEST(InterestProfileTest, AddAndContains) {
   EXPECT_EQ(profile.Size(), 1u);
   EXPECT_TRUE(profile.Contains("traffic"));
   EXPECT_FALSE(profile.Contains("petrol"));
+}
+
+TEST(InterestProfileTest, DuplicatesAreDroppedOnConstructionAndAdd) {
+  InterestProfile profile({"petrol", "books", "petrol"});
+  EXPECT_EQ(profile.Size(), 2u);
+  profile.Add("books");
+  profile.Add("petrol");
+  EXPECT_EQ(profile.Size(), 2u);
+  profile.Add("fuel");
+  EXPECT_EQ(profile.Size(), 3u);
+}
+
+TEST(InterestProfileTest, MatchesByCategoryAndByKeywordAfterAdd) {
+  InterestProfile profile;
+  profile.Add("books");
+  profile.Add("fuel");
+  EXPECT_TRUE(profile.Matches({"books", {}, "x"}));             // Category.
+  EXPECT_TRUE(profile.Matches({"petrol", {"cheap", "fuel"}, "x"}));  // Keyword.
+  EXPECT_FALSE(profile.Matches({"petrol", {"cheap"}, "x"}));
+  EXPECT_FALSE(profile.Matches({"", {"cheap"}, "books"}));  // Text ignored.
 }
 
 TEST(InterestGeneratorTest, SampleWithinBounds) {
@@ -87,6 +111,51 @@ TEST(InterestGeneratorTest, DeterministicInRng) {
     EXPECT_EQ(a.Size(), b.Size());
     for (const auto& kw : options.universe) {
       EXPECT_EQ(a.Contains(kw), b.Contains(kw));
+    }
+  }
+}
+
+TEST(InterestGeneratorTest, SamplesArePinned) {
+  // The keyword sets four draws make per seed, listed in universe order
+  // (default options: 1-3 keywords, Zipf exponent 1). Scenario peers draw
+  // their profiles here, so a change to these sets changes every run with
+  // assign_interests on.
+  const std::vector<std::pair<uint64_t, std::vector<std::vector<std::string>>>>
+      pinned = {
+          {1,
+           {{"petrol", "electronics", "restaurant"},
+            {"petrol", "electronics", "garage-sale"},
+            {"petrol"},
+            {"petrol"}}},
+          {7,
+           {{"petrol", "grocery", "restaurant"},
+            {"grocery", "restaurant"},
+            {"books"},
+            {"petrol"}}},
+          {42,
+           {{"petrol", "books"},
+            {"electronics", "parking"},
+            {"petrol", "electronics", "furniture"},
+            {"petrol", "clothing", "traffic"}}},
+          {2026,
+           {{"electronics"},
+            {"petrol", "traffic"},
+            {"parking", "garage-sale"},
+            {"grocery", "electronics", "garage-sale"}}},
+      };
+  InterestGenerator::Options options;
+  options.universe = InterestGenerator::DefaultUniverse();
+  InterestGenerator generator(options);
+  for (const auto& [seed, draws] : pinned) {
+    Rng rng(seed);
+    for (const std::vector<std::string>& expected : draws) {
+      const InterestProfile profile = generator.Sample(&rng);
+      std::vector<std::string> keywords;
+      for (const std::string& keyword : options.universe) {
+        if (profile.Contains(keyword)) keywords.push_back(keyword);
+      }
+      EXPECT_EQ(keywords, expected) << "seed " << seed;
+      EXPECT_EQ(profile.Size(), expected.size()) << "seed " << seed;
     }
   }
 }

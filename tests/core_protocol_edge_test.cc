@@ -323,7 +323,7 @@ TEST(FloodingEdgeTest, IssuerAloneStopsCleanly) {
   context.self = 0;
   context.delivery_log = &bed.log_;
   context.rng = Rng(2);
-  RestrictedFlooding flood(std::move(context), {});
+  RestrictedFlooding flood(std::move(context), RestrictedFlooding::Options{});
   flood.Start();
   ASSERT_TRUE(flood.Issue(PetrolAd(), 500.0, 30.0).ok());
   bed.sim_.RunUntil(1000.0);

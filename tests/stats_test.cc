@@ -154,8 +154,35 @@ TEST(AreaTrackerTest, MissesNonTransit) {
   auto path = MakePath({Leg{0.0, 100.0, {0.0, 0.0}, {1000.0, 0.0}}});
   tracker.Observe(1, &path);
   EXPECT_EQ(tracker.PassedCount(), 0u);
-  EXPECT_FALSE(tracker.TransitOf(1)->Passed());
+  // Only passers are stored: an observed peer that never entered reads
+  // the same as one never observed.
+  EXPECT_EQ(tracker.TransitOf(1), nullptr);
   EXPECT_EQ(tracker.TransitOf(99), nullptr);
+  EXPECT_TRUE(tracker.transits().empty());
+}
+
+TEST(AreaTrackerTest, ObservedCountIncludesNonPassers) {
+  AreaTracker tracker(Circle{{500.0, 0.0}, 100.0}, 0.0, 200.0);
+  auto passer = MakePath({Leg{0.0, 100.0, {0.0, 0.0}, {1000.0, 0.0}}});
+  auto outside = MakePath({Leg{0.0, 100.0, {0.0, 500.0}, {1000.0, 500.0}}});
+  tracker.Observe(1, &passer);
+  tracker.Observe(2, &outside);
+  tracker.Observe(3, &outside);
+  EXPECT_EQ(tracker.ObservedCount(), 3u);
+  EXPECT_EQ(tracker.PassedCount(), 1u);
+  ASSERT_EQ(tracker.transits().size(), 1u);
+  EXPECT_EQ(tracker.transits().begin()->first, 1u);
+  EXPECT_NE(tracker.TransitOf(1), nullptr);
+  EXPECT_EQ(tracker.TransitOf(2), nullptr);
+
+  // The report counts passers only, as before.
+  DeliveryLog log;
+  log.RecordReceipt(7, 1, 50.0);
+  log.RecordReceipt(7, 2, 10.0);
+  const DeliveryReport report = ComputeDeliveryReport(tracker, log, 7);
+  EXPECT_EQ(report.peers_passed, 1u);
+  EXPECT_EQ(report.peers_delivered, 1u);
+  EXPECT_NEAR(report.MeanDeliveryTime(), 10.0, 1e-9);
 }
 
 TEST(AreaTrackerTest, WindowClipsTransit) {
