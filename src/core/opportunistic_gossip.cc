@@ -15,8 +15,7 @@ OpportunisticGossip::OpportunisticGossip(
     : Protocol(std::move(context)),
       options_(std::move(options)),
       dis_m_(options_->dis_m),
-      interests_(std::move(interests)),
-      cache_(options_->cache_capacity) {
+      interests_(std::move(interests)) {
   MADNET_DCHECK(options_->propagation.Valid());
   MADNET_DCHECK(options_->round_time_s > 0.0);
 }
@@ -28,12 +27,26 @@ OpportunisticGossip::OpportunisticGossip(ProtocolContext context,
                           std::make_shared<const GossipOptions>(options),
                           std::move(interests)) {}
 
+const AdCache& OpportunisticGossip::cache() const {
+  // Read-only and shared by every idle peer of every run (thread-safe
+  // initialization; never mutated).
+  static const AdCache kEmpty(1);
+  return ads_ != nullptr ? ads_->cache : kEmpty;
+}
+
+OpportunisticGossip::AdState& OpportunisticGossip::Ads() {
+  if (ads_ == nullptr) {
+    ads_ = std::make_unique<AdState>(options_->cache_capacity);
+  }
+  return *ads_;
+}
+
 void OpportunisticGossip::Start() {
   Protocol::Start();
   if (dis_m_ <= 0.0) {
     // Auto: the velocity constraint's minimum annulus width.
     dis_m_ = std::max(
-        VelocityConstrainedDis(context_.medium->options().max_speed_mps,
+        VelocityConstrainedDis(medium_->options().max_speed_mps,
                                options_->round_time_s),
         1.0);
   }
@@ -41,7 +54,7 @@ void OpportunisticGossip::Start() {
     // One global round series, randomly phased: "all peers work
     // asynchronously". ArmRound() schedules its ticks while the cache
     // holds an ad.
-    next_round_ = Now() + context_.rng.Uniform(0.0, options_->round_time_s);
+    next_round_ = Now() + rng_.Uniform(0.0, options_->round_time_s);
   }
 }
 
@@ -51,7 +64,7 @@ StatusOr<AdId> OpportunisticGossip::Issue(const AdContent& content,
   Advertisement ad = MakeAdvertisement(content, radius_m, duration_s,
                                        options_->sketch_options);
   const AdId id = ad.id;
-  seen_hop_.push_back({id.Key(), 0});  // The issuer's own copy is hop 0.
+  Ads().seen_hop.push_back({id.Key(), 0});  // The issuer's copy is hop 0.
   net::Packet packet = MakeGossipPacket(ad);
   packet.hop = RebroadcastHop(id.Key());
   InsertAd(std::move(ad), 1.0);
@@ -62,21 +75,23 @@ StatusOr<AdId> OpportunisticGossip::Issue(const AdContent& content,
 }
 
 void OpportunisticGossip::OnCrash() {
+  if (ads_ == nullptr) return;
   // Simulator::Cancel is a no-op on sim::kInvalidEventId.
-  cache_.RemoveIf([this](uint64_t, CacheEntry& entry) {
-    context_.simulator->Cancel(entry.timer);
+  ads_->cache.RemoveIf([this](uint64_t, CacheEntry& entry) {
+    simulator()->Cancel(entry.timer);
     return true;
   });
-  context_.simulator->Cancel(round_event_);
-  round_event_ = sim::kInvalidEventId;
+  simulator()->Cancel(ads_->round_event);
+  ads_->round_event = sim::kInvalidEventId;
 }
 
 void OpportunisticGossip::OnRejoin() {
   // Expired entries are pruned rather than re-announced; survivors go out
   // immediately. ForEach iterates the cache in its (deterministic)
   // internal order, same as GossipRound.
+  if (ads_ == nullptr) return;
   RefreshCache();
-  cache_.ForEach([this](uint64_t key, CacheEntry& entry) {
+  ads_->cache.ForEach([this](uint64_t key, CacheEntry& entry) {
     net::Packet packet = MakeGossipPacket(entry.ad);
     packet.hop = RebroadcastHop(key);
     Broadcast(packet);
@@ -84,11 +99,10 @@ void OpportunisticGossip::OnRejoin() {
 }
 
 double OpportunisticGossip::ProbabilityFor(const Advertisement& ad) const {
-  const Time age = ad.AgeAt(context_.simulator->Now());
+  const Time age = ad.AgeAt(Now());
   const double radius_t =
       RadiusAtAge(ad.radius_m, ad.duration_s, age, options_->propagation);
-  const double distance =
-      Distance(context_.medium->PositionOf(context_.self), ad.issue_location);
+  const double distance = Distance(Position(), ad.issue_location);
   if (options_->annulus && age > options_->bootstrap_age_s) {
     return AnnulusForwardingProbability(distance, radius_t, dis_m_,
                                         options_->propagation);
@@ -98,9 +112,9 @@ double OpportunisticGossip::ProbabilityFor(const Advertisement& ad) const {
 
 void OpportunisticGossip::RefreshCache() {
   const Time now = Now();
-  cache_.RemoveIf([this, now](uint64_t, CacheEntry& entry) {
+  ads_->cache.RemoveIf([this, now](uint64_t, CacheEntry& entry) {
     if (entry.ad.ExpiredAt(now)) {
-      context_.simulator->Cancel(entry.timer);
+      simulator()->Cancel(entry.timer);
       return true;
     }
     entry.probability = ProbabilityFor(entry.ad);
@@ -109,29 +123,27 @@ void OpportunisticGossip::RefreshCache() {
 }
 
 void OpportunisticGossip::GossipRound() {
-  round_event_ = sim::kInvalidEventId;
+  ads_->round_event = sim::kInvalidEventId;
   next_round_ = Now() + options_->round_time_s;
   // Algorithm 2: refresh all entries' probabilities, then broadcast each
   // entry with its probability.
   RefreshCache();
-  cache_.ForEach([this](uint64_t key, CacheEntry& entry) {
-    if (context_.rng.Bernoulli(entry.probability)) {
+  ads_->cache.ForEach([this](uint64_t key, CacheEntry& entry) {
+    if (rng_.Bernoulli(entry.probability)) {
       net::Packet packet = MakeGossipPacket(entry.ad);
       packet.hop = RebroadcastHop(key);
       Broadcast(packet);
-    } else if (context_.trace != nullptr &&
-               context_.trace->Enabled(obs::kTraceSuppress)) {
-      context_.trace->Suppress(Now(), context_.self, key, "bernoulli",
-                               entry.probability);
+    } else if (trace_ != nullptr && trace_->Enabled(obs::kTraceSuppress)) {
+      trace_->Suppress(Now(), self_, key, "bernoulli", entry.probability);
     }
   });
   // Expiry may have emptied the cache: then the peer goes dormant until
   // the next insertion re-arms it on the same series.
-  if (cache_.Size() > 0) ArmRound();
+  if (ads_->cache.Size() > 0) ArmRound();
 }
 
 void OpportunisticGossip::ArmRound() {
-  if (round_event_ != sim::kInvalidEventId) return;
+  if (ads_->round_event != sim::kInvalidEventId) return;
   // Catch the series up by repeated addition, so every tick is the double
   // t_{k+1} = t_k + round that a periodic series with this phase yields.
   // A tick at exactly Now() is kept: that round runs later in this
@@ -139,43 +151,41 @@ void OpportunisticGossip::ArmRound() {
   // issue to land on a random-phase tick, so it has probability zero.
   const Time now = Now();
   while (next_round_ < now) next_round_ += options_->round_time_s;
-  round_event_ = context_.simulator->ScheduleAt(next_round_,
-                                                [this]() { GossipRound(); });
+  ads_->round_event =
+      simulator()->ScheduleAt(next_round_, [this]() { GossipRound(); });
 }
 
 void OpportunisticGossip::ScheduleEntry(uint64_t key, CacheEntry* entry) {
   MADNET_DCHECK_EQ(entry->timer, sim::kInvalidEventId);
-  entry->timer = context_.simulator->ScheduleAt(
+  entry->timer = simulator()->ScheduleAt(
       entry->next_gossip_time, [this, key]() { EntryTimerFired(key); });
 }
 
 void OpportunisticGossip::EntryTimerFired(uint64_t key) {
-  CacheEntry* entry = cache_.Find(key);
+  CacheEntry* entry = ads_->cache.Find(key);
   if (entry == nullptr) return;  // Raced with eviction; timer was stale.
   entry->timer = sim::kInvalidEventId;
   const Time now = Now();
   if (entry->ad.ExpiredAt(now)) {
-    cache_.Erase(key);
+    ads_->cache.Erase(key);
     return;
   }
   // Algorithm 4: refresh this entry's probability, broadcast with it, and
   // schedule the next round for this entry.
   entry->probability = ProbabilityFor(entry->ad);
-  if (context_.rng.Bernoulli(entry->probability)) {
+  if (rng_.Bernoulli(entry->probability)) {
     net::Packet packet = MakeGossipPacket(entry->ad);
     packet.hop = RebroadcastHop(key);
     Broadcast(packet);
-  } else if (context_.trace != nullptr &&
-             context_.trace->Enabled(obs::kTraceSuppress)) {
-    context_.trace->Suppress(now, context_.self, key, "bernoulli",
-                             entry->probability);
+  } else if (trace_ != nullptr && trace_->Enabled(obs::kTraceSuppress)) {
+    trace_->Suppress(now, self_, key, "bernoulli", entry->probability);
   }
   entry->next_gossip_time = now + options_->round_time_s;
   ScheduleEntry(key, entry);
 }
 
 uint32_t OpportunisticGossip::RebroadcastHop(uint64_t key) const {
-  for (const SeenAd& seen : seen_hop_) {
+  for (const SeenAd& seen : ads_->seen_hop) {
     if (seen.key == key) return seen.hop + 1;
   }
   // Every cached ad was either issued or received, so the key is always
@@ -187,18 +197,19 @@ CacheEntry* OpportunisticGossip::InsertAd(Advertisement ad,
                                           double initial_probability) {
   // Algorithm 1: when the cache is full, refresh all probabilities before
   // choosing the drop victim.
-  if (cache_.Full()) RefreshCache();
+  if (ads_->cache.Full()) RefreshCache();
   CacheEntry entry;
   entry.ad = std::move(ad);
   entry.probability = initial_probability;
   // First gossip of a fresh entry happens within one round, randomly
   // phased (Opt-2 path; without Opt-2 the global round covers it).
   entry.next_gossip_time =
-      Now() + context_.rng.Uniform(0.0, options_->round_time_s);
+      Now() + rng_.Uniform(0.0, options_->round_time_s);
 
   sim::EventId evicted_timer = sim::kInvalidEventId;
-  CacheEntry* inserted = cache_.Insert(std::move(entry), &evicted_timer);
-  context_.simulator->Cancel(evicted_timer);
+  CacheEntry* inserted =
+      ads_->cache.Insert(std::move(entry), &evicted_timer);
+  simulator()->Cancel(evicted_timer);
   if (inserted != nullptr) {
     if (options_->postpone) {
       ScheduleEntry(inserted->ad.id.Key(), inserted);
@@ -216,50 +227,53 @@ void OpportunisticGossip::OnReceive(const net::Packet& packet,
   if (message == nullptr) return;  // Not a gossip frame.
 
   const uint64_t key = message->ad.id.Key();
-  const bool first_sight =
-      std::none_of(seen_hop_.begin(), seen_hop_.end(),
-                   [key](const SeenAd& seen) { return seen.key == key; });
+  AdState& ads = Ads();
+  // A cached ad was issued or received here, so it is in the seen list:
+  // only a cache miss can be a first sight.
+  CacheEntry* entry = ads.cache.Find(key);
+  const auto seen = [&ads, key]() {
+    return std::any_of(ads.seen_hop.begin(), ads.seen_hop.end(),
+                       [key](const SeenAd& ad) { return ad.key == key; });
+  };
+  MADNET_DCHECK(entry == nullptr || seen());
+  const bool first_sight = entry == nullptr && !seen();
   if (first_sight) {
-    seen_hop_.push_back({key, packet.hop});
+    ads.seen_hop.push_back({key, packet.hop});
     RecordReceipt(key);
     TraceDeliver(key, packet.hop, from);
     // Display filter (UI-level, Section I): show the ad if the user has no
     // interest filter, or if it matches. Relaying below is unconditional.
     if (interests_.Size() == 0 || interests_.Matches(message->ad.content)) {
-      ++displayed_count_;
+      ++ads.displayed_count;
     }
   }
 
-  CacheEntry* entry = cache_.Find(key);
   if (entry != nullptr) {
     // Duplicate: merge any enlargement/sketch updates, then (Opt-2)
     // postpone our own scheduled gossip of this ad.
     entry->ad.MergeFrom(message->ad);
-    if (context_.trace != nullptr &&
-        context_.trace->Enabled(obs::kTraceSketch)) {
-      context_.trace->SketchMerge(Now(), context_.self, key);
+    if (trace_ != nullptr && trace_->Enabled(obs::kTraceSketch)) {
+      trace_->SketchMerge(Now(), self_, key);
     }
     if (options_->postpone) {
       const Vec2 self_position = Position();
-      const Vec2 sender_position = context_.medium->PositionOf(from);
-      const double overlap = TransmissionOverlapFraction(
-          context_.medium->options().range_m,
-          Distance(self_position, sender_position));
+      const Vec2 sender_position = medium_->PositionOf(from);
+      const double overlap =
+          TransmissionOverlapFraction(medium_->options().range_m,
+                                      Distance(self_position, sender_position));
       const double angle =
           ApproachAngle(Velocity(), self_position, sender_position);
       const double interval =
           PostponeInterval(options_->round_time_s, overlap, angle);
       if (interval > 0.0) {
         entry->next_gossip_time += interval;
-        ++postpone_count_;
-        if (context_.trace != nullptr &&
-            context_.trace->Enabled(obs::kTraceSuppress)) {
-          context_.trace->Suppress(Now(), context_.self, key, "postpone",
-                                   interval);
+        ++ads.postpone_count;
+        if (trace_ != nullptr && trace_->Enabled(obs::kTraceSuppress)) {
+          trace_->Suppress(Now(), self_, key, "postpone", interval);
         }
         // Under Opt-2 every cached entry has its timer pending.
-        entry->timer = context_.simulator->Reschedule(
-            entry->timer, entry->next_gossip_time);
+        entry->timer =
+            simulator()->Reschedule(entry->timer, entry->next_gossip_time);
         MADNET_DCHECK_NE(entry->timer, sim::kInvalidEventId);
       }
     }
@@ -274,7 +288,7 @@ void OpportunisticGossip::OnReceive(const net::Packet& packet,
     // Algorithm 5: count this user's interest and enlarge R/D if the rank
     // rose. Guarded by first_sight so an evicted-then-re-received ad is
     // not enlarged twice by the same peer.
-    RankAndEnlarge(&ad, interests_, context_.self, options_->ranking_options);
+    RankAndEnlarge(&ad, interests_, self_, options_->ranking_options);
   }
   const double probability = ProbabilityFor(ad);
   InsertAd(std::move(ad), probability);

@@ -114,9 +114,9 @@ class OpportunisticGossip : public Protocol {
 
   /// Crash-with-cache-loss: drops every cached ad and cancels its timer
   /// (and the pending global round: the empty cache leaves it dormant).
-  /// `seen_hop_` survives on purpose — first-receipt metrics and the ranking
-  /// step fire once per (ad, peer) even across a crash, matching
-  /// DeliveryLog's semantics.
+  /// The seen list survives on purpose — first-receipt metrics and the
+  /// ranking step fire once per (ad, peer) even across a crash, matching
+  /// DeliveryLog's semantics. A peer that never held an ad does nothing.
   void OnCrash() override;
 
   /// Graceful degradation on rejoin: re-announces every live cached ad
@@ -124,13 +124,16 @@ class OpportunisticGossip : public Protocol {
   /// without waiting for the next gossip round.
   void OnRejoin() override;
 
-  /// Read access for tests and examples.
-  const AdCache& cache() const { return cache_; }
+  /// Read access for tests and examples. A peer no ad has reached yet
+  /// returns a shared empty cache (whose capacity is not this peer's).
+  const AdCache& cache() const;
   const GossipOptions& options() const { return *options_; }
   const InterestProfile& interests() const { return interests_; }
 
   /// Number of times this peer postponed a scheduled gossip (Opt-2).
-  uint64_t postpone_count() const { return postpone_count_; }
+  uint64_t postpone_count() const {
+    return ads_ != nullptr ? ads_->postpone_count : 0;
+  }
 
   /// Number of distinct ads *displayed* to this user. Section I: "users
   /// may choose not to display an advertisement of no interest ... but
@@ -138,7 +141,9 @@ class OpportunisticGossip : public Protocol {
   /// UI filter, not a protocol one: a peer with an interest profile shows
   /// only matching ads (and relays everything); a peer with an empty
   /// profile shows everything.
-  uint64_t displayed_count() const { return displayed_count_; }
+  uint64_t displayed_count() const {
+    return ads_ != nullptr ? ads_->displayed_count : 0;
+  }
 
  protected:
   void OnReceive(const net::Packet& packet, net::NodeId from) override;
@@ -178,29 +183,46 @@ class OpportunisticGossip : public Protocol {
   /// broadcast carries hop 1). See Packet::hop / the deliver trace.
   uint32_t RebroadcastHop(uint64_t key) const;
 
+  /// An ad this peer has seen, with its first-receipt hop (0 for ads this
+  /// peer issued).
+  struct SeenAd {
+    uint64_t key;
+    uint32_t hop;
+  };
+
+  /// Everything this peer holds about ads. Most peers of a large area are
+  /// never reached, so the block is made by the first ad the peer issues
+  /// or receives (Ads()) and an idle peer holds only a null pointer.
+  struct AdState {
+    explicit AdState(size_t capacity) : cache(capacity) {}
+
+    AdCache cache;
+    /// The pending global round event, if any. The round is pending only
+    /// while the cache holds an ad: a round over an empty cache draws no
+    /// random numbers and sends nothing, so skipping it changes no
+    /// behaviour.
+    sim::EventId round_event = sim::kInvalidEventId;
+    uint64_t postpone_count = 0;
+    uint64_t displayed_count = 0;
+    /// Ads ever seen, scanned linearly: a peer sees few distinct ads.
+    /// Receipt metrics, the deliver trace, and the ranking step fire once
+    /// per ad even if it was evicted and re-received; the hop also stamps
+    /// rebroadcasts. Every cached ad is here.
+    std::vector<SeenAd> seen_hop;
+  };
+
+  /// This peer's ad state, made on first use.
+  AdState& Ads();
+
   std::shared_ptr<const GossipOptions> options_;  // Shared per run.
   /// Annulus width in use: options_->dis_m, or the automatic width Start()
   /// resolves when that is 0.
   double dis_m_;
   InterestProfile interests_;
-  AdCache cache_;
-  /// Next tick of the global round series (phase + k * round_time), and
-  /// the pending round event, if any. The round is pending only while the
-  /// cache holds an ad: a round over an empty cache draws no random
-  /// numbers and sends nothing, so skipping it changes no behaviour.
+  /// Next tick of the global round series (phase + k * round_time). Start()
+  /// draws its phase, so it lives outside the ad state.
   Time next_round_ = 0.0;
-  sim::EventId round_event_ = sim::kInvalidEventId;
-  uint64_t postpone_count_ = 0;
-  uint64_t displayed_count_ = 0;
-  /// Ads ever seen with their first-receipt hop (0 for ads this peer
-  /// issued), scanned linearly: a peer sees few distinct ads. Receipt
-  /// metrics, the deliver trace, and the ranking step fire once per ad even
-  /// if it was evicted and re-received; the hop also stamps rebroadcasts.
-  struct SeenAd {
-    uint64_t key;
-    uint32_t hop;
-  };
-  std::vector<SeenAd> seen_hop_;
+  std::unique_ptr<AdState> ads_;  // Null until the first ad.
 };
 
 }  // namespace madnet::core

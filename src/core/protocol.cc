@@ -7,16 +7,20 @@
 
 namespace madnet::core {
 
-Protocol::Protocol(ProtocolContext context) : context_(std::move(context)) {
-  MADNET_DCHECK(context_.simulator != nullptr);
-  MADNET_DCHECK(context_.medium != nullptr);
-  MADNET_DCHECK(context_.self != net::kInvalidNodeId);
+Protocol::Protocol(ProtocolContext context)
+    : medium_(context.medium),
+      self_(context.self),
+      delivery_log_(context.delivery_log),
+      trace_(context.trace),
+      rng_(context.rng) {
+  MADNET_DCHECK(context.simulator != nullptr);
+  MADNET_DCHECK(medium_ != nullptr);
+  MADNET_DCHECK(context.simulator == medium_->simulator());
+  MADNET_DCHECK(self_ != net::kInvalidNodeId);
 }
 
 void Protocol::Start() {
-  Status status = context_.medium->SetReceiver(
-      context_.self, [this](const net::Packet& packet, net::NodeId from,
-                            net::NodeId /*to*/) { OnReceive(packet, from); });
+  Status status = medium_->SetReceiver(self_, this);
   MADNET_DCHECK(status.ok() && "node must be registered with the medium first");
 }
 
@@ -26,29 +30,26 @@ StatusOr<AdId> Protocol::Issue(const AdContent& /*content*/,
 }
 
 void Protocol::Broadcast(const net::Packet& packet) {
-  (void)context_.medium->Broadcast(context_.self, packet);
+  (void)medium_->Broadcast(self_, packet);
 }
 
 void Protocol::RecordReceipt(uint64_t ad_key) {
-  if (context_.delivery_log == nullptr) return;
-  context_.delivery_log->RecordReceipt(ad_key, context_.self, Now());
+  if (delivery_log_ == nullptr) return;
+  delivery_log_->RecordReceipt(ad_key, self_, Now());
 }
 
 void Protocol::TraceDeliver(uint64_t ad_key, uint32_t hop,
                             net::NodeId parent) {
-  if (context_.trace == nullptr ||
-      !context_.trace->Enabled(obs::kTraceDeliver)) {
-    return;
-  }
-  context_.trace->Deliver(Now(), context_.self, ad_key, hop,
-                          context_.medium->delivering_tx_seq(), parent);
+  if (trace_ == nullptr || !trace_->Enabled(obs::kTraceDeliver)) return;
+  trace_->Deliver(Now(), self_, ad_key, hop, medium_->delivering_tx_seq(),
+                  parent);
 }
 
 Advertisement Protocol::MakeAdvertisement(
     const AdContent& content, double radius_m, double duration_s,
     const sketch::FmSketchArray::Options& sketch_options) {
   Advertisement ad;
-  ad.id = AdId{context_.self, next_sequence_++};
+  ad.id = AdId{self_, next_sequence_++};
   ad.issue_time = Now();
   ad.issue_location = Position();
   ad.initial_radius_m = radius_m;

@@ -19,7 +19,9 @@
 
 namespace madnet::core {
 
-/// Everything a protocol instance needs from its environment.
+/// Everything a protocol instance needs from its environment. The
+/// protocol keeps what differs between peers and reaches the simulator
+/// through the medium (`simulator` must be the medium's).
 struct ProtocolContext {
   sim::Simulator* simulator = nullptr;
   net::Medium* medium = nullptr;
@@ -35,11 +37,12 @@ struct ProtocolContext {
   obs::Trace* trace = nullptr;
 };
 
-/// Abstract per-node advertising protocol.
-class Protocol {
+/// Abstract per-node advertising protocol. It is its node's receiver on
+/// the medium: every delivered frame reaches OnReceive.
+class Protocol : public net::Receiver {
  public:
   explicit Protocol(ProtocolContext context);
-  virtual ~Protocol() = default;
+  ~Protocol() override = default;
   Protocol(const Protocol&) = delete;
   Protocol& operator=(const Protocol&) = delete;
 
@@ -69,12 +72,15 @@ class Protocol {
   /// Packet upcall; `from` is the transmitting node.
   virtual void OnReceive(const net::Packet& packet, net::NodeId from) = 0;
 
+  /// The simulator the medium runs on.
+  sim::Simulator* simulator() const { return medium_->simulator(); }
+
   /// Current virtual time.
-  Time Now() const { return context_.simulator->Now(); }
+  Time Now() const { return simulator()->Now(); }
 
   /// This node's current position / velocity.
-  Vec2 Position() const { return context_.medium->PositionOf(context_.self); }
-  Vec2 Velocity() const { return context_.medium->VelocityOf(context_.self); }
+  Vec2 Position() const { return medium_->PositionOf(self_); }
+  Vec2 Velocity() const { return medium_->VelocityOf(self_); }
 
   /// Broadcasts to all nodes in range. Silently ignores offline-sender
   /// errors (a node that went offline simply stops transmitting).
@@ -97,8 +103,18 @@ class Protocol {
       const AdContent& content, double radius_m, double duration_s,
       const sketch::FmSketchArray::Options& sketch_options);
 
-  ProtocolContext context_;
-  uint32_t next_sequence_ = 1;
+  net::Medium* medium_;
+  net::NodeId self_;
+  uint32_t next_sequence_ = 1;  // Of the next ad this node issues.
+  ReceiptSink* delivery_log_;   // May be null.
+  obs::Trace* trace_;           // May be null.
+  Rng rng_;                     // This node's stream.
+
+ private:
+  void OnFrame(const net::Packet& packet, net::NodeId from,
+               net::NodeId /*to*/) final {
+    OnReceive(packet, from);
+  }
 };
 
 }  // namespace madnet::core

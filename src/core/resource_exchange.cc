@@ -27,8 +27,8 @@ void ResourceExchange::Start() {
   beacon_.payload = std::make_shared<BeaconMessage>();
   beacon_.size_bytes = 16;  // Node id + position.
   // Random phase so beacons across the network do not synchronize.
-  const double phase = context_.rng.Uniform(0.0, options_->beacon_interval_s);
-  context_.simulator->Schedule(phase, [this]() { BeaconTick(); });
+  const double phase = rng_.Uniform(0.0, options_->beacon_interval_s);
+  simulator()->Schedule(phase, [this]() { BeaconTick(); });
 }
 
 StatusOr<AdId> ResourceExchange::Issue(const AdContent& content,
@@ -104,8 +104,8 @@ void ResourceExchange::BeaconTick() {
   Prune();
   Broadcast(beacon_);
   ++beacons_sent_;
-  context_.simulator->Schedule(options_->beacon_interval_s,
-                               [this]() { BeaconTick(); });
+  simulator()->Schedule(options_->beacon_interval_s,
+                        [this]() { BeaconTick(); });
 }
 
 void ResourceExchange::OnEncounter(net::NodeId from) {
@@ -113,7 +113,7 @@ void ResourceExchange::OnEncounter(net::NodeId from) {
   // crashed meanwhile. Abort the encounter without consuming it (no
   // last_heard_ entry), so a batch is never addressed at a dead peer and
   // the encounter re-fires on the peer's first beacon after rejoining.
-  if (!context_.medium->IsOnline(from)) return;
+  if (!medium_->IsOnline(from)) return;
   const Time now = Now();
   auto it = last_heard_.find(from);
   if (it != last_heard_.end()) {

@@ -43,7 +43,7 @@ StatusOr<AdId> RestrictedFlooding::Issue(const AdContent& content,
   // First broadcast immediately, then every round until expiry. The issuer
   // must stay online throughout (the structural weakness the gossip model
   // removes).
-  context_.simulator->Schedule(0.0, [this, key]() { IssuerRound(key); });
+  simulator()->Schedule(0.0, [this, key]() { IssuerRound(key); });
   return id;
 }
 
@@ -66,8 +66,8 @@ void RestrictedFlooding::IssuerRound(uint64_t key) {
   net::Packet packet = MakeFloodPacket(state.ad, state.round, radius_limit);
   packet.hop = 1;  // Issuer frames deliver direct neighbours at hop 1.
   Broadcast(packet);
-  context_.simulator->Schedule(options_->round_time_s,
-                               [this, key]() { IssuerRound(key); });
+  simulator()->Schedule(options_->round_time_s,
+                        [this, key]() { IssuerRound(key); });
 }
 
 void RestrictedFlooding::OnReceive(const net::Packet& packet,
@@ -91,16 +91,14 @@ void RestrictedFlooding::OnReceive(const net::Packet& packet,
   const double distance = Distance(Position(), message->ad.issue_location);
   if (distance > message->radius_limit) return;
 
-  const double jitter =
-      context_.rng.Uniform(0.0, options_->relay_jitter_max_s);
+  const double jitter = rng_.Uniform(0.0, options_->relay_jitter_max_s);
   // Copy the packet by value; the payload is shared and immutable. The
   // relayed frame's hop count derives from *this* node's first receipt,
   // so every deliver record satisfies hop == parent's hop + 1 even when
   // a later round reaches us over a shorter path.
   net::Packet copy = packet;
   copy.hop = record->first_hop + 1;
-  context_.simulator->Schedule(jitter,
-                               [this, copy]() { Broadcast(copy); });
+  simulator()->Schedule(jitter, [this, copy]() { Broadcast(copy); });
 }
 
 }  // namespace madnet::core

@@ -35,12 +35,14 @@ Status Medium::AddNode(NodeId id, MobilityModel* mobility) {
                                    std::to_string(node_count()));
   }
   mobility_.push_back(mobility);
-  handlers_.emplace_back();
+  receivers_.push_back(nullptr);
   online_.push_back(1);
-  last_rx_time_.push_back(-1.0);
-  last_rx_from_.push_back(kInvalidNodeId);
-  rx_garbled_.push_back(0);
-  channel_busy_until_.push_back(-1.0);
+  if (CollisionWindow()) {
+    last_rx_time_.push_back(-1.0);
+    last_rx_from_.push_back(kInvalidNodeId);
+    rx_garbled_.push_back(0);
+  }
+  if (options_.csma) channel_busy_until_.push_back(-1.0);
   sent_.push_back(0);
   sent_bytes_.push_back(0);
   received_.push_back(0);
@@ -53,21 +55,33 @@ Status Medium::AddNode(NodeId id, MobilityModel* mobility) {
 
 void Medium::Reserve(size_t node_count) {
   mobility_.reserve(node_count);
-  handlers_.reserve(node_count);
+  receivers_.reserve(node_count);
   online_.reserve(node_count);
-  last_rx_time_.reserve(node_count);
-  last_rx_from_.reserve(node_count);
-  rx_garbled_.reserve(node_count);
-  channel_busy_until_.reserve(node_count);
+  if (CollisionWindow()) {
+    last_rx_time_.reserve(node_count);
+    last_rx_from_.reserve(node_count);
+    rx_garbled_.reserve(node_count);
+  }
+  if (options_.csma) channel_busy_until_.reserve(node_count);
   sent_.reserve(node_count);
   sent_bytes_.reserve(node_count);
   received_.reserve(node_count);
   received_bytes_.reserve(node_count);
 }
 
-Status Medium::SetReceiver(NodeId id, ReceiveHandler handler) {
+Status Medium::SetReceiver(NodeId id, Receiver* receiver) {
   if (!Known(id)) return Status::NotFound("unknown node id");
-  handlers_[id] = std::move(handler);
+  receivers_[id] = receiver;
+  adapters_.erase(id);
+  return Status::Ok();
+}
+
+Status Medium::SetReceiver(NodeId id, ReceiveHandler handler) {
+  if (!handler) return SetReceiver(id, static_cast<Receiver*>(nullptr));
+  if (!Known(id)) return Status::NotFound("unknown node id");
+  HandlerReceiver& adapter = adapters_[id];
+  adapter.handler = std::move(handler);
+  receivers_[id] = &adapter;
   return Status::Ok();
 }
 
@@ -122,25 +136,16 @@ Vec2 Medium::VelocityOf(NodeId id) const {
 
 void Medium::BuildIndex(Time now) const {
   const size_t n = mobility_.size();
-  rebuild_id_scratch_.clear();
-  rebuild_x_scratch_.clear();
-  rebuild_y_scratch_.clear();
-  rebuild_id_scratch_.reserve(n);
-  rebuild_x_scratch_.reserve(n);
-  rebuild_y_scratch_.reserve(n);
+  index_.BeginBuild(online_count_);
   for (NodeId id = 0; id < n; ++id) {
     // Offline nodes are excluded: under heavy churn they would bloat
     // every query's candidate set just to be filtered out one by one.
     // SetOnline(…, true) forces a rebuild, so exclusion never hides a
     // node that has come back.
     if (!online_[id]) continue;
-    const Vec2 position = mobility_[id]->PositionAt(now);
-    rebuild_id_scratch_.push_back(id);
-    rebuild_x_scratch_.push_back(position.x);
-    rebuild_y_scratch_.push_back(position.y);
+    index_.Add(id, mobility_[id]->PositionAt(now));
   }
-  index_.Rebuild(rebuild_id_scratch_, rebuild_x_scratch_,
-                 rebuild_y_scratch_);
+  index_.EndBuild();
   base_time_ = now;
   scanned_since_build_ = 0;
   stats_.index_rebuilds += 1;
@@ -456,7 +461,7 @@ bool Medium::Reachable(NodeId to, Time now) {
 }
 
 bool Medium::Collided(NodeId to, NodeId from, Time now) {
-  if (!options_.enable_collisions) return false;
+  if (!CollisionWindow()) return false;
   if (last_rx_time_[to] >= 0.0 &&
       now - last_rx_time_[to] < options_.collision_window_s &&
       (rx_garbled_[to] != 0 || last_rx_from_[to] != from)) {
@@ -499,9 +504,9 @@ void Medium::Receive(NodeId to, const Frame& frame, Time now) {
     trace_->Rx(now, frame.from, to, frame.packet.size_bytes,
                frame.packet.ad_key, frame.tx_seq);
   }
-  if (handlers_[to]) {
+  if (Receiver* receiver = receivers_[to]; receiver != nullptr) {
     delivering_tx_seq_ = frame.tx_seq;
-    handlers_[to](frame.packet, frame.from, to);
+    receiver->OnFrame(frame.packet, frame.from, to);
     delivering_tx_seq_ = 0;
   }
 }

@@ -11,12 +11,16 @@
 // Link and MAC state (online bits, collision window, carrier, per-node
 // counters) is structure-of-arrays, one flat vector per attribute indexed
 // by id, and the spatial index stores ids, so a broadcast performs no map
-// lookup per receiver. Positions are not copied: every position and
-// velocity is asked of the node's mobility model, whose cursor leg answers
-// time-monotonic queries inline. Both MACs share one transmit header
-// (counters, origin, tx seq, observer, Tx trace) and one delivery path
-// (offline/jam check, loss and fading, counters, Rx trace, handler); they
-// differ only in when collisions, loss and fading are decided.
+// lookup per receiver. The collision-window arrays exist only when
+// Options::enable_collisions is set (and CSMA is off), the carrier array
+// only under CSMA: the options are fixed at construction. A node's
+// receive upcall is one Receiver pointer. Positions are not copied: every
+// position and velocity is asked of the node's mobility model, whose
+// cursor leg answers time-monotonic queries inline. Both MACs share one
+// transmit header (counters, origin, tx seq, observer, Tx trace) and one
+// delivery path (offline/jam check, loss and fading, counters, Rx trace,
+// receiver); they differ only in when collisions, loss and fading are
+// decided.
 // In-flight frames live in a medium-owned arena (slot pool with intrusive
 // refcounts) instead of one shared_ptr heap allocation per broadcast. A
 // frame lists its receivers, and its deliveries are one event-queue run
@@ -32,6 +36,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "mobility/mobility_model.h"
@@ -47,6 +52,16 @@ namespace madnet::net {
 using mobility::MobilityModel;
 using sim::Simulator;
 using sim::Time;
+
+/// The receive upcall of one node: the medium calls OnFrame once per frame
+/// delivered to the node the receiver is registered for.
+class Receiver {
+ public:
+  virtual ~Receiver() = default;
+
+  /// `packet` arrived at node `to` from node `from`.
+  virtual void OnFrame(const Packet& packet, NodeId from, NodeId to) = 0;
+};
 
 /// Traffic counters, cumulative over the run. "Messages" counts broadcasts
 /// (one frame per broadcast regardless of receiver count), matching the
@@ -132,8 +147,17 @@ class Medium {
   /// AddNode calls neither reallocate nor leave growth slack behind.
   void Reserve(size_t node_count);
 
-  /// Sets the upcall invoked when `id` receives a packet.
+  /// Delivers `id`'s frames to `receiver` (borrowed: it must outlive the
+  /// medium or be replaced first); nullptr detaches the node.
+  Status SetReceiver(NodeId id, Receiver* receiver);
+
+  /// Function form: the medium wraps `handler` in an adapter it owns, one
+  /// per node, reused when the node registers again. An empty handler
+  /// detaches the node and drops its adapter.
   Status SetReceiver(NodeId id, ReceiveHandler handler);
+
+  /// Number of function receivers the medium holds adapters for.
+  size_t handler_adapter_count() const { return adapters_.size(); }
 
   /// Marks a node on/off-line. Offline nodes neither send nor receive
   /// (the paper's issuer "goes off-line" after seeding the ad, and the
@@ -210,7 +234,18 @@ class Medium {
 
   const Options& options() const { return options_; }
 
+  /// The simulator the medium schedules deliveries on.
+  Simulator* simulator() const { return simulator_; }
+
  private:
+  /// Adapter from a ReceiveHandler to the Receiver interface.
+  struct HandlerReceiver final : Receiver {
+    void OnFrame(const Packet& packet, NodeId from, NodeId to) override {
+      handler(packet, from, to);
+    }
+    ReceiveHandler handler;
+  };
+
   /// One in-flight broadcast frame in the arena. A slot's epoch runs from
   /// AcquireFrame (refs picks up one count per scheduled delivery, plus a
   /// carry ref through the CSMA retry chain) to the last ReleaseFrame,
@@ -239,6 +274,12 @@ class Medium {
 
   /// True iff `id` was registered.
   bool Known(NodeId id) const { return id < mobility_.size(); }
+
+  /// True iff the ideal MAC's collision window is modelled (and its
+  /// per-node arrays exist).
+  bool CollisionWindow() const {
+    return options_.enable_collisions && !options_.csma;
+  }
 
   /// Rebuilds the spatial grid over the online nodes' positions at `now`.
   void BuildIndex(Time now) const;
@@ -338,12 +379,14 @@ class Medium {
 
   // --- SoA link and MAC state, dense, by node id (docs/architecture.md) ---
   std::vector<MobilityModel*> mobility_;    // Borrowed models.
-  std::vector<ReceiveHandler> handlers_;    // Receive upcalls (cold).
+  std::vector<Receiver*> receivers_;        // Receive upcalls (cold).
   std::vector<uint8_t> online_;             // 0/1 liveness bits.
-  std::vector<Time> last_rx_time_;          // Collision window: last arrival.
-  std::vector<NodeId> last_rx_from_;        // Collision window: last sender.
-  std::vector<uint8_t> rx_garbled_;         // Collision window: garbled bit.
-  std::vector<Time> channel_busy_until_;    // CSMA carrier state.
+  // Collision window (empty unless CollisionWindow()).
+  std::vector<Time> last_rx_time_;          // Last arrival.
+  std::vector<NodeId> last_rx_from_;        // Last sender.
+  std::vector<uint8_t> rx_garbled_;         // Garbled bit.
+  std::vector<Time> channel_busy_until_;    // CSMA carrier (empty unless
+                                            // Options::csma).
   std::vector<uint64_t> sent_;              // Per-node accounting (cold).
   std::vector<uint64_t> sent_bytes_;
   std::vector<uint64_t> received_;
@@ -359,6 +402,9 @@ class Medium {
   std::vector<Rect> jam_zones_;  // Active jammer rectangles (usually 0-1).
   BroadcastObserver observer_;
   obs::Trace* trace_ = nullptr;
+  // Adapters of the nodes registered with a ReceiveHandler. Map nodes
+  // keep their address, so receivers_ may point at them.
+  std::unordered_map<NodeId, HandlerReceiver> adapters_;
 
   // Frame arena (see Frame).
   std::deque<Frame> frame_pool_;
@@ -386,9 +432,6 @@ class Medium {
   // vectors per transmission. Safe because a Medium is single-threaded and
   // deliveries happen via the simulator (never re-entrantly inside the
   // neighbour loop).
-  mutable std::vector<NodeId> rebuild_id_scratch_;
-  mutable std::vector<double> rebuild_x_scratch_;
-  mutable std::vector<double> rebuild_y_scratch_;
   mutable std::vector<NodeId> candidate_scratch_;
   mutable std::vector<NodeId> neighbor_scratch_;
   std::vector<Time> when_scratch_;  // Delivery times of the frame being

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -52,18 +53,9 @@ int64_t SpatialIndex::CellCoord(double v) const {
 
 void SpatialIndex::Rebuild(
     const std::vector<std::pair<NodeId, Vec2>>& positions) {
-  compat_ids_scratch_.clear();
-  compat_xs_scratch_.clear();
-  compat_ys_scratch_.clear();
-  compat_ids_scratch_.reserve(positions.size());
-  compat_xs_scratch_.reserve(positions.size());
-  compat_ys_scratch_.reserve(positions.size());
-  for (const auto& [id, position] : positions) {
-    compat_ids_scratch_.push_back(id);
-    compat_xs_scratch_.push_back(position.x);
-    compat_ys_scratch_.push_back(position.y);
-  }
-  Rebuild(compat_ids_scratch_, compat_xs_scratch_, compat_ys_scratch_);
+  BeginBuild(positions.size());
+  for (const auto& [id, position] : positions) Add(id, position);
+  EndBuild();
 }
 
 void SpatialIndex::Rebuild(const std::vector<NodeId>& ids,
@@ -71,10 +63,23 @@ void SpatialIndex::Rebuild(const std::vector<NodeId>& ids,
                            const std::vector<double>& ys) {
   MADNET_DCHECK_EQ(ids.size(), xs.size());
   MADNET_DCHECK_EQ(ids.size(), ys.size());
-  const size_t n = ids.size();
-  ids_.resize(n);
-  xs_.resize(n);
-  ys_.resize(n);
+  ids_.assign(ids.begin(), ids.end());
+  xs_.assign(xs.begin(), xs.end());
+  ys_.assign(ys.begin(), ys.end());
+  EndBuild();
+}
+
+void SpatialIndex::BeginBuild(size_t points) {
+  ids_.clear();
+  xs_.clear();
+  ys_.clear();
+  ids_.reserve(points);
+  xs_.reserve(points);
+  ys_.reserve(points);
+}
+
+void SpatialIndex::EndBuild() {
+  const size_t n = ids_.size();
   if (n == 0) {
     width_ = height_ = 0;
     grid_cell_size_ = cell_size_;
@@ -86,21 +91,14 @@ void SpatialIndex::Rebuild(const std::vector<NodeId>& ids,
   // cell size until the dense grid fits the cap (pure function of the
   // input, so rebuilds stay deterministic).
   grid_cell_size_ = cell_size_;
-  cx_scratch_.resize(n);
-  cy_scratch_.resize(n);
   for (;;) {
     int64_t lo_cx = 0, hi_cx = 0, lo_cy = 0, hi_cy = 0;
     for (size_t i = 0; i < n; ++i) {
       // Non-finite coordinates would land in a garbage cell and silently
       // vanish from every range query.
-      MADNET_DCHECK(std::isfinite(xs[i]) && std::isfinite(ys[i]));
-      // Per-point coordinates are kept so the counting-sort pass below can
-      // reuse them instead of redoing the floor-divisions; each coarsening
-      // retry overwrites them, so after the loop they match grid_cell_size_.
-      const int64_t cx = CellCoord(xs[i]);
-      const int64_t cy = CellCoord(ys[i]);
-      cx_scratch_[i] = cx;
-      cy_scratch_[i] = cy;
+      MADNET_DCHECK(std::isfinite(xs_[i]) && std::isfinite(ys_[i]));
+      const int64_t cx = CellCoord(xs_[i]);
+      const int64_t cy = CellCoord(ys_[i]);
       if (i == 0) {
         lo_cx = hi_cx = cx;
         lo_cy = hi_cy = cy;
@@ -123,25 +121,49 @@ void SpatialIndex::Rebuild(const std::vector<NodeId>& ids,
     grid_cell_size_ *= 2.0;
   }
 
-  // Pass 2: counting sort into the grid. The fill is stable, so points
-  // sharing a cell keep their input order (a determinism requirement).
+  // Pass 2: counting sort. Each point's cell is counted, then replaced by
+  // its slot: the next free one of its cell, taken in input order, so
+  // points sharing a cell keep their input order (a determinism
+  // requirement). Taking slots advances each cell's start to its end;
+  // shifting the array back by one restores the starts.
   const size_t cells = static_cast<size_t>(width_ * height_);
   cell_start_.assign(cells + 1, 0);
-  cell_of_scratch_.resize(n);
+  slot_scratch_.resize(n);
   for (size_t i = 0; i < n; ++i) {
     const size_t cell =
-        static_cast<size_t>(cx_scratch_[i] - min_cx_) * height_ +
-        static_cast<size_t>(cy_scratch_[i] - min_cy_);
-    cell_of_scratch_[i] = static_cast<uint32_t>(cell);
+        static_cast<size_t>(CellCoord(xs_[i]) - min_cx_) * height_ +
+        static_cast<size_t>(CellCoord(ys_[i]) - min_cy_);
+    slot_scratch_[i] = static_cast<uint32_t>(cell);
     ++cell_start_[cell + 1];
   }
   for (size_t c = 0; c < cells; ++c) cell_start_[c + 1] += cell_start_[c];
-  fill_scratch_.assign(cell_start_.begin(), cell_start_.end() - 1);
   for (size_t i = 0; i < n; ++i) {
-    const uint32_t at = fill_scratch_[cell_of_scratch_[i]]++;
-    ids_[at] = ids[i];
-    xs_[at] = xs[i];
-    ys_[at] = ys[i];
+    slot_scratch_[i] = cell_start_[slot_scratch_[i]]++;
+  }
+  for (size_t c = cells - 1; c > 0; --c) cell_start_[c] = cell_start_[c - 1];
+  cell_start_[0] = 0;
+
+  // Pass 3: move every point to its slot in place, one cycle of the
+  // permutation at a time: the point in hand displaces the one at its
+  // slot, which moves on to its own slot, so each point moves once.
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t to = slot_scratch_[i];
+    if (to == i) continue;
+    NodeId id = ids_[i];
+    double x = xs_[i];
+    double y = ys_[i];
+    while (to != i) {
+      std::swap(id, ids_[to]);
+      std::swap(x, xs_[to]);
+      std::swap(y, ys_[to]);
+      const uint32_t next = slot_scratch_[to];
+      slot_scratch_[to] = to;
+      to = next;
+    }
+    ids_[i] = id;
+    xs_[i] = x;
+    ys_[i] = y;
+    slot_scratch_[i] = static_cast<uint32_t>(i);
   }
 }
 

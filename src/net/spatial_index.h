@@ -6,10 +6,12 @@
 // distance filtering happens on live positions, so the index only needs
 // to return a superset (see Medium for the slack logic).
 //
-// Layout: each Rebuild counting-sorts the points into a dense grid over
+// Layout: each build counting-sorts the points into a dense grid over
 // their bounding box — `cell_start_` holds prefix offsets per cell and
 // `ids_`/`xs_`/`ys_` are parallel arrays grouped by cell — so a range
 // query is two clamped loops over contiguous memory with zero hashing.
+// A build takes the points straight into those arrays and groups them in
+// place, so it keeps no copy of its input.
 // The sort is stable and queries walk cells in (cx, cy) lexicographic
 // order, so a query's result order is (cell x, cell y, input order). The
 // medium feeds points in dense-index order and relies on that order (a
@@ -37,14 +39,24 @@ class SpatialIndex {
   explicit SpatialIndex(double cell_size);
 
   /// Replaces the whole index contents with the given (id, position) set.
-  /// Compatibility overload for external/test callers; the hot path uses
-  /// the SoA overload below.
   void Rebuild(const std::vector<std::pair<NodeId, Vec2>>& positions);
 
   /// SoA overload: replaces the contents with ids[i] at (xs[i], ys[i]).
   /// All three arrays must have equal length.
   void Rebuild(const std::vector<NodeId>& ids, const std::vector<double>& xs,
                const std::vector<double>& ys);
+
+  /// Build without an input copy: BeginBuild clears the index (reserving
+  /// room for `points` points), Add appends one point in input order, and
+  /// EndBuild groups them into the grid. The index answers no query
+  /// between BeginBuild and EndBuild.
+  void BeginBuild(size_t points);
+  void Add(NodeId id, const Vec2& position) {
+    ids_.push_back(id);
+    xs_.push_back(position.x);
+    ys_.push_back(position.y);
+  }
+  void EndBuild();
 
   /// Appends every id whose indexed position lies within `radius` of
   /// `center` to `out` (also returns ids *near* the ring; callers must
@@ -79,14 +91,8 @@ class SpatialIndex {
   std::vector<double> xs_;            // Parallel to ids_.
   std::vector<double> ys_;            // Parallel to ids_.
 
-  // Rebuild scratch, reused across rebuilds instead of reallocating.
-  mutable std::vector<int64_t> cx_scratch_;  // Pass-1 cell coords, reused by
-  mutable std::vector<int64_t> cy_scratch_;  // the counting-sort pass.
-  mutable std::vector<uint32_t> cell_of_scratch_;
-  mutable std::vector<uint32_t> fill_scratch_;
-  mutable std::vector<NodeId> compat_ids_scratch_;
-  mutable std::vector<double> compat_xs_scratch_;
-  mutable std::vector<double> compat_ys_scratch_;
+  // EndBuild's per-point cell, then destination slot; reused across builds.
+  std::vector<uint32_t> slot_scratch_;
 };
 
 }  // namespace madnet::net

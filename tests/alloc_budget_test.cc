@@ -419,24 +419,29 @@ TEST(AllocBudgetTest, FaultedMarketplaceSoakStaysBounded) {
 // at the high-water mark of the whole run (events and aggregation). Each
 // ceiling is the measured value plus about 3%.
 //
-// 464 B after construction (glibc usable sizes, seed 1000):
-//   * the OpportunisticGossip object, 248 B: the protocol base (vtable and
-//     context: simulator, medium, log, trace, own id, own 32-byte random
-//     stream) 88, a shared pointer to the run's one GossipOptions 16, the
-//     resolved annulus width 8, an empty interest profile 24, the empty ad
-//     cache 56, round state and counters 32, the seen-ad list 24;
+// 307 B after construction (glibc usable sizes, seed 1000):
+//   * the OpportunisticGossip object, 136 B: the protocol base 72 (vtable,
+//     medium, log and trace pointers, own id packed with the next ad
+//     sequence, own 32-byte random stream), a shared pointer to the run's
+//     one GossipOptions 16, the resolved annulus width 8, an empty interest
+//     profile 24, the next round tick 8, and a null pointer to the ad
+//     state 8;
 //   * the RandomWaypoint object, 104 B (96 requested): the leg list and
 //     cursor 40, a shared pointer to the run's one Options 16, the random
 //     stream 32, the pause flag 8;
-//   * the medium's per-node arrays, 94 B (sized by Medium::Reserve, so
-//     without growth slack), and the scenario's two owner arrays, 16 B.
-// The peak, 646 B, adds the trajectory legs (56 B: one 48-byte leg per
-// peer in 200 s), the spatial grid's per-node arrays and their rebuild
-// scratch (about 67 B), the cache entries and sketches of the 4.5% of
-// peers the ad reached (about 29 B), the event queue and, during
-// aggregation, one transit per peer that crossed the ad's area.
-constexpr double kBytesPerNodeBuilt = 478.0;
-constexpr double kBytesPerNodePeak = 666.0;
+//   * the medium's per-node arrays, 49 B (mobility and receiver pointers,
+//     the online bit, four traffic counters; this run has neither
+//     collisions nor CSMA, so no MAC arrays), sized by Medium::Reserve,
+//     and the scenario's two owner arrays, 16 B.
+// The peak, 452 B, adds the trajectory legs (49 B: about one 48-byte leg
+// per peer in 200 s), the spatial grid (about 29 B: id, position and
+// destination slot per point, and the cell offsets), the ad state of the
+// 4.5% of peers the ad reached (about 34 B: the 104-byte block, the seen
+// list, the cache's key and entry arrays, the ad's strings and sketch),
+// the event queue and, during aggregation, one transit per peer that
+// crossed the ad's area.
+constexpr double kBytesPerNodeBuilt = 316.0;
+constexpr double kBytesPerNodePeak = 465.0;
 
 TEST(AllocBudgetTest, BytesPerPeerAtMetroDensity) {
   // perfbench's metro workload scaled to 20k peers: pure gossip at Table II

@@ -237,6 +237,59 @@ TEST(GossipEdgeTest, WorksWithoutDeliveryLog) {
   EXPECT_NE(b->cache().Find(issued->Key()), nullptr);
 }
 
+TEST(GossipEdgeTest, NeverReachedPeerHoldsNoAdState) {
+  // A peer no ad has reached shares one empty cache with every other such
+  // peer; a crash and a rejoin neither make its ad state nor schedule or
+  // send anything.
+  for (const GossipOptions& options :
+       {GossipOptions::Pure(), GossipOptions::Optimized()}) {
+    EdgeTestBed bed;
+    bed.AddStationary({0.0, 0.0});
+    bed.AddStationary({5000.0, 0.0});
+    auto* idle = bed.AddGossip(0, options);
+    auto* other = bed.AddGossip(1, options);
+    const size_t pending = bed.sim_.PendingEvents();
+    ASSERT_TRUE(bed.medium_->SetOnline(0, false).ok());
+    idle->OnCrash();
+    ASSERT_TRUE(bed.medium_->SetOnline(0, true).ok());
+    idle->OnRejoin();
+    EXPECT_EQ(bed.sim_.PendingEvents(), pending);
+    EXPECT_EQ(bed.medium_->stats().messages_sent, 0u);
+    EXPECT_EQ(&idle->cache(), &other->cache());
+    EXPECT_EQ(idle->cache().Size(), 0u);
+    EXPECT_EQ(idle->postpone_count(), 0u);
+    EXPECT_EQ(idle->displayed_count(), 0u);
+  }
+}
+
+TEST(GossipEdgeTest, CrashAfterFirstReceiptCancelsEveryTimer) {
+  // Once both peers hold the ad (issuer and receiver), crashing both
+  // leaves no timer behind: the global round (pure gossip) or the
+  // per-entry timers (Optimization 2).
+  for (const GossipOptions& options :
+       {GossipOptions::Pure(), GossipOptions::Optimized2()}) {
+    EdgeTestBed bed;
+    bed.AddStationary({0.0, 0.0});
+    bed.AddStationary({50.0, 0.0});
+    auto* issuer = bed.AddGossip(0, options);
+    auto* receiver = bed.AddGossip(1, options);
+    auto issued = issuer->Issue(PetrolAd(), 1000.0, 800.0);
+    ASSERT_TRUE(issued.ok());
+    bed.sim_.RunUntil(1.0);
+    ASSERT_NE(receiver->cache().Find(issued->Key()), nullptr);
+    EXPECT_NE(&receiver->cache(), &issuer->cache());
+    EXPECT_GT(bed.sim_.PendingEvents(), 0u);
+    for (NodeId id : {NodeId{0}, NodeId{1}}) {
+      ASSERT_TRUE(bed.medium_->SetOnline(id, false).ok());
+      bed.gossips_[id]->OnCrash();
+    }
+    bed.sim_.RunUntil(1.01);  // Let frames already in flight land.
+    EXPECT_EQ(bed.sim_.PendingEvents(), 0u);
+    EXPECT_EQ(receiver->cache().Size(), 0u);
+    EXPECT_EQ(receiver->displayed_count(), 1u);  // Survives the crash.
+  }
+}
+
 TEST(GossipEdgeTest, IssueWithFullCacheStillBroadcasts) {
   // Even if the issuer's own cache rejects the new ad (full of better
   // entries), the initial seed broadcast must still go out.

@@ -155,6 +155,56 @@ TEST_F(MediumTest, UnknownNodesRejected) {
   EXPECT_FALSE(medium_->IsOnline(99));
 }
 
+// A receiver registered by pointer.
+struct CountingReceiver : Receiver {
+  void OnFrame(const Packet&, NodeId from, NodeId to) override {
+    frames.push_back({from, to});
+  }
+  std::vector<std::pair<NodeId, NodeId>> frames;
+};
+
+TEST_F(MediumTest, PointerAndFunctionReceiversBothGetFrames) {
+  Build({{0.0, 0.0}, {10.0, 0.0}, {20.0, 0.0}});
+  CountingReceiver receiver;
+  ASSERT_TRUE(medium_->SetReceiver(1, &receiver).ok());
+  // Node 2 keeps its function receiver from Build; node 1's adapter is gone.
+  EXPECT_EQ(medium_->handler_adapter_count(), 2u);
+  ASSERT_TRUE(medium_->Broadcast(0, MakePacket(5)).ok());
+  sim_.Run();
+  EXPECT_EQ(receiver.frames,
+            (std::vector<std::pair<NodeId, NodeId>>{{0, 1}}));
+  EXPECT_TRUE(received_[1].empty());
+  ASSERT_EQ(received_[2].size(), 1u);
+  EXPECT_EQ(received_[2][0], (std::pair<NodeId, int>{0, 5}));
+}
+
+TEST_F(MediumTest, ReRegisteringAFunctionReceiverKeepsOneAdapter) {
+  Build({{0.0, 0.0}, {10.0, 0.0}});
+  EXPECT_EQ(medium_->handler_adapter_count(), 2u);
+  int last = -1;
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(medium_
+                    ->SetReceiver(1, [&last, i](const Packet&, NodeId,
+                                                NodeId) { last = i; })
+                    .ok());
+  }
+  EXPECT_EQ(medium_->handler_adapter_count(), 2u);
+  ASSERT_TRUE(medium_->Broadcast(0, MakePacket(1)).ok());
+  sim_.Run();
+  EXPECT_EQ(last, 999);  // The latest registration receives.
+}
+
+TEST_F(MediumTest, EmptyHandlerDetachesTheNode) {
+  Build({{0.0, 0.0}, {10.0, 0.0}});
+  ASSERT_TRUE(medium_->SetReceiver(1, Medium::ReceiveHandler{}).ok());
+  EXPECT_EQ(medium_->handler_adapter_count(), 1u);
+  ASSERT_TRUE(medium_->Broadcast(0, MakePacket(1)).ok());
+  sim_.Run();
+  EXPECT_TRUE(received_[1].empty());
+  // The frame still reached the node's radio.
+  EXPECT_EQ(medium_->ReceivedBy(1), 1u);
+}
+
 TEST_F(MediumTest, DuplicateNodeIdRejected) {
   Build({{0.0, 0.0}});
   Stationary extra({1.0, 1.0});

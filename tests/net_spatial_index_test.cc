@@ -3,6 +3,8 @@
 #include "net/spatial_index.h"
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -87,6 +89,38 @@ TEST(SpatialIndexTest, RandomizedAgainstBruteForce) {
       EXPECT_EQ(got, expected) << "trial=" << trial << " q=" << q;
     }
   }
+}
+
+TEST(SpatialIndexTest, QueryOrderIsCellThenInputOrder) {
+  // The in-place build must be a stable counting sort: a query lists its
+  // points by (cell x, cell y) and, within a cell, in input order. Ids run
+  // against input order, so an unstable grouping would show.
+  Rng rng(29);
+  const double cell = 100.0;
+  SpatialIndex index(cell);
+  std::vector<std::pair<NodeId, Vec2>> points;
+  index.BeginBuild(300);
+  for (int i = 0; i < 300; ++i) {
+    const NodeId id = static_cast<NodeId>(1000 - i);
+    const Vec2 p{rng.Uniform(-500.0, 500.0), rng.Uniform(-500.0, 500.0)};
+    points.emplace_back(id, p);
+    index.Add(id, p);
+  }
+  index.EndBuild();
+  ASSERT_EQ(index.Size(), points.size());
+  std::stable_sort(points.begin(), points.end(),
+                   [cell](const auto& a, const auto& b) {
+                     const auto key = [cell](const Vec2& v) {
+                       return std::make_pair(std::floor(v.x / cell),
+                                             std::floor(v.y / cell));
+                     };
+                     return key(a.second) < key(b.second);
+                   });
+  std::vector<NodeId> expected;
+  for (const auto& [id, p] : points) expected.push_back(id);
+  std::vector<NodeId> got;
+  index.QueryRange({0.0, 0.0}, 1000.0, &got);
+  EXPECT_EQ(got, expected);
 }
 
 TEST(SpatialIndexTest, AppendsWithoutClearing) {
