@@ -3,12 +3,13 @@
 // Battery cost per method (extension): the paper motivates its
 // optimizations with scarce wireless bandwidth and device resources.
 // Using a standard linear 802.11 energy model (Feeney-Nilsson broadcast
-// coefficients) over the per-node radio counters, this bench reports the
+// coefficients) over per-node radio counts, this bench reports the
 // network-wide radio energy of one Table-II advertising life cycle and
 // the worst single peer's cost — i.e. what each method asks of a handset
 // battery.
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -24,6 +25,38 @@ using scenario::MethodName;
 using scenario::RunResult;
 using scenario::Scenario;
 using scenario::ScenarioConfig;
+
+/// One node's radio traffic over a run.
+struct RadioCounts {
+  uint64_t sent = 0;
+  uint64_t sent_bytes = 0;
+  uint64_t received = 0;
+  uint64_t received_bytes = 0;
+};
+
+/// Counts every node's sends (through the broadcast observer) and
+/// receptions (through a receiver that counts each frame, then hands it
+/// to the node's protocol) from here on. `counts` must outlive the run.
+void CountRadio(Scenario* scenario, std::vector<RadioCounts>* counts) {
+  net::Medium* medium = scenario->medium();
+  counts->assign(medium->node_count(), {});
+  medium->SetBroadcastObserver(
+      [counts](net::NodeId from, const net::Packet& packet, const Vec2&) {
+        (*counts)[from].sent += 1;
+        (*counts)[from].sent_bytes += packet.size_bytes;
+      });
+  for (net::NodeId id = 0; id < counts->size(); ++id) {
+    net::Receiver* protocol = scenario->protocol(id);
+    const Status status = medium->SetReceiver(
+        id, [counts, protocol](const net::Packet& packet, net::NodeId from,
+                               net::NodeId to) {
+          (*counts)[to].received += 1;
+          (*counts)[to].received_bytes += packet.size_bytes;
+          protocol->OnFrame(packet, from, to);
+        });
+    MADNET_DCHECK(status.ok());
+  }
+}
 
 void Run(const bench::BenchEnv& env) {
   bench::PrintHeader(
@@ -47,6 +80,8 @@ void Run(const bench::BenchEnv& env) {
     config.num_peers = 300;
     config.seed = 12;
     Scenario scenario(config);
+    std::vector<RadioCounts> counts;
+    CountRadio(&scenario, &counts);
     RunResult result = scenario.Run();
 
     double total = 0.0;
@@ -55,11 +90,11 @@ void Run(const bench::BenchEnv& env) {
     double peak = 0.0;
     for (net::NodeId id = 1;
          id <= static_cast<net::NodeId>(config.num_peers); ++id) {
-      const auto* medium = scenario.medium();
-      const double tx = stats::NodeEnergyJoules(
-          medium->SentBy(id), medium->SentBytesBy(id), 0, 0, model);
+      const RadioCounts& node = counts[id];
+      const double tx = stats::NodeEnergyJoules(node.sent, node.sent_bytes,
+                                                0, 0, model);
       const double rx = stats::NodeEnergyJoules(
-          0, 0, medium->ReceivedBy(id), medium->ReceivedBytesBy(id), model);
+          0, 0, node.received, node.received_bytes, model);
       tx_total += tx;
       rx_total += rx;
       total += tx + rx;

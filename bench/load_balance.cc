@@ -8,6 +8,7 @@
 // annulus mechanism's side effects.)
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -60,14 +61,19 @@ void Run(const bench::BenchEnv& env) {
     config.num_peers = 300;
     config.seed = 8;
     Scenario scenario(config);
+    // Frames each node put on the air.
+    std::vector<uint64_t> sent(scenario.medium()->node_count(), 0);
+    scenario.medium()->SetBroadcastObserver(
+        [&sent](net::NodeId from, const net::Packet&, const Vec2&) {
+          ++sent[from];
+        });
     RunResult result = scenario.Run();
 
     std::vector<double> per_peer;
     per_peer.reserve(config.num_peers);
     for (net::NodeId id = 1;
          id <= static_cast<net::NodeId>(config.num_peers); ++id) {
-      per_peer.push_back(
-          static_cast<double>(scenario.medium()->SentBy(id)));
+      per_peer.push_back(static_cast<double>(sent[id]));
     }
     std::vector<double> sorted = per_peer;
     std::sort(sorted.rbegin(), sorted.rend());

@@ -13,11 +13,12 @@ OpportunisticGossip::OpportunisticGossip(
     ProtocolContext context, std::shared_ptr<const GossipOptions> options,
     InterestProfile interests)
     : Protocol(std::move(context)),
-      options_(std::move(options)),
-      dis_m_(options_->dis_m),
-      interests_(std::move(interests)) {
+      options_(std::move(options)) {
   MADNET_DCHECK(options_->propagation.Valid());
   MADNET_DCHECK(options_->round_time_s > 0.0);
+  if (interests.Size() > 0) {
+    interests_ = std::make_unique<const InterestProfile>(std::move(interests));
+  }
 }
 
 OpportunisticGossip::OpportunisticGossip(ProtocolContext context,
@@ -34,6 +35,11 @@ const AdCache& OpportunisticGossip::cache() const {
   return ads_ != nullptr ? ads_->cache : kEmpty;
 }
 
+const InterestProfile& OpportunisticGossip::interests() const {
+  static const InterestProfile kNone;
+  return interests_ != nullptr ? *interests_ : kNone;
+}
+
 OpportunisticGossip::AdState& OpportunisticGossip::Ads() {
   if (ads_ == nullptr) {
     ads_ = std::make_unique<AdState>(options_->cache_capacity);
@@ -43,13 +49,6 @@ OpportunisticGossip::AdState& OpportunisticGossip::Ads() {
 
 void OpportunisticGossip::Start() {
   Protocol::Start();
-  if (dis_m_ <= 0.0) {
-    // Auto: the velocity constraint's minimum annulus width.
-    dis_m_ = std::max(
-        VelocityConstrainedDis(medium_->options().max_speed_mps,
-                               options_->round_time_s),
-        1.0);
-  }
   if (!options_->postpone) {
     // One global round series, randomly phased: "all peers work
     // asynchronously". ArmRound() schedules its ticks while the cache
@@ -104,7 +103,14 @@ double OpportunisticGossip::ProbabilityFor(const Advertisement& ad) const {
       RadiusAtAge(ad.radius_m, ad.duration_s, age, options_->propagation);
   const double distance = Distance(Position(), ad.issue_location);
   if (options_->annulus && age > options_->bootstrap_age_s) {
-    return AnnulusForwardingProbability(distance, radius_t, dis_m_,
+    // A width of 0 selects the velocity constraint's minimum.
+    const double dis_m =
+        options_->dis_m <= 0.0
+            ? std::max(VelocityConstrainedDis(medium_->options().max_speed_mps,
+                                              options_->round_time_s),
+                       1.0)
+            : options_->dis_m;
+    return AnnulusForwardingProbability(distance, radius_t, dis_m,
                                         options_->propagation);
   }
   return ForwardingProbability(distance, radius_t, options_->propagation);
@@ -243,7 +249,7 @@ void OpportunisticGossip::OnReceive(const net::Packet& packet,
     TraceDeliver(key, packet.hop, from);
     // Display filter (UI-level, Section I): show the ad if the user has no
     // interest filter, or if it matches. Relaying below is unconditional.
-    if (interests_.Size() == 0 || interests_.Matches(message->ad.content)) {
+    if (interests_ == nullptr || interests_->Matches(message->ad.content)) {
       ++ads.displayed_count;
     }
   }
@@ -288,7 +294,7 @@ void OpportunisticGossip::OnReceive(const net::Packet& packet,
     // Algorithm 5: count this user's interest and enlarge R/D if the rank
     // rose. Guarded by first_sight so an evicted-then-re-received ad is
     // not enlarged twice by the same peer.
-    RankAndEnlarge(&ad, interests_, self_, options_->ranking_options);
+    RankAndEnlarge(&ad, interests(), self_, options_->ranking_options);
   }
   const double probability = ProbabilityFor(ad);
   InsertAd(std::move(ad), probability);

@@ -49,9 +49,9 @@ struct GossipOptions {
 
   bool annulus = false;        ///< Optimization 1 on/off.
   /// Annulus width DIS (Table II: R/4). Setting 0 selects the velocity
-  /// constraint's minimum automatically at Start(): DIS = V_max * round
-  /// (paper Section III-D: a peer cannot cross more than that per round).
-  /// The options keep the 0; each peer resolves its own width.
+  /// constraint's minimum automatically: DIS = V_max * round (paper
+  /// Section III-D: a peer cannot cross more than that per round), with
+  /// V_max the medium's max_speed_mps.
   double dis_m = 250.0;
   /// Age below which Optimization 1 still uses the plain probability, so
   /// the initial wave can cross the central disc ("except for the first
@@ -128,7 +128,8 @@ class OpportunisticGossip : public Protocol {
   /// returns a shared empty cache (whose capacity is not this peer's).
   const AdCache& cache() const;
   const GossipOptions& options() const { return *options_; }
-  const InterestProfile& interests() const { return interests_; }
+  /// A peer without interests returns a shared empty profile.
+  const InterestProfile& interests() const;
 
   /// Number of times this peer postponed a scheduled gossip (Opt-2).
   uint64_t postpone_count() const {
@@ -215,10 +216,9 @@ class OpportunisticGossip : public Protocol {
   AdState& Ads();
 
   std::shared_ptr<const GossipOptions> options_;  // Shared per run.
-  /// Annulus width in use: options_->dis_m, or the automatic width Start()
-  /// resolves when that is 0.
-  double dis_m_;
-  InterestProfile interests_;
+  /// Null when the profile is empty, as it is for every peer of a run
+  /// without interests.
+  std::unique_ptr<const InterestProfile> interests_;
   /// Next tick of the global round series (phase + k * round_time). Start()
   /// draws its phase, so it lives outside the ad state.
   Time next_round_ = 0.0;

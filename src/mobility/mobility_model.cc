@@ -56,7 +56,7 @@ size_t MobilityModel::LegIndexAt(Time t) {
       legs_.begin(), legs_.end(), t,
       [](const Leg& leg, Time value) { return leg.end < value; });
   MADNET_DCHECK(it != legs_.end());
-  cursor_ = static_cast<size_t>(it - legs_.begin());
+  cursor_ = static_cast<uint32_t>(it - legs_.begin());
   return cursor_;
 }
 

@@ -10,6 +10,7 @@
 #ifndef MADNET_MOBILITY_MOBILITY_MODEL_H_
 #define MADNET_MOBILITY_MOBILITY_MODEL_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -97,7 +98,9 @@ class MobilityModel {
   Vec2 PositionAtSlow(Time t);
 
   std::vector<Leg> legs_;
-  size_t cursor_ = 0;  // Cache: queries are usually time-monotonic.
+  // Cache: queries are usually time-monotonic. 32 bits leave the base's
+  // last 4 bytes as tail padding a subclass can put a member in.
+  uint32_t cursor_ = 0;
 };
 
 }  // namespace madnet::mobility

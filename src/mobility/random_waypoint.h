@@ -42,9 +42,11 @@ class RandomWaypoint : public MobilityModel {
   Leg NextLeg(const Leg* previous) override;
 
  private:
+  // Alternate travel leg / pause leg. First, so it sits in the base's
+  // tail padding.
+  bool pause_next_ = false;
   std::shared_ptr<const Options> options_;  // Shared per run.
   Rng rng_;
-  bool pause_next_ = false;  // Alternate travel leg / pause leg.
 };
 
 }  // namespace madnet::mobility

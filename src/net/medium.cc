@@ -43,10 +43,6 @@ Status Medium::AddNode(NodeId id, MobilityModel* mobility) {
     rx_garbled_.push_back(0);
   }
   if (options_.csma) channel_busy_until_.push_back(-1.0);
-  sent_.push_back(0);
-  sent_bytes_.push_back(0);
-  received_.push_back(0);
-  received_bytes_.push_back(0);
   ++online_count_;
   index_time_ = -1.0;  // Force reindex: the node set changed.
   ++mutation_epoch_;
@@ -63,10 +59,6 @@ void Medium::Reserve(size_t node_count) {
     rx_garbled_.reserve(node_count);
   }
   if (options_.csma) channel_busy_until_.reserve(node_count);
-  sent_.reserve(node_count);
-  sent_bytes_.reserve(node_count);
-  received_.reserve(node_count);
-  received_bytes_.reserve(node_count);
 }
 
 Status Medium::SetReceiver(NodeId id, Receiver* receiver) {
@@ -104,22 +96,6 @@ void Medium::SetExtraLoss(double probability) {
   MADNET_DCHECK(probability >= 0.0 && probability <= 1.0 &&
                 std::isfinite(probability));
   extra_loss_ = probability;
-}
-
-uint64_t Medium::SentBy(NodeId id) const {
-  return Known(id) ? sent_[id] : 0;
-}
-
-uint64_t Medium::SentBytesBy(NodeId id) const {
-  return Known(id) ? sent_bytes_[id] : 0;
-}
-
-uint64_t Medium::ReceivedBy(NodeId id) const {
-  return Known(id) ? received_[id] : 0;
-}
-
-uint64_t Medium::ReceivedBytesBy(NodeId id) const {
-  return Known(id) ? received_bytes_[id] : 0;
 }
 
 bool Medium::IsOnline(NodeId id) const { return Known(id) && online_[id]; }
@@ -298,8 +274,6 @@ void Medium::ReleaseFrame(uint32_t slot) {
 Medium::OnAir Medium::Transmit(NodeId from, const Packet& packet, Time now) {
   stats_.messages_sent += 1;
   stats_.bytes_sent += packet.size_bytes;
-  sent_[from] += 1;
-  sent_bytes_[from] += packet.size_bytes;
   const OnAir on_air{mobility_[from]->PositionAt(now), next_tx_seq_++};
   if (observer_) observer_(from, packet, on_air.origin);
   if (trace_ != nullptr && trace_->Enabled(obs::kTraceTx)) {
@@ -498,8 +472,6 @@ bool Medium::Lost(NodeId to, const Vec2& origin, Time now) {
 
 void Medium::Receive(NodeId to, const Frame& frame, Time now) {
   stats_.deliveries += 1;
-  received_[to] += 1;
-  received_bytes_[to] += frame.packet.size_bytes;
   if (trace_ != nullptr && trace_->Enabled(obs::kTraceRx)) {
     trace_->Rx(now, frame.from, to, frame.packet.size_bytes,
                frame.packet.ad_key, frame.tx_seq);

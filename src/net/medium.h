@@ -8,8 +8,8 @@
 // Optimization 2's overhearing relies on).
 //
 // A node id is its dense index: AddNode takes ids 0, 1, 2, ... in order.
-// Link and MAC state (online bits, collision window, carrier, per-node
-// counters) is structure-of-arrays, one flat vector per attribute indexed
+// Link and MAC state (online bits, collision window, carrier) is
+// structure-of-arrays, one flat vector per attribute indexed
 // by id, and the spatial index stores ids, so a broadcast performs no map
 // lookup per receiver. The collision-window arrays exist only when
 // Options::enable_collisions is set (and CSMA is off), the carrier array
@@ -20,7 +20,8 @@
 // transmit header (counters, origin, tx seq, observer, Tx trace) and one
 // delivery path (offline/jam check, loss and fading, counters, Rx trace,
 // receiver); they differ only in when collisions, loss and fading are
-// decided.
+// decided. The counters are network totals (MediumStats): a per-node
+// tally is the caller's, through the broadcast observer and a receiver.
 // In-flight frames live in a medium-owned arena (slot pool with intrusive
 // refcounts) instead of one shared_ptr heap allocation per broadcast. A
 // frame lists its receivers, and its deliveries are one event-queue run
@@ -129,8 +130,10 @@ class Medium {
   using ReceiveHandler =
       std::function<void(const Packet&, NodeId from, NodeId to)>;
 
-  /// Called once per broadcast, at transmission time, with the sender and
-  /// its position. Used by instrumentation (e.g. message-density maps).
+  /// Called once per frame put on the air, under both MACs, with the
+  /// sender and its position (a CSMA frame that exhausts its retries is
+  /// never reported). Used by instrumentation (e.g. message-density maps,
+  /// per-node send counts).
   using BroadcastObserver =
       std::function<void(NodeId from, const Packet&, const Vec2& origin)>;
 
@@ -217,17 +220,10 @@ class Medium {
   void SetJamZones(std::vector<Rect> zones) { jam_zones_ = std::move(zones); }
   const std::vector<Rect>& jam_zones() const { return jam_zones_; }
 
-  /// Cumulative traffic counters.
+  /// Cumulative traffic counters, network-wide. A per-node tally (load
+  /// or energy per peer) counts sends through SetBroadcastObserver and
+  /// receptions through a receiver that forwards to the node's own.
   const MediumStats& stats() const { return stats_; }
-
-  /// Per-node radio accounting (0 for unknown ids). Together with
-  /// stats() these support per-peer load and energy analysis (e.g. how
-  /// Optimization 1 concentrates forwarding on annulus peers, and what
-  /// each method costs a battery-powered handset).
-  uint64_t SentBy(NodeId id) const;          ///< Frames transmitted.
-  uint64_t SentBytesBy(NodeId id) const;     ///< Bytes transmitted.
-  uint64_t ReceivedBy(NodeId id) const;      ///< Frames delivered to it.
-  uint64_t ReceivedBytesBy(NodeId id) const; ///< Bytes delivered to it.
 
   /// Number of registered nodes; their ids are 0 .. node_count() - 1.
   size_t node_count() const { return mobility_.size(); }
@@ -318,8 +314,8 @@ class Medium {
   const std::vector<NodeId>& NeighborIndicesOf(const Vec2& center,
                                                double radius) const;
 
-  /// Transmit header shared by both MACs: counts the frame sent by
-  /// `from`, takes its origin and tx seq, and reports it to the broadcast
+  /// Transmit header shared by both MACs: counts the frame, takes its
+  /// origin and tx seq, and reports it to the broadcast
   /// observer and the trace.
   OnAir Transmit(NodeId from, const Packet& packet, Time now);
 
@@ -387,10 +383,6 @@ class Medium {
   std::vector<uint8_t> rx_garbled_;         // Garbled bit.
   std::vector<Time> channel_busy_until_;    // CSMA carrier (empty unless
                                             // Options::csma).
-  std::vector<uint64_t> sent_;              // Per-node accounting (cold).
-  std::vector<uint64_t> sent_bytes_;
-  std::vector<uint64_t> received_;
-  std::vector<uint64_t> received_bytes_;
 
   mutable SpatialIndex index_;
   mutable Time index_time_ = -1.0;  // Snapshot instant (see RefreshIndex).

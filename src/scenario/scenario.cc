@@ -6,6 +6,7 @@
 #include <functional>
 #include <iterator>
 #include <memory>
+#include <memory_resource>
 #include <utility>
 #include <vector>
 
@@ -27,10 +28,17 @@ namespace {
 // A gossip issuer that "goes offline" does so shortly after.
 constexpr double kIssuerOfflineDelay = 1.0;
 
-using PeerMobilityMaker =
-    std::function<std::unique_ptr<mobility::MobilityModel>(Rng)>;
-using ProtocolMaker =
-    std::function<std::unique_ptr<core::Protocol>(core::ProtocolContext)>;
+using Arena = std::pmr::polymorphic_allocator<>;
+
+// Builds one node's object of a run in the scenario's arena. `bytes` is
+// the size of the concrete type `make` builds, which sizes the arena.
+template <typename Object, typename Input>
+struct ArenaMaker {
+  size_t bytes;
+  std::function<Object*(Arena, Input)> make;
+};
+using PeerMobilityMaker = ArenaMaker<mobility::MobilityModel, Rng>;
+using ProtocolMaker = ArenaMaker<core::Protocol, core::ProtocolContext>;
 
 // Returns the maker of one mobile peer's mobility model per
 // `config.mobility` (Random Waypoint / Manhattan grid / hotspot waypoint /
@@ -48,9 +56,9 @@ PeerMobilityMaker MakePeerMobilityMaker(const ScenarioConfig& config) {
       options->block_size_m = config.manhattan_block_m;
       options->min_speed_mps = min_speed;
       options->max_speed_mps = max_speed;
-      return [options](Rng rng) {
-        return std::make_unique<mobility::ManhattanGrid>(options, rng);
-      };
+      return {sizeof(mobility::ManhattanGrid), [options](Arena arena, Rng rng) {
+                return arena.new_object<mobility::ManhattanGrid>(options, rng);
+              }};
     }
     case Mobility::kHotspot: {
       auto options = std::make_shared<mobility::HotspotWaypoint::Options>();
@@ -73,21 +81,26 @@ PeerMobilityMaker MakePeerMobilityMaker(const ScenarioConfig& config) {
                                         config.area_size_m - margin}}),
              config.hotspot_sigma_m, 1.0});
       }
-      return [options](Rng rng) {
-        return std::make_unique<mobility::HotspotWaypoint>(options, rng);
-      };
+      return {sizeof(mobility::HotspotWaypoint),
+              [options](Arena arena, Rng rng) {
+                return arena.new_object<mobility::HotspotWaypoint>(options,
+                                                                   rng);
+              }};
     }
     case Mobility::kHighway:
-      return [area, min_speed, max_speed](Rng rng) {
-        // Vehicular strip: a fixed lane (the start y) and a constant speed
-        // along x, reflecting at the arena walls. Draw order (position,
-        // speed, direction) is part of the determinism contract.
-        const Vec2 start = rng.UniformInRect(area);
-        const double speed = rng.Uniform(min_speed, max_speed);
-        const double direction = rng.Uniform(0.0, 1.0) < 0.5 ? -1.0 : 1.0;
-        return std::make_unique<mobility::ConstantVelocity>(
-            area, start, Vec2{direction * speed, 0.0});
-      };
+      return {sizeof(mobility::ConstantVelocity),
+              [area, min_speed, max_speed](Arena arena, Rng rng) {
+                // Vehicular strip: a fixed lane (the start y) and a
+                // constant speed along x, reflecting at the arena walls.
+                // Draw order (position, speed, direction) is part of the
+                // determinism contract.
+                const Vec2 start = rng.UniformInRect(area);
+                const double speed = rng.Uniform(min_speed, max_speed);
+                const double direction =
+                    rng.Uniform(0.0, 1.0) < 0.5 ? -1.0 : 1.0;
+                return arena.new_object<mobility::ConstantVelocity>(
+                    area, start, Vec2{direction * speed, 0.0});
+              }};
     case Mobility::kRandomWaypoint:
       break;
   }
@@ -97,9 +110,9 @@ PeerMobilityMaker MakePeerMobilityMaker(const ScenarioConfig& config) {
   options->max_speed_mps = max_speed;
   options->min_pause_s = config.min_pause_s;
   options->max_pause_s = config.max_pause_s;
-  return [options](Rng rng) {
-    return std::make_unique<mobility::RandomWaypoint>(options, rng);
-  };
+  return {sizeof(mobility::RandomWaypoint), [options](Arena arena, Rng rng) {
+            return arena.new_object<mobility::RandomWaypoint>(options, rng);
+          }};
 }
 
 // Returns the maker of one node's protocol instance per `config.method`.
@@ -110,19 +123,21 @@ ProtocolMaker MakeProtocolMaker(const ScenarioConfig& config) {
     auto options =
         std::make_shared<const core::RestrictedFlooding::Options>(
             config.flooding);
-    return [options](core::ProtocolContext context) {
-      return std::make_unique<core::RestrictedFlooding>(std::move(context),
-                                                        options);
-    };
+    return {sizeof(core::RestrictedFlooding),
+            [options](Arena arena, core::ProtocolContext context) {
+              return arena.new_object<core::RestrictedFlooding>(
+                  std::move(context), options);
+            }};
   }
   if (config.method == Method::kResourceExchange) {
     auto options =
         std::make_shared<const core::ResourceExchange::Options>(
             config.exchange);
-    return [options](core::ProtocolContext context) {
-      return std::make_unique<core::ResourceExchange>(std::move(context),
-                                                      options);
-    };
+    return {sizeof(core::ResourceExchange),
+            [options](Arena arena, core::ProtocolContext context) {
+              return arena.new_object<core::ResourceExchange>(
+                  std::move(context), options);
+            }};
   }
   auto options = std::make_shared<const core::GossipOptions>(config.gossip);
   std::shared_ptr<const core::InterestGenerator> generator;
@@ -131,15 +146,16 @@ ProtocolMaker MakeProtocolMaker(const ScenarioConfig& config) {
         std::make_shared<const core::InterestGenerator>(
             config.interest_options);
   }
-  return [options, generator](core::ProtocolContext context) {
-    core::InterestProfile interests;
-    if (generator != nullptr) {
-      Rng interest_rng = context.rng.Fork(0x494E54);  // "INT"
-      interests = generator->Sample(&interest_rng);
-    }
-    return std::make_unique<core::OpportunisticGossip>(
-        std::move(context), options, std::move(interests));
-  };
+  return {sizeof(core::OpportunisticGossip),
+          [options, generator](Arena arena, core::ProtocolContext context) {
+            core::InterestProfile interests;
+            if (generator != nullptr) {
+              Rng interest_rng = context.rng.Fork(0x494E54);  // "INT"
+              interests = generator->Sample(&interest_rng);
+            }
+            return arena.new_object<core::OpportunisticGossip>(
+                std::move(context), options, std::move(interests));
+          }};
 }
 
 }  // namespace
@@ -214,21 +230,30 @@ Scenario::Scenario(Plan plan, obs::RunContext* obs)
   const int node_count = issuers + config_.num_peers;
   mobilities_.reserve(node_count);
   protocols_.reserve(node_count);
+  const PeerMobilityMaker make_peer_mobility = MakePeerMobilityMaker(config_);
+  const ProtocolMaker make_protocol = MakeProtocolMaker(config_);
+  // One buffer holds every node's objects: no allocation per object, and
+  // none of the growth steps an unsized arena would take.
+  arena_.emplace(std::max<size_t>(
+      1, issuers * sizeof(mobility::Stationary) +
+             config_.num_peers * make_peer_mobility.bytes +
+             node_count * make_protocol.bytes));
+  Arena arena(&*arena_);
 
   // Nodes 0..K-1: the issuers, stationary at their issuing locations.
   for (const Issue& issue : issues_) {
-    mobilities_.push_back(
-        std::make_unique<mobility::Stationary>(issue.location));
+    mobilities_.emplace_back(
+        arena.new_object<mobility::Stationary>(issue.location));
   }
   // Nodes K..K+N-1: mobile peers.
-  const PeerMobilityMaker make_peer_mobility = MakePeerMobilityMaker(config_);
   for (int i = 0; i < config_.num_peers; ++i) {
     // Per-peer mobility streams fork label first_peer_mobility + i. These
     // stay below the per-node protocol labels 0x20000 + id only for fewer
     // than 65,536 peers; beyond that, single-ad peer i shares node
     // (i - 65,535)'s protocol stream, as Fork is a pure function of
     // (parent state, label). The fix changes streams: ROADMAP item 5.
-    mobilities_.push_back(make_peer_mobility(
+    mobilities_.emplace_back(make_peer_mobility.make(
+        arena,
         // NOLINTNEXTLINE(madnet-rng-fork-label): 0x10000+i, unique if N<65536.
         root.Fork(plan.streams.first_peer_mobility + i)));
   }
@@ -238,7 +263,6 @@ Scenario::Scenario(Plan plan, obs::RunContext* obs)
     Status added = medium_->AddNode(id, mobilities_[id].get());
     MADNET_DCHECK(added.ok());
   }
-  const ProtocolMaker make_protocol = MakeProtocolMaker(config_);
   for (net::NodeId id = 0; id < static_cast<net::NodeId>(node_count); ++id) {
     core::ProtocolContext context;
     context.simulator = &simulator_;
@@ -250,7 +274,7 @@ Scenario::Scenario(Plan plan, obs::RunContext* obs)
     // NOLINTNEXTLINE(madnet-rng-fork-label): 0x20000+node, unique if N<65536.
     context.rng = root.Fork(0x20000 + id);
     context.trace = obs_ != nullptr ? &obs_->trace : nullptr;
-    protocols_.push_back(make_protocol(std::move(context)));
+    protocols_.emplace_back(make_protocol.make(arena, std::move(context)));
     protocols_.back()->Start();
   }
 

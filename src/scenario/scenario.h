@@ -9,6 +9,8 @@
 #define MADNET_SCENARIO_SCENARIO_H_
 
 #include <memory>
+#include <memory_resource>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -180,6 +182,17 @@ class Scenario {
   /// Snapshots the finished run's counters and reports into obs_->metrics.
   void CaptureMetrics(const RunResult& result);
 
+  /// Owner of an object built in arena_: runs its destructor and leaves
+  /// the memory to the arena.
+  struct DestroyOnly {
+    template <typename T>
+    void operator()(T* object) const {
+      std::destroy_at(object);
+    }
+  };
+  template <typename T>
+  using ArenaPtr = std::unique_ptr<T, DestroyOnly>;
+
   ScenarioConfig config_;
   obs::RunContext* obs_;  // Borrowed; may be null.
   sim::Simulator simulator_;
@@ -188,8 +201,12 @@ class Scenario {
   std::vector<Issue> issues_;
   std::unique_ptr<net::Medium> medium_;
   stats::DeliveryLog delivery_log_;
-  std::vector<std::unique_ptr<mobility::MobilityModel>> mobilities_;
-  std::vector<std::unique_ptr<core::Protocol>> protocols_;
+  /// Every node's mobility model and protocol, in one buffer sized at
+  /// construction. Declared before the owner arrays below, so it is
+  /// released after their objects are destroyed.
+  std::optional<std::pmr::monotonic_buffer_resource> arena_;
+  std::vector<ArenaPtr<mobility::MobilityModel>> mobilities_;
+  std::vector<ArenaPtr<core::Protocol>> protocols_;
   /// Expands config_.fault into simulator events; null when the plan is
   /// disabled (the run is then byte-identical to a pre-fault-layer one).
   std::unique_ptr<fault::FaultInjector> injector_;

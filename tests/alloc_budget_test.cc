@@ -16,6 +16,10 @@
 //   * Soak: the faulted marketplace at 10x its sim_time, with a jammer
 //     window added. Pending events, live bytes and the frame arena must
 //     stay bounded.
+//   * Bytes per node: live heap bytes per node of a metro-density gossip
+//     run (after construction and at its high-water mark) and of a
+//     multi-ad marketplace run (at its high-water mark), against ceilings
+//     of the measured value + 3%.
 //   * Whole runs: the 1000-peer Table-II run of each method, ideal and
 //     CSMA, from issue + 100 s to sim_time - 1 s, against a per-method
 //     ceiling of allocations per 1000 events. The comment on each ceiling
@@ -419,29 +423,30 @@ TEST(AllocBudgetTest, FaultedMarketplaceSoakStaysBounded) {
 // at the high-water mark of the whole run (events and aggregation). Each
 // ceiling is the measured value plus about 3%.
 //
-// 307 B after construction (glibc usable sizes, seed 1000):
-//   * the OpportunisticGossip object, 136 B: the protocol base 72 (vtable,
+// 234 B after construction (glibc usable sizes, seed 1000):
+//   * the OpportunisticGossip object, 112 B: the protocol base 72 (vtable,
 //     medium, log and trace pointers, own id packed with the next ad
 //     sequence, own 32-byte random stream), a shared pointer to the run's
-//     one GossipOptions 16, the resolved annulus width 8, an empty interest
-//     profile 24, the next round tick 8, and a null pointer to the ad
-//     state 8;
-//   * the RandomWaypoint object, 104 B (96 requested): the leg list and
-//     cursor 40, a shared pointer to the run's one Options 16, the random
-//     stream 32, the pause flag 8;
-//   * the medium's per-node arrays, 49 B (mobility and receiver pointers,
-//     the online bit, four traffic counters; this run has neither
-//     collisions nor CSMA, so no MAC arrays), sized by Medium::Reserve,
-//     and the scenario's two owner arrays, 16 B.
-// The peak, 452 B, adds the trajectory legs (49 B: about one 48-byte leg
+//     one GossipOptions 16, a null interest pointer 8, the next round tick
+//     8, and a null pointer to the ad state 8;
+//   * the RandomWaypoint object, 88 B: the leg list and 32-bit cursor 36,
+//     the pause flag in the base's tail padding 4, a shared pointer to the
+//     run's one Options 16, the random stream 32;
+//   * both objects sit in the scenario's one arena block, sized for every
+//     node up front, so neither pays a chunk header or rounding;
+//   * the medium's per-node arrays, 17 B (mobility and receiver pointers,
+//     the online bit; this run has neither collisions nor CSMA, so no MAC
+//     arrays), sized by Medium::Reserve, and the scenario's two owner
+//     arrays, 16 B.
+// The peak, 379 B, adds the trajectory legs (49 B: about one 48-byte leg
 // per peer in 200 s), the spatial grid (about 29 B: id, position and
 // destination slot per point, and the cell offsets), the ad state of the
 // 4.5% of peers the ad reached (about 34 B: the 104-byte block, the seen
 // list, the cache's key and entry arrays, the ad's strings and sketch),
 // the event queue and, during aggregation, one transit per peer that
 // crossed the ad's area.
-constexpr double kBytesPerNodeBuilt = 316.0;
-constexpr double kBytesPerNodePeak = 465.0;
+constexpr double kBytesPerNodeBuilt = 241.0;
+constexpr double kBytesPerNodePeak = 390.0;
 
 TEST(AllocBudgetTest, BytesPerPeerAtMetroDensity) {
   // perfbench's metro workload scaled to 20k peers: pure gossip at Table II
@@ -474,6 +479,40 @@ TEST(AllocBudgetTest, BytesPerPeerAtMetroDensity) {
   std::printf(
       "bytes per node: %.1f after construction, %.1f peak; legs %.1f\n",
       built, peak, static_cast<double>(legs * sizeof(mobility::Leg)) / nodes);
+}
+
+// The multi-ad path: live heap bytes per node at the run's high-water
+// mark (construction, events and aggregation), measured + 3%. At 1429 B
+// measured, 64 more bytes per peer object fail it.
+constexpr double kMarketplaceBytesPerNodePeak = 1472.0;
+
+TEST(AllocBudgetTest, MarketplaceMultiAdPeakBytesPerNode) {
+  // perfbench's marketplace workload reduced: scenarios/marketplace_zipf.cfg
+  // on four times its area at its own density (800 peers on a 6 km square),
+  // with 16 ads for its 8 cache slots, loss and collisions. Most peers
+  // are within reach of a few ads only, so the peers' own bytes show.
+  scenario::MultiAdConfig config;
+  ASSERT_TRUE(scenario::LoadMultiAdConfigFile(
+                  MADNET_SCENARIO_DIR "/marketplace_zipf.cfg", &config)
+                  .ok());
+  config.base.area_size_m *= 2.0;
+  config.base.num_peers *= 4;
+  config.num_ads = 16;
+  config.base.medium.loss_probability = 0.05;
+  config.base.medium.enable_collisions = true;
+  ASSERT_TRUE(config.Validate().ok());
+  const double nodes = config.num_ads + config.base.num_peers;
+
+  const int64_t before = LiveBytes();
+  ResetPeakLiveBytes();
+  scenario::Scenario scenario(config);
+  const scenario::RunResult result = scenario.Run();
+  const double peak = static_cast<double>(PeakLiveBytes() - before) / nodes;
+  EXPECT_GT(result.net.deliveries, 0u);
+  EXPECT_GT(result.net.dropped_loss, 0u);
+  EXPECT_GT(result.net.dropped_collision, 0u);
+  EXPECT_LE(peak, kMarketplaceBytesPerNodePeak);
+  std::printf("marketplace bytes per node at peak: %.1f\n", peak);
 }
 
 // ---------------------------------------------------------------------------

@@ -201,8 +201,9 @@ TEST_F(MediumTest, EmptyHandlerDetachesTheNode) {
   ASSERT_TRUE(medium_->Broadcast(0, MakePacket(1)).ok());
   sim_.Run();
   EXPECT_TRUE(received_[1].empty());
-  // The frame still reached the node's radio.
-  EXPECT_EQ(medium_->ReceivedBy(1), 1u);
+  // The frame still reached the node's radio: node 1 is node 0's only
+  // neighbour.
+  EXPECT_EQ(medium_->stats().deliveries, 1u);
 }
 
 TEST_F(MediumTest, DuplicateNodeIdRejected) {
@@ -368,34 +369,84 @@ TEST_F(MediumTest, RepeatQueryAtSameInstantSeesSetOnline) {
 }
 
 TEST_F(MediumTest, SentByTracksPerNodeTransmissions) {
+  // Per-node sends are tallied through the broadcast observer: it reports
+  // every accepted broadcast with its sender, and none that is rejected.
   Build({{0.0, 0.0}, {10.0, 0.0}});
+  std::vector<uint64_t> sent(2);
+  medium_->SetBroadcastObserver(
+      [&](NodeId from, const Packet&, const Vec2&) { ++sent[from]; });
   ASSERT_TRUE(medium_->Broadcast(0, MakePacket(1)).ok());
   ASSERT_TRUE(medium_->Broadcast(0, MakePacket(2)).ok());
   ASSERT_TRUE(medium_->Broadcast(1, MakePacket(3)).ok());
   sim_.Run();
-  EXPECT_EQ(medium_->SentBy(0), 2u);
-  EXPECT_EQ(medium_->SentBy(1), 1u);
-  EXPECT_EQ(medium_->SentBy(99), 0u);  // Unknown id.
-  // Offline rejections do not count.
+  EXPECT_EQ(sent, (std::vector<uint64_t>{2, 1}));
+  // Unknown senders and offline senders are rejected and not reported.
+  EXPECT_FALSE(medium_->Broadcast(99, MakePacket(4)).ok());
   ASSERT_TRUE(medium_->SetOnline(0, false).ok());
-  EXPECT_FALSE(medium_->Broadcast(0, MakePacket(4)).ok());
-  EXPECT_EQ(medium_->SentBy(0), 2u);
+  EXPECT_FALSE(medium_->Broadcast(0, MakePacket(5)).ok());
+  sim_.Run();
+  EXPECT_EQ(sent, (std::vector<uint64_t>{2, 1}));
+  EXPECT_EQ(medium_->stats().messages_sent, 3u);
 }
 
 TEST_F(MediumTest, PerNodeByteAndRxCounters) {
-  Build({{0.0, 0.0}, {10.0, 0.0}, {20.0, 0.0}});
-  ASSERT_TRUE(medium_->Broadcast(0, MakePacket(1, 100)).ok());
-  ASSERT_TRUE(medium_->Broadcast(0, MakePacket(2, 50)).ok());
-  ASSERT_TRUE(medium_->Broadcast(1, MakePacket(3, 30)).ok());
-  sim_.Run();
-  EXPECT_EQ(medium_->SentBytesBy(0), 150u);
-  EXPECT_EQ(medium_->SentBytesBy(1), 30u);
-  // Node 2 received all three frames; node 0 only node 1's frame.
-  EXPECT_EQ(medium_->ReceivedBy(2), 3u);
-  EXPECT_EQ(medium_->ReceivedBytesBy(2), 180u);
-  EXPECT_EQ(medium_->ReceivedBy(0), 1u);
-  EXPECT_EQ(medium_->ReceivedBytesBy(0), 30u);
-  EXPECT_EQ(medium_->ReceivedBy(99), 0u);
+  // What a per-node load or energy tally relies on, under both MACs: the
+  // broadcast observer reports every frame put on the air with its size,
+  // and a handler that counts each frame and then forwards it to the
+  // node's own receiver sees exactly the deliveries the medium counts.
+  struct Inbox final : Receiver {
+    void OnFrame(const Packet&, NodeId, NodeId) override { ++frames; }
+    uint64_t frames = 0;
+  };
+  for (const bool csma : {false, true}) {
+    SCOPED_TRACE(csma ? "CSMA" : "ideal");
+    Medium::Options options;
+    options.csma = csma;
+    // Nodes 0-2 hear each other; node 3 is out of everyone's range.
+    Build({{0.0, 0.0}, {10.0, 0.0}, {20.0, 0.0}, {1000.0, 0.0}}, options);
+    std::vector<uint64_t> sent(4), sent_bytes(4), received(4),
+        received_bytes(4);
+    std::vector<Inbox> inboxes(4);
+    medium_->SetBroadcastObserver(
+        [&](NodeId from, const Packet& packet, const Vec2&) {
+          ++sent[from];
+          sent_bytes[from] += packet.size_bytes;
+        });
+    for (NodeId id = 0; id < 4; ++id) {
+      Receiver* own = &inboxes[id];
+      ASSERT_TRUE(medium_
+                      ->SetReceiver(id,
+                                    [&, own](const Packet& packet,
+                                             NodeId from, NodeId to) {
+                                      ++received[to];
+                                      received_bytes[to] += packet.size_bytes;
+                                      own->OnFrame(packet, from, to);
+                                    })
+                      .ok());
+    }
+    for (int round = 0; round < 20; ++round) {
+      ASSERT_TRUE(medium_->Broadcast(0, MakePacket(round, 100)).ok());
+      ASSERT_TRUE(medium_->Broadcast(1, MakePacket(round, 30)).ok());
+      ASSERT_TRUE(medium_->Broadcast(3, MakePacket(round, 7)).ok());
+      sim_.Run();
+    }
+    // An offline sender's rejected broadcast is not reported.
+    ASSERT_TRUE(medium_->SetOnline(3, false).ok());
+    EXPECT_FALSE(medium_->Broadcast(3, MakePacket(99)).ok());
+    sim_.Run();
+
+    EXPECT_EQ(sent, (std::vector<uint64_t>{20, 20, 0, 20}));
+    EXPECT_EQ(sent_bytes, (std::vector<uint64_t>{2000, 600, 0, 140}));
+    EXPECT_EQ(medium_->stats().messages_sent, 60u);
+    EXPECT_EQ(medium_->stats().bytes_sent, 2740u);
+    // Node 2 hears nodes 0 and 1; each of those hears the other.
+    EXPECT_EQ(received, (std::vector<uint64_t>{20, 20, 40, 0}));
+    EXPECT_EQ(received_bytes, (std::vector<uint64_t>{600, 2000, 2600, 0}));
+    EXPECT_EQ(medium_->stats().deliveries, 80u);
+    for (NodeId id = 0; id < 4; ++id) {
+      EXPECT_EQ(inboxes[id].frames, received[id]) << "node " << id;
+    }
+  }
 }
 
 TEST_F(MediumTest, BroadcastObserverSeesEveryTransmission) {

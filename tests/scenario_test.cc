@@ -10,9 +10,11 @@
 #include <sstream>
 #include <string>
 
+#include "core/opportunistic_gossip.h"
 #include "exec/replication.h"
 #include "obs/run_context.h"
 #include "obs/trace_reader.h"
+#include "scenario/multi_ad.h"
 #include "scenario/scenario.h"
 
 namespace madnet::scenario {
@@ -273,6 +275,56 @@ TEST(ScenarioTest, RecordTracesCoversAllNodesAndHorizon) {
   mobility::TraceReplay replay(traces[3].second);
   for (double t = 0.0; t <= 100.0; t += 13.0) {
     EXPECT_EQ(replay.PositionAt(t), scenario.mobility(3)->PositionAt(t));
+  }
+}
+
+TEST(ScenarioTest, NodeObjectsOutliveRunAndTearDownWithTheScenario) {
+  // Every node's mobility model and protocol lives in the scenario's
+  // arena. Each must stay reachable after Run(), with what it holds on
+  // the heap (ad state, interests, legs), and go with the scenario: a
+  // sanitizer build checks the teardown for leaks and use-after-free.
+  ScenarioConfig faulted = FastConfig(Method::kOptimized, 60);
+  faulted.fault.churn_rate = 0.3;
+  faulted.fault.churn_up_s = 60.0;
+  faulted.fault.churn_down_s = 20.0;
+  faulted.fault.churn_crash = true;
+  faulted.assign_interests = true;
+  faulted.interest_options.universe =
+      core::InterestGenerator::DefaultUniverse();
+  ASSERT_TRUE(faulted.Validate().ok());
+  {
+    Scenario scenario(faulted);
+    const RunResult result = scenario.Run();
+    EXPECT_GT(result.fault.crashes, 0u);
+    EXPECT_GT(result.fault.node_rejoins, 0u);
+    uint64_t displayed = 0;
+    for (net::NodeId id = 0; id <= 60; ++id) {
+      const auto* gossip =
+          dynamic_cast<const core::OpportunisticGossip*>(scenario.protocol(id));
+      ASSERT_NE(gossip, nullptr) << "node " << id;
+      EXPECT_GT(gossip->interests().Size(), 0u) << "node " << id;
+      displayed += gossip->displayed_count();
+      EXPECT_FALSE(scenario.mobility(id)->legs().empty()) << "node " << id;
+    }
+    EXPECT_GT(displayed, 0u);
+    const mobility::TraceSet traces = scenario.RecordTraces(faulted.sim_time_s);
+    ASSERT_EQ(traces.size(), 61u);
+    EXPECT_EQ(mobility::TraceReplay(traces[7].second)
+                  .PositionAt(faulted.sim_time_s),
+              scenario.mobility(7)->PositionAt(faulted.sim_time_s));
+  }
+  MultiAdConfig multi;
+  multi.base = FastConfig(Method::kGossip, 40);
+  multi.num_ads = 3;
+  ASSERT_TRUE(multi.Validate().ok());
+  Scenario scenario(multi);
+  const RunResult result = scenario.Run();
+  EXPECT_GT(result.net.deliveries, 0u);
+  ASSERT_EQ(scenario.num_issuers(), 3);
+  for (const IssuedAd& ad : scenario.ads()) EXPECT_NE(ad.key, 0u);
+  for (net::NodeId id = 0; id < 43; ++id) {
+    EXPECT_NE(scenario.protocol(id), nullptr);
+    EXPECT_FALSE(scenario.mobility(id)->legs().empty()) << "node " << id;
   }
 }
 
